@@ -15,14 +15,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .corpus import generate_corpus
-from .document import Document, doc_from_frame, doc_to_frame, tokenize
+from .document import (Document, SchemaError, doc_from_frame, doc_to_frame,
+                       tokenize)
 from .evaluation import EvalReport, TokenMismatchError, evaluate, evaluate_corpus
 from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
                     parse_tokens, save_checkpoint, train)
 from .model.train import TrainingError, oracle_sequences
-from .notation import parse_notation, print_notation, print_with_labels
+from .notation import parse_notation, print_with_labels
 from .oracle import UnrepresentableDocumentError, action_stats, generate
-from .store import Store
+from .store import Store, StoreError
 
 
 class CliError(Exception):
@@ -43,13 +44,9 @@ def read_corpus(path: str) -> list[Document]:
     for index, handle in enumerate(result.top):
         try:
             docs.append(doc_from_frame(handle, store))
-        except Exception as exc:
+        except (SchemaError, StoreError) as exc:
             raise CliError(f"{path}: document {index}: {exc}")
     return docs
-
-
-def format_document(doc: Document) -> str:
-    return print_notation([doc_to_frame(doc)], doc.store)
 
 
 def format_corpus(docs: list[Document]) -> str:

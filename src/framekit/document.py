@@ -11,10 +11,9 @@ slot per evoked frame.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from .store import Handle, Slot, Store, Value
+from .store import Handle, Store, Value
 
 DOCUMENT_TYPE = "/s/document"
 DOCUMENT_TEXT = "/s/document/text"
@@ -80,12 +79,14 @@ class Document:
 
     def check(self) -> None:
         """Assert the document invariants; raises SchemaError."""
-        data = self.text.encode("utf-8")
+        data = _utf8(self.text)
         pos = 0
         for token in self.tokens:
             if token.start < pos:
                 raise SchemaError("tokens overlap or are out of order")
-            if data[token.start:token.start + token.length].decode("utf-8") != token.text:
+            # Bytes, not decoded text: offsets that split a character
+            # are a mismatch, not a UnicodeDecodeError.
+            if data[token.start:token.start + token.length] != _utf8(token.text):
                 raise SchemaError(f"token text mismatch at byte {token.start}")
             pos = token.start + token.length
         previous = None
@@ -103,13 +104,12 @@ class Document:
                 raise SchemaError("mentions are not sorted")
             previous = key
 
-    def span_text(self, begin: int, length: int) -> str:
-        toks = self.tokens[begin:begin + length]
-        if not toks:
-            return ""
-        data = self.text.encode("utf-8")
-        first, last = toks[0], toks[-1]
-        return data[first.start:last.start + last.length].decode("utf-8")
+
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"text has no UTF-8 form: {exc.reason}") from None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -254,15 +254,6 @@ def frame_graph(doc: Document) -> list[Handle]:
         for frame in mention.evoked:
             admit(frame)
 
-    # Incoming edges require an arena scan; build the reverse index once.
-    incoming: dict[Handle, list[Handle]] = {}
-    for frame in store.frames():
-        if _is_structural(store, frame):
-            continue
-        for slot in store.slots(frame):
-            if isinstance(slot.value, Handle) and slot.value.is_frame():
-                incoming.setdefault(slot.value, []).append(frame)
-
     cursor = 0
     while cursor < len(ordered):
         frame = ordered[cursor]
@@ -270,7 +261,7 @@ def frame_graph(doc: Document) -> list[Handle]:
         for slot in store.slots(frame):
             if isinstance(slot.value, Handle) and slot.value.is_frame():
                 admit(slot.value)
-        for source in incoming.get(frame, ()):
+        for source in store.referrers(frame):
             admit(source)
     return ordered
 
@@ -279,18 +270,6 @@ def _is_structural(store: Store, frame: Handle) -> bool:
     value = store.get_role(frame, store.isa)
     return (isinstance(value, Handle) and value.is_symbol()
             and store.symbol_name(value) in STRUCTURAL_TYPES)
-
-
-def evoked_frames(doc: Document) -> list[Handle]:
-    """Frames evoked by at least one mention, in mention order."""
-    seen: set[Handle] = set()
-    out: list[Handle] = []
-    for mention in doc.mentions:
-        for frame in mention.evoked:
-            if frame not in seen:
-                seen.add(frame)
-                out.append(frame)
-    return out
 
 
 def spans_to_frames(doc: Document) -> dict[tuple[int, int], list[Handle]]:

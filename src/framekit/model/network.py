@@ -120,16 +120,6 @@ class Parameters:
             shadow *= decay
             shadow += (1.0 - decay) * self.arrays[name]
 
-    def astype(self, dtype: str) -> "Parameters":
-        """Copy with every array cast to `dtype` (for gradient checks)."""
-        out = Parameters.__new__(Parameters)
-        out.config = ModelConfig(**{**self.config.__dict__, "dtype": dtype})
-        out.lexicon = self.lexicon
-        out.arrays = {k: v.astype(dtype) for k, v in self.arrays.items()}
-        out.ema = None if self.ema is None else {
-            k: v.astype(dtype) for k, v in self.ema.items()}
-        return out
-
 
 def _lstm_cell(P: dict[str, Tensor], direction: str, x: Tensor,
                h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:

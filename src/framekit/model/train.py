@@ -164,10 +164,6 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
     return params
 
 
-def clone_arrays(params: Parameters) -> dict[str, np.ndarray]:
-    return {name: array.copy() for name, array in params.arrays.items()}
-
-
 def grad_check(params: Parameters, doc: Document,
                actions: Optional[list[Action]] = None,
                step: float = 1e-5) -> float:

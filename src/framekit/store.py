@@ -6,11 +6,19 @@ be literals, arrays, or handles to other frames, so a store can hold
 arbitrary graphs, including cycles.  Handles stay valid for the lifetime
 of the store.  A frozen store rejects all mutation and may be shared
 read-only between threads.
+
+The store also keeps a reverse index of links: for each frame, the
+frames that hold a slot whose value is that frame, one entry per such
+slot, in allocation order of the holder.  `new_frame` and `add_slot`,
+the only mutators, keep it current, so `referrers` answers from the
+index in time proportional to its answer, however large the arena.
+Array items are not links and are not indexed.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -92,6 +100,9 @@ class Store:
     def __init__(self) -> None:
         self._uid = next(Store._uids)
         self._frames: list[list[Slot]] = []
+        # frame index -> indices of the frames linking to it, ascending,
+        # one entry per linking slot.
+        self._referrers: list[list[int]] = []
         self._symbol_names: list[str] = []
         self._symbols: dict[str, Handle] = {}
         self._bindings: dict[int, Handle] = {}  # symbol index -> named frame
@@ -121,15 +132,6 @@ class Store:
         for i in range(len(self._frames)):
             yield Handle(FRAME, i, self._uid)
 
-    def owns(self, handle: Handle) -> bool:
-        if handle.kind == NIL:
-            return True
-        if handle.store_uid != self._uid:
-            return False
-        if handle.kind == FRAME:
-            return 0 <= handle.index < len(self._frames)
-        return 0 <= handle.index < len(self._symbol_names)
-
     # -- symbols ---------------------------------------------------------
 
     def intern(self, name: str) -> Handle:
@@ -147,10 +149,6 @@ class Store:
     def symbol_name(self, handle: Handle) -> str:
         self._check_handle(handle, SYMBOL)
         return self._symbol_names[handle.index]
-
-    def lookup(self, name: str) -> Optional[Handle]:
-        """Symbol handle for `name` if it was ever interned, else None."""
-        return self._symbols.get(name)
 
     def binding(self, symbol: Handle) -> Optional[Handle]:
         """Frame bound to `symbol` as its id, else None."""
@@ -182,6 +180,13 @@ class Store:
             self._check_value(slot.value)
         handle = Handle(FRAME, len(self._frames), self._uid)
         self._frames.append(pending)
+        # Index the links before binding ids: the frame stays allocated
+        # if a binding below fails.  It has the highest index, so
+        # appending keeps each list in allocation order.
+        self._referrers.append([])
+        for slot in pending:
+            if isinstance(slot.value, Handle) and slot.value.kind == FRAME:
+                self._referrers[slot.value.index].append(handle.index)
         for slot in pending:
             if slot.role.index == ID_INDEX and slot.role.kind == SYMBOL:
                 if isinstance(slot.value, Handle) and slot.value.is_symbol():
@@ -200,10 +205,25 @@ class Store:
             if isinstance(value, Handle) and value.is_symbol():
                 self._bind(value, frame)
         self._frames[frame.index].append(Slot(role, value))
+        if isinstance(value, Handle) and value.kind == FRAME:
+            insort(self._referrers[value.index], frame.index)
 
     def slots(self, frame: Handle) -> list[Slot]:
         self._check_handle(frame, FRAME)
         return list(self._frames[frame.index])
+
+    def referrers(self, frame: Handle) -> list[Handle]:
+        """Frames holding a slot whose value is `frame`.
+
+        One entry per linking slot, so a frame linking twice appears
+        twice; ordered by the holder's allocation, as a scan of
+        `frames()` would list them.  Array items are not links.  Read
+        from the reverse index: the cost is the length of the answer,
+        not the size of the store.
+        """
+        self._check_handle(frame, FRAME)
+        uid = self._uid
+        return [Handle(FRAME, index, uid) for index in self._referrers[frame.index]]
 
     def slot_count(self, frame: Handle) -> int:
         self._check_handle(frame, FRAME)

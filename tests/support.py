@@ -9,7 +9,7 @@ import string
 
 from framekit.document import Document, Mention, frame_graph, tokenize
 from framekit.evaluation import align
-from framekit.store import Handle, Store
+from framekit.store import Handle, Slot, Store
 
 HIT_DOC_TEXT = """{
   :/s/document
@@ -484,21 +484,54 @@ def copy_document(doc: Document) -> Document:
     return out
 
 
+def rebuild_document(doc: Document, edited: dict[Handle, list[Slot]]) -> Document:
+    """Copy every frame of `doc.store`, in allocation order, into a fresh
+    store through `new_frame` and `add_slot`, taking a frame's slots from
+    `edited` where it has an entry.  Frames keep their indices and the
+    mentions are remapped.  Tests alter a store this way rather than by
+    writing its arena, so the store's index of referrers stays true."""
+    old = doc.store
+    store = Store()
+    clones = [store.new_frame() for _ in old.frames()]
+
+    def copied(value):
+        if isinstance(value, list):
+            return [copied(item) for item in value]
+        if isinstance(value, Handle):
+            return (clones[value.index] if value.is_frame()
+                    else store.intern(old.symbol_name(value)))
+        return value
+
+    for frame, clone in zip(old.frames(), clones):
+        for slot in edited[frame] if frame in edited else old.slots(frame):
+            store.add_slot(clone, copied(slot.role), copied(slot.value))
+    mentions = [Mention(m.begin, m.length, [clones[f.index] for f in m.evoked])
+                for m in doc.mentions]
+    return Document(doc.text, list(doc.tokens), mentions, store)
+
+
 def perturb_document(doc: Document, rng: random.Random) -> Document:
     """A structurally altered copy: retyped frames, dropped/added
     mentions, dropped slots, changed constants or roles."""
     out = copy_document(doc)
     store = out.store
     frames = frame_graph(out)
+    edited: dict[Handle, list[Slot]] = {}
+
+    def slots_of(frame: Handle) -> list[Slot]:
+        if frame not in edited:
+            edited[frame] = store.slots(frame)
+        return edited[frame]
+
     for _ in range(rng.randint(1, 3)):
         op = rng.choice(["retype", "drop_mention", "add_mention",
                          "drop_slot", "change_constant", "rename_role"])
         if op == "retype" and frames:
             frame = rng.choice(frames)
-            slots = store.slots(frame)
+            slots = slots_of(frame)
             for index, slot in enumerate(slots):
                 if slot.role == store.isa:
-                    store._frames[frame.index][index] = slot._replace(
+                    slots[index] = slot._replace(
                         value=store.intern(rng.choice(TYPE_POOL)))
                     break
         elif op == "drop_mention" and len(out.mentions) > 1:
@@ -509,22 +542,23 @@ def perturb_document(doc: Document, rng: random.Random) -> Document:
             out.mentions.append(Mention(begin, 1, [frame]))
         elif op == "drop_slot" and frames:
             frame = rng.choice(frames)
-            slots = store._frames[frame.index]
+            slots = slots_of(frame)
             if len(slots) > 1:
                 slots.pop(rng.randrange(1, len(slots)))
         elif op == "change_constant" and frames:
             frame = rng.choice(frames)
-            slots = store._frames[frame.index]
+            slots = slots_of(frame)
             for index, slot in enumerate(slots):
                 if isinstance(slot.value, (int, str)) and slot.role != store.isa:
                     slots[index] = slot._replace(value="changed!")
                     break
         elif op == "rename_role" and frames:
             frame = rng.choice(frames)
-            slots = store._frames[frame.index]
+            slots = slots_of(frame)
             for index, slot in enumerate(slots):
                 if slot.role not in (store.isa, store.id):
                     slots[index] = slot._replace(role=store.intern("/r/renamed"))
                     break
+    out = rebuild_document(out, edited)
     out.sort_mentions()
     return out

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framekit.cli import CliError, read_corpus
+from framekit.corpus import generate_corpus
 from framekit.document import (Document, Mention, SchemaError, doc_from_frame,
                                doc_to_frame, frame_graph, tokenize)
+from framekit.notation import parse_or_raise, print_with_labels
 from framekit.store import Store
 from support import hit_document
 
@@ -89,7 +92,6 @@ def test_phrase_length_defaults_to_one():
                  {/s/token/text: "b" /s/token/start: 2 /s/token/length: 1}]
                /s/document/mention: {:/s/phrase /s/phrase/begin: 1
                                      /s/phrase/evokes: {:/t/x}}}"""
-    from framekit.notation import parse_or_raise
     (top,) = parse_or_raise(text, store)
     doc = doc_from_frame(top, store)
     assert doc.mentions[0].length == 1
@@ -107,6 +109,26 @@ def test_schema_error_not_a_document():
     frame = store.new_frame([(store.isa, store.intern("/t/other"))])
     with pytest.raises(SchemaError):
         doc_from_frame(frame, store)
+
+
+SPLIT_CHARACTER_DOC = """{:/s/document /s/document/text: "h\u00e9llo"
+  /s/document/tokens: [{/s/token/text: "h" /s/token/start: 1 /s/token/length: 1}]}"""
+
+
+def test_schema_error_token_splits_character(tmp_path):
+    store = Store()
+    (top,) = parse_or_raise(SPLIT_CHARACTER_DOC, store)
+    with pytest.raises(SchemaError):
+        doc_from_frame(top, store)
+    path = tmp_path / "split.txt"
+    path.write_text(SPLIT_CHARACTER_DOC, encoding="utf-8")
+    with pytest.raises(CliError, match="document 0"):
+        read_corpus(str(path))
+
+
+def test_schema_error_text_without_utf8_form():
+    with pytest.raises(SchemaError):
+        Document("\ud800", [], [], Store()).check()
 
 
 def test_mentions_sorted_by_begin_then_longest():
@@ -139,3 +161,56 @@ def test_frame_graph_excludes_schema_frames(hit_doc):
         type_name = hit_doc.store.symbol_name(
             hit_doc.store.get_role(frame, hit_doc.store.isa))
         assert type_name not in ("/s/document", "/s/phrase")
+
+
+def _type_names(doc):
+    store = doc.store
+    return [store.symbol_name(store.frame_type(frame)) for frame in frame_graph(doc)]
+
+
+def _embedded(doc):
+    """Graph frames neither evoked nor the value of any graph frame's slot:
+    only an incoming link reaches them."""
+    frames = frame_graph(doc)
+    reached = {f for m in doc.mentions for f in m.evoked}
+    reached.update(s.value for f in frames for s in doc.store.slots(f))
+    return [frame for frame in frames if frame not in reached]
+
+
+def _notation(docs):
+    """The documents as one notation text.  A document frame also links
+    its embedded frames, which it would not print otherwise; being
+    structural, it adds no link to the graph."""
+    blocks, label = [], 1
+    for doc in docs:
+        store = doc.store
+        embedded = _embedded(doc)
+        top = doc_to_frame(doc)
+        for frame in embedded:
+            store.add_slot(top, store.intern("/test/embedded"), frame)
+        text, label = print_with_labels([top], store, label)
+        blocks.append(text)
+    return "\n".join(blocks)
+
+
+def test_frame_graph_reads_no_arena_of_shared_store(tmp_path, monkeypatch):
+    # Many documents in one store, as read from a file: each graph is
+    # found from its own frames, the same as when read into a store alone.
+    docs = generate_corpus(11, 20)
+    (tmp_path / "all.txt").write_text(_notation(docs), encoding="utf-8")
+    shared = read_corpus(str(tmp_path / "all.txt"))
+    alone = []
+    for index, doc in enumerate(docs):
+        path = tmp_path / f"{index}.txt"
+        path.write_text(_notation([doc]), encoding="utf-8")
+        (single,) = read_corpus(str(path))
+        alone.append(single)
+    assert all(doc.store is shared[0].store for doc in shared)
+    assert any(_embedded(doc) for doc in shared)
+    expected = [_type_names(doc) for doc in alone]
+
+    def no_scan(self):
+        raise AssertionError("frame_graph scanned the arena")
+
+    monkeypatch.setattr(Store, "frames", no_scan)
+    assert [_type_names(doc) for doc in shared] == expected

@@ -9,7 +9,7 @@ from framekit.evaluation import (EvalReport, MetricCounts, METRICS,
                                  evaluate_corpus)
 from framekit.store import Store
 from support import (brute_force_counts, copy_document, hit_document,
-                     perturb_document)
+                     perturb_document, rebuild_document)
 
 
 def assert_identity(report):
@@ -58,11 +58,10 @@ def test_dropped_frame_unaligned(hit_doc):
     dropped = pred.mentions[2].evoked[0]
     pred.mentions = pred.mentions[:2]
     store = pred.store
-    for frame in list(store.frames()):
-        slots = store._frames[frame.index]
-        store._frames[frame.index] = [
-            s for s in slots
-            if not (isinstance(s.value, type(dropped)) and s.value == dropped)]
+    pred = rebuild_document(pred, {
+        frame: [s for s in store.slots(frame)
+                if not (isinstance(s.value, type(dropped)) and s.value == dropped)]
+        for frame in store.frames()})
     report = evaluate(hit_doc, pred)
     assert report.frame.matched_gold == 2
     assert report.frame.total_gold == 3
@@ -105,8 +104,9 @@ def test_retyped_frame_counts(hit_doc):
     pred = copy_document(hit_doc)
     store = pred.store
     ball = pred.mentions[2].evoked[0]
-    slots = store._frames[ball.index]
+    slots = store.slots(ball)
     slots[0] = slots[0]._replace(value=store.intern("/saft/other"))
+    pred = rebuild_document(pred, {ball: slots})
     report = evaluate(hit_doc, pred)
     assert report.span.f1 == 1.0
     assert report.frame.f1 == 1.0
