@@ -7,7 +7,7 @@ from .decode import greedy_parse, parse_like, parse_tokens
 from .features import StepFeatures, extract_features
 from .lexicon import Lexicon
 from .network import Parameters, document_loss, encode_tokens, feature_dim
-from .train import (Adam, Checkpoint, TrainingError, build_lexicon, grad_check,
+from .training import (Adam, Checkpoint, TrainingError, build_lexicon, grad_check,
                     oracle_sequences, train)
 
 __all__ = [

@@ -1,134 +1,73 @@
-"""Minimal reverse-mode autodiff over numpy vectors and matrices.
+"""A minimal reverse-mode autodiff tape over whole-document nodes.
 
-Just enough machinery for the encoder/decoder network: each op builds a
-node holding its parents and a backward closure; `backward` runs the
-closures in reverse topological order.  Gradients accumulate into
-`Tensor.grad` buffers, so embedding rows shared across steps and hidden
-activations consumed by several later steps are handled naturally.
+The network's math lives in `network.py`, which computes one document's
+loss and runs its backward explicitly; it hands the result here as one
+node per document.  This module only joins those nodes: `addn` sums
+them, `scale` divides by the batch's action count, and `backward` runs
+every node's backward closure in reverse topological order, with
+gradients accumulating into the `Tensor.grad` buffer of each parameter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 
 class Tensor:
+    """An array, its gradient buffer, and, for a computed node, the
+    parents and the closure that passes its gradient on to them."""
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+    def __init__(self, data: np.ndarray, requires_grad: bool = False,
+                 parents: Iterable[Tensor] = (),
+                 backward: Optional[Callable[[np.ndarray], None]] = None):
+        parents = tuple(parents)
         self.data = data
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
-    def accumulate(self, grad: np.ndarray) -> None:
+    def grad_buffer(self) -> np.ndarray:
+        """The gradient buffer, zero-filled on first use."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        return self.grad
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        self.grad_buffer()[...] += grad
 
     def zero_grad(self) -> None:
         self.grad = None
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data, any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
-    return out
-
-
-def constant(data: np.ndarray) -> Tensor:
-    return Tensor(np.asarray(data))
+def _post_order(node: Tensor, order: list[Tensor], seen: set[int]) -> None:
+    seen.add(id(node))
+    for parent in reversed(node._parents):  # the first parent runs first
+        if parent.requires_grad and id(parent) not in seen:
+            _post_order(parent, order, seen)
+    order.append(node)
 
 
 def backward(root: Tensor) -> None:
-    """Backpropagate d(root)/d(everything); root must be scalar-like."""
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
+    """Backpropagate d(root)/d(everything); root must be scalar-like.
+    Nodes are whole documents, so the graph is a few levels deep."""
+    order: list[Tensor] = []
+    _post_order(root, order, set())
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
+    for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 
-def affine(W: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """W @ x + b for a 1-D x."""
-    data = W.data @ x.data + b.data
-
-    def back(g):
-        if W.requires_grad:
-            W.accumulate(np.outer(g, x.data))
-        if b.requires_grad:
-            b.accumulate(g)
-        if x.requires_grad:
-            x.accumulate(W.data.T @ g)
-
-    return _node(data, (W, b, x), back)
-
-
-def lstm_affine(Wx: Tensor, Wh: Tensor, b: Tensor, x: Tensor, h: Tensor) -> Tensor:
-    """Wx @ x + Wh @ h + b, the pre-gate activations of an LSTM cell."""
-    data = Wx.data @ x.data + Wh.data @ h.data + b.data
-
-    def back(g):
-        if Wx.requires_grad:
-            Wx.accumulate(np.outer(g, x.data))
-        if Wh.requires_grad:
-            Wh.accumulate(np.outer(g, h.data))
-        if b.requires_grad:
-            b.accumulate(g)
-        if x.requires_grad:
-            x.accumulate(Wx.data.T @ g)
-        if h.requires_grad:
-            h.accumulate(Wh.data.T @ g)
-
-    return _node(data, (Wx, Wh, b, x, h), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(g)
-
-    return _node(a.data + b.data, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return _node(a.data * b.data, (a, b), back)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def back(g):
-        if a.requires_grad:
-            a.accumulate(g * s)
+        a.accumulate(g * s)
 
-    return _node(a.data * s, (a,), back)
+    return Tensor(a.data * s, parents=(a,), backward=back)
 
 
 def addn(tensors: list[Tensor]) -> Tensor:
@@ -141,109 +80,4 @@ def addn(tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t.accumulate(g)
 
-    return _node(data, tensors, back)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - out * out))
-
-    return _node(out, (a,), back)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * out * (1.0 - out))
-
-    return _node(out, (a,), back)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * (a.data > 0.0))
-
-    return _node(out, (a,), back)
-
-
-def split(a: Tensor, parts: int) -> list[Tensor]:
-    """Split a 1-D tensor into `parts` equal chunks."""
-    size = a.data.shape[0] // parts
-    out = []
-    for i in range(parts):
-        lo = i * size
-
-        def back(g, lo=lo):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[lo:lo + size] += g
-
-        out.append(_node(a.data[lo:lo + size].copy(), (a,), back))
-    return out
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    data = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate(g[lo:hi])
-
-    return _node(data, parts, back)
-
-
-def concat_rows(pairs: list[tuple[Tensor, int]]) -> Tensor:
-    """Concatenate one row from each (table, row index) pair."""
-    data = np.concatenate([table.data[i] for table, i in pairs])
-    offsets = np.cumsum([0] + [table.data.shape[1] for table, _ in pairs])
-
-    def back(g):
-        for (table, i), lo, hi in zip(pairs, offsets[:-1], offsets[1:]):
-            if table.requires_grad:
-                if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
-                table.grad[i] += g[lo:hi]
-
-    return _node(data, [table for table, _ in pairs], back)
-
-
-def rows_sum(table: Tensor, ids: list[int], dim: int) -> Tensor:
-    """Sum of table rows (the zero vector for an empty id list)."""
-    if not ids:
-        return Tensor(np.zeros(dim, dtype=table.data.dtype))
-    data = table.data[ids].sum(axis=0)
-
-    def back(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-
-    return _node(data, (table,), back)
-
-
-def softmax_cross_entropy(logits: Tensor, target: int) -> tuple[Tensor, np.ndarray]:
-    """Cross-entropy of softmax(logits) against a one-hot target."""
-    shifted = logits.data - logits.data.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    loss = -np.log(max(probs[target], np.finfo(probs.dtype).tiny))
-
-    def back(g):
-        if logits.requires_grad:
-            grad = probs.copy()
-            grad[target] -= 1.0
-            logits.accumulate(g * grad)
-
-    return _node(np.asarray(loss, dtype=logits.data.dtype), (logits,), back), probs
+    return Tensor(data, parents=tensors, backward=back)

@@ -23,7 +23,7 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
     nonshift_here = 0
 
     while not run.state.done:
-        scores = run.step_logits().data
+        scores = run.step_logits()
         capped = nonshift_here >= config.decode_action_cap
         best = None
         best_score = None

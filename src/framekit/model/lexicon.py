@@ -133,15 +133,18 @@ class Lexicon:
     def word_id(self, word: str) -> int:
         return self.words.get(word, RESERVED)
 
-    def prefix_ids(self, word: str) -> list[int]:
-        ids = [self.prefixes.get(p, RESERVED)
-               for p in _affixes(word, self.max_affix_len, suffix=False)]
-        return ids + [RESERVED] * (self.max_affix_len - len(ids))
-
-    def suffix_ids(self, word: str) -> list[int]:
-        ids = [self.suffixes.get(s, RESERVED)
-               for s in _affixes(word, self.max_affix_len, suffix=True)]
-        return ids + [RESERVED] * (self.max_affix_len - len(ids))
+    def token_rows(self, word: str) -> tuple[int, ...]:
+        """Row ids of a token's lexical features, in input-vector order:
+        the word, `max_affix_len` prefixes and suffixes (RESERVED where
+        the word is shorter), then the hyphen, caps, punct, quote and
+        digit shapes."""
+        m = self.max_affix_len
+        pad = [RESERVED] * (m - min(m, len(word)))
+        return (self.word_id(word),
+                *[self.prefixes.get(p, RESERVED) for p in _affixes(word, m, False)], *pad,
+                *[self.suffixes.get(s, RESERVED) for s in _affixes(word, m, True)], *pad,
+                hyphen_shape(word), caps_shape(word), punct_shape(word),
+                quote_shape(word), digit_shape(word))
 
     def role_id(self, role: str) -> int:
         return self.roles.get(role, RESERVED)

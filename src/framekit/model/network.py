@@ -1,7 +1,17 @@
-"""Network parameters and the forward passes shared by training and
-decoding: a bidirectional LSTM over lexical token embeddings feeding a
-single-hidden-layer feed-forward unit whose own activations recur into
-later steps through the attention and history features."""
+"""Network parameters and the one forward and backward pass shared by
+training and decoding: a bidirectional LSTM over lexical token
+embeddings feeding a single-hidden-layer feed-forward unit whose own
+activations recur into later steps through the attention and history
+features.
+
+Everything runs on numpy arrays.  The encoder computes the input term
+of all tokens in one matmul per direction; each decoder step gathers
+its feature vector from the LSTM outputs and the hidden activations so
+far.  `document_loss` makes a teacher-forced pass one autodiff node:
+its backward runs only dpre -> W1ᵀ·dpre (decoder) and dz -> Whᵀ·dz
+(encoder) step by step, then gives each weight one matmul and each
+embedding table one `np.add.at` over the whole document.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +19,11 @@ import numpy as np
 
 from ..document import Token
 from ..transitions import ParserState
-from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .features import StepFeatures, extract_features
+from .features import extract_features
 from .lexicon import (CAPS_SHAPES, DIGIT_SHAPES, HYPHEN_SHAPES, Lexicon,
-                      PUNCT_SHAPES, QUOTE_SHAPES, caps_shape, digit_shape,
-                      hyphen_shape, punct_shape, quote_shape)
+                      PUNCT_SHAPES, QUOTE_SHAPES)
 
 
 def lexical_input_dim(config: ModelConfig) -> int:
@@ -121,54 +129,116 @@ class Parameters:
             shadow += (1.0 - decay) * self.arrays[name]
 
 
-def _lstm_cell(P: dict[str, Tensor], direction: str, x: Tensor,
-               h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    z = ad.lstm_affine(P[f"lstm_{direction}_wx"], P[f"lstm_{direction}_wh"],
-                       P[f"lstm_{direction}_b"], x, h)
-    i, f, o, g = ad.split(z, 4)
-    i, f, o, g = ad.sigmoid(i), ad.sigmoid(f), ad.sigmoid(o), ad.tanh(g)
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
+# Role-link tables, summed over a step's links, in feature-vector order.
+_LINK_TABLES = ("triple_emb", "source_role_emb", "role_target_emb",
+                "source_target_emb")
 
 
-def _token_embedding(P: dict[str, Tensor], lexicon: Lexicon, word: str) -> Tensor:
-    pairs = [(P["word_emb"], lexicon.word_id(word))]
-    pairs += [(P["prefix_emb"], i) for i in lexicon.prefix_ids(word)]
-    pairs += [(P["suffix_emb"], i) for i in lexicon.suffix_ids(word)]
-    pairs.append((P["hyphen_emb"], hyphen_shape(word)))
-    pairs.append((P["caps_emb"], caps_shape(word)))
-    pairs.append((P["punct_emb"], punct_shape(word)))
-    pairs.append((P["quote_emb"], quote_shape(word)))
-    pairs.append((P["digit_emb"], digit_shape(word)))
-    return ad.concat_rows(pairs)
+class _LSTM:
+    """One direction of the encoder run over a sequence of inputs,
+    keeping the gates and cells its backward needs."""
+
+    def __init__(self, P: dict[str, Tensor], direction: str, inputs: np.ndarray):
+        self.wx, self.wh, self.b = (P[f"lstm_{direction}_{part}"]
+                                    for part in ("wx", "wh", "b"))
+        self.inputs = inputs
+        wh = self.wh.data
+        n, L = len(inputs), wh.shape[1]
+        # The input term for every token at once; only Wh·h is per step.
+        z_in = inputs @ self.wx.data.T + self.b.data
+        self.gates = gates = np.empty_like(z_in)        # i, f, o, g
+        self.cells = np.zeros((n + 1, L), dtype=z_in.dtype)    # row 0: c before t=0
+        self.outputs = np.zeros((n + 1, L), dtype=z_in.dtype)  # row 0: h before t=0
+        c = self.cells[0]
+        h = self.outputs[0]
+        for t in range(n):
+            z = z_in[t] + wh @ h
+            gates[t, :3 * L] = 1.0 / (1.0 + np.exp(-z[:3 * L]))
+            gates[t, 3 * L:] = np.tanh(z[3 * L:])
+            i, f, o, g = gates[t].reshape(4, L)
+            c = self.cells[t + 1] = f * c + i * g
+            h = self.outputs[t + 1] = o * np.tanh(c)
+
+    def backward(self, d_outputs: np.ndarray) -> np.ndarray:
+        """Accumulate the weight gradients for output gradients
+        `d_outputs`; return the input gradients."""
+        n, L = d_outputs.shape
+        gates = self.gates.reshape(n, 4, L)
+        i, f, o, g = (gates[:, k] for k in range(4))
+        tanh_c = np.tanh(self.cells[1:])
+        # d(activation)/d(pre-activation) of each gate.
+        d_act = self.gates * (1.0 - self.gates)
+        d_act[:, 3 * L:] = 1.0 - g * g
+        d_act = d_act.reshape(n, 4, L)
+        # Per step, dz = [dc·g, dc·c_prev, dh·tanh(c), dc·i] * d_act.
+        by_dc = np.stack([g, self.cells[:-1], np.zeros_like(g), i], axis=1) * d_act
+        by_dh = tanh_c * d_act[:, 2]
+        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(self.gates)
+        wh = self.wh.data
+        dh_next = np.zeros(L, dtype=dz.dtype)
+        dc_next = np.zeros(L, dtype=dz.dtype)
+        for t in range(n - 1, -1, -1):
+            dh = d_outputs[t] + dh_next
+            dc = dc_next + dh * dc_by_dh[t]
+            z = dz[t].reshape(4, L)
+            np.multiply(by_dc[t], dc, out=z)
+            z[2] = by_dh[t] * dh
+            dc_next = dc * f[t]
+            dh_next = dz[t] @ wh
+        self.wx.accumulate(dz.T @ self.inputs)
+        self.wh.accumulate(dz.T @ self.outputs[:-1])
+        self.b.accumulate(dz.sum(axis=0))
+        return dz @ self.wx.data
+
+
+class Encoding:
+    """The biLSTM outputs for one token sequence: `lr` and `rl` hold
+    the left-to-right and right-to-left activation of each token."""
+
+    def __init__(self, P: dict[str, Tensor], lexicon: Lexicon, tokens: list[Token]):
+        self.P = P
+        n, m = len(tokens), lexicon.max_affix_len
+        rows = np.array([lexicon.token_rows(t.text) for t in tokens],
+                        dtype=np.intp).reshape(n, 6 + 2 * m)
+        self.ids: list[tuple[str, np.ndarray]] = []  # per table, (tokens, rows)
+        columns = []
+        for name, width in (("word_emb", 1), ("prefix_emb", m), ("suffix_emb", m),
+                            ("hyphen_emb", 1), ("caps_emb", 1), ("punct_emb", 1),
+                            ("quote_emb", 1), ("digit_emb", 1)):
+            ids, rows = rows[:, :width], rows[:, width:]
+            table = P[name].data
+            self.ids.append((name, ids))
+            columns.append(table[ids].reshape(n, width * table.shape[1]))
+        inputs = np.concatenate(columns, axis=1)
+        self.fw = _LSTM(P, "fw", inputs)
+        self.bw = _LSTM(P, "bw", inputs[::-1])
+        self.lr = self.fw.outputs[1:]
+        self.rl = self.bw.outputs[:0:-1]
+
+    def backward(self, d_lr: np.ndarray, d_rl: np.ndarray) -> None:
+        d_inputs = self.fw.backward(d_lr) + self.bw.backward(d_rl[::-1])[::-1]
+        offset = 0
+        for name, ids in self.ids:
+            table = self.P[name]
+            dim = table.data.shape[1]
+            width = ids.shape[1] * dim
+            rows = d_inputs[:, offset:offset + width].reshape(-1, dim)
+            np.add.at(table.grad_buffer(), ids.reshape(-1), rows)
+            offset += width
 
 
 def encode_tokens(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
-                  tokens: list[Token]) -> tuple[list[Tensor], list[Tensor]]:
+                  tokens: list[Token]) -> Encoding:
     """Left-to-right and right-to-left LSTM activations per token."""
-    dtype = P["lstm_fw_b"].data.dtype
-    L = config.lstm_dim
-    embeddings = [_token_embedding(P, lexicon, t.text) for t in tokens]
-
-    forward: list[Tensor] = []
-    h = c = ad.constant(np.zeros(L, dtype=dtype))
-    for emb in embeddings:
-        h, c = _lstm_cell(P, "fw", emb, h, c)
-        forward.append(h)
-
-    backward: list[Tensor] = [None] * len(tokens)  # type: ignore[list-item]
-    h = c = ad.constant(np.zeros(L, dtype=dtype))
-    for index in range(len(tokens) - 1, -1, -1):
-        h, c = _lstm_cell(P, "bw", embeddings[index], h, c)
-        backward[index] = h
-    return forward, backward
+    return Encoding(P, lexicon, tokens)
 
 
 class ForwardPass:
     """One document's forward state, shared by teacher forcing and
     greedy decoding: the parser state, the token encodings, and the
-    hidden activations of every decoder step so far."""
+    inputs and hidden activations of every decoder step so far, which
+    `backward` reuses."""
 
     def __init__(self, P: dict[str, Tensor], config: ModelConfig,
                  lexicon: Lexicon, text: str, tokens: list[Token]):
@@ -176,56 +246,102 @@ class ForwardPass:
         self.config = config
         self.lexicon = lexicon
         self.state = ParserState(text, tokens)
-        self.enc_lr, self.enc_rl = encode_tokens(P, config, lexicon, tokens)
-        self.hidden_steps: list[Tensor] = []
+        self.encoding = encode_tokens(P, config, lexicon, tokens)
         dtype = P["ff_b1"].data.dtype
-        self._zero_lstm = ad.constant(np.zeros(config.lstm_dim, dtype=dtype))
-        self._zero_hidden = ad.constant(np.zeros(config.hidden_dim, dtype=dtype))
+        # Feature rows are gathered from two pools whose row 0 is the
+        # zero vector that absent features read.  LSTM pool: then the
+        # left-to-right activations, then the right-to-left ones.
+        # Hidden pool: step s's hidden activation at row s + 1.
+        self.lstm_pool = np.concatenate([np.zeros((1, config.lstm_dim), dtype),
+                                         self.encoding.lr, self.encoding.rl])
+        self.hidden_pool = np.zeros((64, config.hidden_dim), dtype)
+        self.inputs: list[np.ndarray] = []
+        self.lstm_rows: list[list[int]] = []
+        self.hidden_rows: list[list[int]] = []
+        self._no_links = np.zeros(len(_LINK_TABLES) * config.link_dim, dtype)
+        self.link_ids: list[list[int]] = [[] for _ in _LINK_TABLES]
+        self.link_steps: list[int] = []
 
-    def _activation_at(self, encodings: list[Tensor], index) -> Tensor:
-        if index is None or not 0 <= index < len(encodings):
-            return self._zero_lstm
-        return encodings[index]
-
-    def _hidden_at(self, step) -> Tensor:
-        if step is None or not 0 <= step < len(self.hidden_steps):
-            return self._zero_hidden
-        return self.hidden_steps[step]
-
-    def _feature_vector(self, feats: StepFeatures) -> Tensor:
-        cfg = self.config
-        parts = [self._activation_at(self.enc_lr, feats.cursor_token),
-                 self._activation_at(self.enc_rl, feats.cursor_token)]
-        for index in feats.att_end_token:
-            parts.append(self._activation_at(self.enc_lr, index))
-        for index in feats.att_end_token:
-            parts.append(self._activation_at(self.enc_rl, index))
-        for step in feats.att_created:
-            parts.append(self._hidden_at(step))
-        for step in feats.att_focused:
-            parts.append(self._hidden_at(step))
-        for step in feats.history:
-            parts.append(self._hidden_at(step))
-        parts.append(ad.rows_sum(self.P["triple_emb"], feats.triples, cfg.link_dim))
-        parts.append(ad.rows_sum(self.P["source_role_emb"], feats.source_roles,
-                                 cfg.link_dim))
-        parts.append(ad.rows_sum(self.P["role_target_emb"], feats.role_targets,
-                                 cfg.link_dim))
-        parts.append(ad.rows_sum(self.P["source_target_emb"], feats.source_targets,
-                                 cfg.link_dim))
-        return ad.concat(parts)
-
-    def step_logits(self) -> Tensor:
+    def step_logits(self) -> np.ndarray:
         """Score every action in the current state; records the hidden
         activation so later steps can attend to it."""
+        cfg = self.config
+        P = self.P
         feats = extract_features(self.state, self.lexicon,
-                                 self.config.k_attention, self.config.k_history)
-        vector = self._feature_vector(feats)
-        pre = ad.affine(self.P["ff_w1"], self.P["ff_b1"], vector)
-        hidden = ad.relu(pre) if self.config.hidden_activation == "relu" else ad.tanh(pre)
-        logits = ad.affine(self.P["ff_w2"], self.P["ff_b2"], hidden)
-        self.hidden_steps.append(hidden)
-        return logits
+                                 cfg.k_attention, cfg.k_history)
+        n = self.state.num_tokens
+        step = len(self.inputs)
+        fw = [i + 1 if i is not None and 0 <= i < n else 0
+              for i in [feats.cursor_token] + feats.att_end_token]
+        bw = [row + n if row else 0 for row in fw]
+        lstm = fw[:1] + bw[:1] + fw[1:] + bw[1:]
+        hidden = [s + 1 if s is not None and 0 <= s < step else 0
+                  for s in feats.att_created + feats.att_focused + feats.history]
+        parts = [self.lstm_pool[lstm].reshape(-1), self.hidden_pool[hidden].reshape(-1)]
+        # Each role link adds one id to each of the four link tables.
+        if feats.triples:
+            link_ids = (feats.triples, feats.source_roles, feats.role_targets,
+                        feats.source_targets)
+            for name, ids, log in zip(_LINK_TABLES, link_ids, self.link_ids):
+                parts.append(P[name].data[ids].sum(axis=0))
+                log.extend(ids)
+            self.link_steps.extend([step] * len(feats.triples))
+        else:
+            parts.append(self._no_links)
+        x = np.concatenate(parts)
+        pre = P["ff_w1"].data @ x + P["ff_b1"].data
+        activation = np.maximum(pre, 0.0) if cfg.hidden_activation == "relu" else np.tanh(pre)
+        if step + 1 == len(self.hidden_pool):
+            self.hidden_pool = np.concatenate([self.hidden_pool,
+                                               np.zeros_like(self.hidden_pool)])
+        self.hidden_pool[step + 1] = activation
+        self.inputs.append(x)
+        self.lstm_rows.append(lstm)
+        self.hidden_rows.append(hidden)
+        return P["ff_w2"].data @ activation + P["ff_b2"].data
+
+    def backward(self, d_logits: np.ndarray) -> None:
+        """Accumulate parameter gradients given the gradient of every
+        step's logits, one row per step."""
+        P = self.P
+        cfg = self.config
+        steps, H, L = len(self.inputs), cfg.hidden_dim, cfg.lstm_dim
+        X = np.array(self.inputs)
+        hidden = self.hidden_pool[1:steps + 1]
+        P["ff_w2"].accumulate(d_logits.T @ hidden)
+        P["ff_b2"].accumulate(d_logits.sum(axis=0))
+        # Row 0 collects the gradient of the zero row, then is dropped.
+        d_hidden = np.zeros((steps + 1, H), dtype=X.dtype)
+        d_hidden[1:] = d_logits @ P["ff_w2"].data
+        if cfg.hidden_activation == "relu":
+            d_act = (hidden > 0.0).astype(X.dtype)
+        else:
+            d_act = 1.0 - hidden * hidden
+        # Feature vector: LSTM rows, then hidden rows, then link sums.
+        # Hidden activations feed later steps, so only the hidden part of
+        # the input gradient runs step by step, latest step first.
+        lstm_width = 2 * (1 + cfg.k_attention) * L
+        hidden_end = lstm_width + (2 * cfg.k_attention + cfg.k_history) * H
+        w1 = P["ff_w1"].data
+        w1_hidden = w1[:, lstm_width:hidden_end]
+        d_pre = np.empty((steps, H), dtype=X.dtype)
+        for t in range(steps - 1, -1, -1):
+            d = d_pre[t] = d_hidden[t + 1] * d_act[t]
+            np.add.at(d_hidden, self.hidden_rows[t], (d @ w1_hidden).reshape(-1, H))
+        P["ff_w1"].accumulate(d_pre.T @ X)
+        P["ff_b1"].accumulate(d_pre.sum(axis=0))
+        d_x = d_pre @ w1
+
+        d_pool = np.zeros_like(self.lstm_pool)
+        np.add.at(d_pool, np.reshape(self.lstm_rows, -1),
+                  d_x[:, :lstm_width].reshape(-1, L))
+        d_links = d_x[self.link_steps, hidden_end:]
+        D = cfg.link_dim
+        for k, (name, ids) in enumerate(zip(_LINK_TABLES, self.link_ids)):
+            np.add.at(P[name].grad_buffer(), np.asarray(ids, dtype=np.intp),
+                      d_links[:, k * D:(k + 1) * D])
+        n = self.state.num_tokens
+        self.encoding.backward(d_pool[1:n + 1], d_pool[n + 1:])
 
 
 def document_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
@@ -233,17 +349,29 @@ def document_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
                   actions) -> tuple[Tensor, int, int]:
     """Teacher-forced cross-entropy over one oracle sequence.
 
-    Returns (summed loss, action count, correctly ranked actions).
+    Returns (summed loss as one autodiff node whose backward covers the
+    whole document, action count, correctly ranked actions).
     """
     run = ForwardPass(P, config, lexicon, text, tokens)
-    losses = []
-    correct = 0
+    logits = []
+    targets = []
     for action in actions:
-        logits = run.step_logits()
-        target = lexicon.action_id(action)
-        loss, _ = ad.softmax_cross_entropy(logits, target)
-        if int(np.argmax(logits.data)) == target:
-            correct += 1
-        losses.append(loss)
+        logits.append(run.step_logits())
+        targets.append(lexicon.action_id(action))
         run.state.apply(action)
-    return ad.addn(losses), len(losses), correct
+    steps = np.arange(len(targets))
+    scores = np.array(logits)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    losses = -np.log(np.maximum(probs[steps, targets], np.finfo(probs.dtype).tiny))
+    correct = int(np.sum(np.argmax(scores, axis=1) == targets))
+
+    def back(g: np.ndarray) -> None:
+        d_logits = probs.copy()
+        d_logits[steps, targets] -= 1.0
+        run.backward(d_logits * g)
+
+    loss = Tensor(np.asarray(losses.sum(), dtype=probs.dtype),
+                  parents=P.values(), backward=back)
+    return loss, len(targets), correct

@@ -178,19 +178,22 @@ class Store:
             if slot.role.is_nil():
                 raise ValueError("slot role must not be nil")
             self._check_value(slot.value)
+        ids = [slot.value for slot in pending
+               if slot.role.index == ID_INDEX and slot.role.kind == SYMBOL
+               and isinstance(slot.value, Handle) and slot.value.is_symbol()]
         handle = Handle(FRAME, len(self._frames), self._uid)
+        # Check every binding first, so a clash allocates nothing.
+        for symbol in ids:
+            self._check_unbound(symbol, handle)
         self._frames.append(pending)
-        # Index the links before binding ids: the frame stays allocated
-        # if a binding below fails.  It has the highest index, so
-        # appending keeps each list in allocation order.
+        # The new frame has the highest index, so appending keeps each
+        # referrer list in allocation order.
         self._referrers.append([])
         for slot in pending:
             if isinstance(slot.value, Handle) and slot.value.kind == FRAME:
                 self._referrers[slot.value.index].append(handle.index)
-        for slot in pending:
-            if slot.role.index == ID_INDEX and slot.role.kind == SYMBOL:
-                if isinstance(slot.value, Handle) and slot.value.is_symbol():
-                    self._bind(slot.value, handle)
+        for symbol in ids:
+            self._bindings[symbol.index] = handle
         return handle
 
     def add_slot(self, frame: Handle, role: Handle, value: Value) -> None:
@@ -203,7 +206,8 @@ class Store:
         self._check_value(value)
         if role.index == ID_INDEX and role.kind == SYMBOL:
             if isinstance(value, Handle) and value.is_symbol():
-                self._bind(value, frame)
+                self._check_unbound(value, frame)
+                self._bindings[value.index] = frame
         self._frames[frame.index].append(Slot(role, value))
         if isinstance(value, Handle) and value.kind == FRAME:
             insort(self._referrers[value.index], frame.index)
@@ -253,12 +257,11 @@ class Store:
 
     # -- internals -------------------------------------------------------
 
-    def _bind(self, symbol: Handle, frame: Handle) -> None:
+    def _check_unbound(self, symbol: Handle, frame: Handle) -> None:
         existing = self._bindings.get(symbol.index)
         if existing is not None and existing != frame:
             name = self._symbol_names[symbol.index]
             raise DuplicateIdError(f"symbol {name!r} already names another frame")
-        self._bindings[symbol.index] = frame
 
     def _check_mutable(self) -> None:
         if self._frozen:

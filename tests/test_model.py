@@ -1,18 +1,22 @@
+import gc
 import math
+import random
 
 import numpy as np
 import pytest
 
+from framekit import cli
 from framekit.corpus import generate_corpus
 from framekit.document import Document, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, grad_check,
-                            train)
+                            parse_like, train)
 from framekit.model import autodiff as ad
 from framekit.model.features import extract_features
-from framekit.model.lexicon import Lexicon
+from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_shape,
+                                    punct_shape, quote_shape)
 from framekit.model.network import (ForwardPass, document_loss, encode_tokens,
                                     feature_dim)
-from framekit.model.train import Adam, TrainingError, oracle_sequences
+from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
 from framekit.transitions import Action, ParserState
 from support import hit_document
@@ -38,8 +42,8 @@ def setup(n_docs=3, corpus_seed=7, **kw):
 
 def test_encode_empty_sentence():
     _, config, _, lexicon, params = setup()
-    lr, rl = encode_tokens(params.tensors(False), config, lexicon, [])
-    assert lr == [] and rl == []
+    encoding = encode_tokens(params.tensors(False), config, lexicon, [])
+    assert encoding.lr.shape == encoding.rl.shape == (0, config.lstm_dim)
 
 
 def test_encode_zero_weights_zero_activations():
@@ -47,17 +51,14 @@ def test_encode_zero_weights_zero_activations():
     for array in params.arrays.values():
         array[...] = 0.0
     tokens = tokenize("John hit")
-    lr, rl = encode_tokens(params.tensors(False), config, lexicon, tokens)
-    for tensor in lr + rl:
-        assert np.all(tensor.data == 0.0)
+    encoding = encode_tokens(params.tensors(False), config, lexicon, tokens)
+    assert np.all(encoding.lr == 0.0) and np.all(encoding.rl == 0.0)
 
 
 def test_encode_shapes_single_token():
     _, config, _, lexicon, params = setup()
-    lr, rl = encode_tokens(params.tensors(False), config, lexicon, tokenize("word"))
-    assert len(lr) == len(rl) == 1
-    assert lr[0].data.shape == (config.lstm_dim,)
-    assert rl[0].data.shape == (config.lstm_dim,)
+    encoding = encode_tokens(params.tensors(False), config, lexicon, tokenize("word"))
+    assert encoding.lr.shape == encoding.rl.shape == (1, config.lstm_dim)
 
 
 # -- features ----------------------------------------------------------------
@@ -118,14 +119,102 @@ def test_embedded_frame_has_no_phrase_feature():
 
 # -- step logits ---------------------------------------------------------------
 
+def reference_document_loss(params, doc, actions):
+    """The network spelled out one token and one step at a time, with
+    the feature vector concatenated part by part in its documented
+    order: cursor (both LSTMs), attention end tokens (left-to-right,
+    then right-to-left), created, focused and history activations, then
+    the triple, source-role, role-target and source-target sums."""
+    A, cfg, lex = params.arrays, params.config, params.lexicon
+    L = cfg.lstm_dim
+
+    def embed(word):
+        lengths = range(1, lex.max_affix_len + 1)
+        parts = [A["word_emb"][lex.words.get(word, 0)]]
+        parts += [A["prefix_emb"][lex.prefixes.get(word[:k], 0) if len(word) >= k else 0]
+                  for k in lengths]
+        parts += [A["suffix_emb"][lex.suffixes.get(word[-k:], 0) if len(word) >= k else 0]
+                  for k in lengths]
+        for name, shape in (("hyphen_emb", hyphen_shape), ("caps_emb", caps_shape),
+                            ("punct_emb", punct_shape), ("quote_emb", quote_shape),
+                            ("digit_emb", digit_shape)):
+            parts.append(A[name][shape(word)])
+        return np.concatenate(parts)
+
+    def lstm(direction, inputs):
+        h = c = np.zeros(L)
+        out = []
+        for x in inputs:
+            z = A[f"lstm_{direction}_wx"] @ x + A[f"lstm_{direction}_wh"] @ h \
+                + A[f"lstm_{direction}_b"]
+            i, f, o = (1.0 / (1.0 + np.exp(-z[k * L:(k + 1) * L])) for k in range(3))
+            c = f * c + i * np.tanh(z[3 * L:])
+            h = o * np.tanh(c)
+            out.append(h)
+        return out
+
+    inputs = [embed(t.text) for t in doc.tokens]
+    lr = lstm("fw", inputs)
+    rl = lstm("bw", inputs[::-1])[::-1]
+    state = ParserState(doc.text, list(doc.tokens))
+    hidden = []
+    total = 0.0
+    for action in actions:
+        feats = extract_features(state, lex, cfg.k_attention, cfg.k_history)
+
+        def token(enc, i):
+            return enc[i] if i is not None else np.zeros(L)
+
+        def step(s):
+            return hidden[s] if s is not None else np.zeros(cfg.hidden_dim)
+
+        parts = [token(lr, feats.cursor_token), token(rl, feats.cursor_token)]
+        parts += [token(lr, i) for i in feats.att_end_token]
+        parts += [token(rl, i) for i in feats.att_end_token]
+        parts += [step(s) for s in feats.att_created + feats.att_focused + feats.history]
+        for name, ids in (("triple_emb", feats.triples),
+                          ("source_role_emb", feats.source_roles),
+                          ("role_target_emb", feats.role_targets),
+                          ("source_target_emb", feats.source_targets)):
+            parts.append(sum((A[name][j] for j in ids), np.zeros(cfg.link_dim)))
+        pre = A["ff_w1"] @ np.concatenate(parts) + A["ff_b1"]
+        hidden.append(np.maximum(pre, 0.0) if cfg.hidden_activation == "relu"
+                      else np.tanh(pre))
+        logits = A["ff_w2"] @ hidden[-1] + A["ff_b2"]
+        log_z = logits.max() + math.log(np.exp(logits - logits.max()).sum())
+        total += log_z - logits[lex.action_id(action)]
+        state.apply(action)
+    return total
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_document_loss_matches_reference(activation):
+    corpus, config, sequences, lexicon, params = setup(
+        n_docs=3, corpus_seed=11, dtype="float64", hidden_activation=activation)
+    live_output_layer(params)
+    for doc, actions in zip(corpus, sequences):
+        loss, count, _ = document_loss(params.tensors(False), config, lexicon,
+                                       doc.text, list(doc.tokens), actions)
+        assert count == len(actions)
+        expected = reference_document_loss(params, doc, actions)
+        assert float(loss.data) == pytest.approx(expected, rel=1e-12)
+
+
 def test_logits_shape_and_softmax():
     corpus, config, sequences, lexicon, params = setup()
     run = ForwardPass(params.tensors(False), config, lexicon,
                       corpus[0].text, corpus[0].tokens)
     logits = run.step_logits()
-    assert logits.data.shape == (lexicon.num_actions,)
-    loss, probs = ad.softmax_cross_entropy(logits, 0)
-    assert abs(float(probs.sum()) - 1.0) < 1e-6
+    assert logits.shape == (lexicon.num_actions,)
+    # The loss of a one-action sequence is -log softmax(logits)[target].
+    action = sequences[0][0]
+    loss, count, _ = document_loss(params.tensors(False), config, lexicon,
+                                   corpus[0].text, corpus[0].tokens, [action])
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    assert count == 1
+    assert float(loss.data) == pytest.approx(-math.log(probs[lexicon.action_id(action)]),
+                                             rel=1e-5)
 
 
 def test_zero_parameters_uniform_logits():
@@ -134,7 +223,7 @@ def test_zero_parameters_uniform_logits():
         array[...] = 0.0
     run = ForwardPass(params.tensors(False), config, lexicon,
                       corpus[0].text, corpus[0].tokens)
-    logits = run.step_logits().data
+    logits = run.step_logits()
     assert np.all(logits == logits[0])
     assert int(np.argmax(logits)) == 0  # ties break toward the lowest index
 
@@ -160,6 +249,66 @@ def test_training_is_deterministic():
     assert set(a.arrays) == set(b.arrays)
     for name in a.arrays:
         assert a.arrays[name].tobytes() == b.arrays[name].tobytes(), name
+
+
+def test_train_equals_its_pieces():
+    # train() is document_loss per document, then addn, scale, backward
+    # and Adam.step, over shuffled passes from random.Random(seed).
+    corpus = generate_corpus(7, 5)
+    config = tiny_config()
+    seed, steps = 2, 4
+    reported = []
+    trained = train(corpus, config, seed=seed, steps=steps, checkpoint_every=1,
+                    on_checkpoint=lambda p, c: reported.append(c.loss))
+
+    sequences = oracle_sequences(corpus)
+    lexicon = build_lexicon(corpus, config, sequences)
+    params = Parameters(config, lexicon, seed)
+    tensors = params.tensors(trainable=True)
+    adam = Adam(params.arrays, config)
+    rng = random.Random(seed)
+    order = []
+    losses = []
+    for _ in range(steps):
+        batch = []
+        for _ in range(config.batch_size):
+            if not order:
+                order = list(range(len(corpus)))
+                rng.shuffle(order)
+            batch.append(order.pop())
+        for tensor in tensors.values():
+            tensor.zero_grad()
+        doc_losses = []
+        n_actions = 0
+        for index in batch:
+            doc = corpus[index]
+            loss, count, _ = document_loss(tensors, config, lexicon, doc.text,
+                                           list(doc.tokens), sequences[index])
+            doc_losses.append(loss)
+            n_actions += count
+        total = ad.scale(ad.addn(doc_losses), 1.0 / n_actions)
+        losses.append(float(total.data))
+        ad.backward(total)
+        adam.step({name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                   for name, t in tensors.items()})
+
+    assert losses == reported
+    for name, array in trained.arrays.items():
+        assert array.tobytes() == params.arrays[name].tobytes(), name
+
+
+def test_training_leaves_no_reference_cycles():
+    # Cyclic garbage waits for the collector, and a cycle through a
+    # document's loss node would keep its forward caches alive with it.
+    corpus = generate_corpus(7, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        params = train(corpus, tiny_config(), seed=1, steps=3, checkpoint_every=3)
+        parse_like(params, corpus[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_different_seeds_differ():
@@ -269,6 +418,23 @@ def test_grad_check_zero_loss_single_action():
     assert norm == pytest.approx(0.0, abs=1e-18)
 
 
+def live_output_layer(params, seed=0):
+    """Random ff_w2: the initial zero output layer passes no gradient
+    to anything below it, so a check would compare zeros with zeros."""
+    w2 = params.arrays["ff_w2"]
+    w2[...] = np.random.default_rng(seed).normal(0.0, 0.5, w2.shape)
+
+
+def assert_every_gradient_live(params, doc, actions):
+    tensors = params.tensors(True)
+    loss, _, _ = document_loss(tensors, params.config, params.lexicon,
+                               doc.text, list(doc.tokens), actions)
+    ad.backward(loss)
+    dead = [name for name, t in tensors.items()
+            if t.grad is None or not np.any(t.grad)]
+    assert dead == []
+
+
 def test_grad_check_output_layer_only():
     corpus = generate_corpus(7, 1)
     config = tiny_config(dtype="float64")
@@ -280,8 +446,9 @@ def test_grad_check_output_layer_only():
             array[...] = 0.0
     rng = np.random.default_rng(0)
     params.arrays["ff_b2"][...] = rng.normal(0, 0.5, params.arrays["ff_b2"].shape)
-    error = grad_check(params, corpus[0], sequences[0])
-    assert error < 1e-8
+    result = grad_check(params, corpus[0], sequences[0])
+    assert result.error < 1e-8
+    assert result.skipped == 0
 
 
 def test_grad_check_full_cell():
@@ -292,8 +459,13 @@ def test_grad_check_full_cell():
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
     params = Parameters(config, lexicon, seed=4)
-    error = grad_check(params, corpus[0], sequences[0])
-    assert error < 1e-4
+    live_output_layer(params)
+    assert_every_gradient_live(params, corpus[0], sequences[0])
+    result = grad_check(params, corpus[0], sequences[0])
+    assert result.error < 1e-4
+    # One relu input lies within the finite-difference step of zero
+    # (ff_b1[5], |pre| = 5.6e-6): its one-sided slopes disagree.
+    assert result.skipped <= 1
 
 
 def test_grad_check_tanh_hidden():
@@ -302,7 +474,17 @@ def test_grad_check_tanh_hidden():
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
     params = Parameters(config, lexicon, seed=5)
-    assert grad_check(params, corpus[0], sequences[0]) < 1e-6
+    live_output_layer(params)
+    assert_every_gradient_live(params, corpus[0], sequences[0])
+    result = grad_check(params, corpus[0], sequences[0])
+    assert result.error < 1e-6
+    assert result.skipped == 0  # tanh is smooth: no kinks
+
+
+def test_grad_check_command(capsys):
+    assert cli.main(["grad-check", "--configs", "2", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "worst over 2 configs" in out
 
 
 # -- config ---------------------------------------------------------------------

@@ -234,15 +234,20 @@ def test_referrers_ignore_array_items():
 
 
 def test_referrers_kept_when_new_frame_rebinds_id():
-    # The frame is allocated before its id clashes; its link still counts.
+    # A clashing id fails the call before anything is allocated: no
+    # frame, no link, no binding of the call's other ids.
     store = Store()
     name = store.intern("taken")
     store.new_frame([(store.id, name)])
     target = store.new_frame()
+    before = store.num_frames()
+    fresh = store.intern("fresh")
     with pytest.raises(DuplicateIdError):
-        store.new_frame([(store.id, name), (store.intern("/r/x"), target)])
-    assert store.referrers(target) == scanned_referrers(store, target)
-    assert len(store.referrers(target)) == 1
+        store.new_frame([(store.id, fresh), (store.id, name),
+                         (store.intern("/r/x"), target)])
+    assert store.num_frames() == before
+    assert store.referrers(target) == scanned_referrers(store, target) == []
+    assert store.resolve("fresh") == fresh  # a symbol, bound to no frame
 
 
 def test_referrers_rejects_bad_handles():
