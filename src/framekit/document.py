@@ -5,13 +5,17 @@ a ``/s/document/text`` string, a ``/s/document/tokens`` array of token
 frames (text, byte start, byte length), and one ``/s/document/mention``
 slot per phrase frame.  Phrase frames carry ``/s/phrase/begin``, an
 optional ``/s/phrase/length`` (default 1), and one ``/s/phrase/evokes``
-slot per evoked frame.
+slot per evoked frame.  A ``/s/document/frame`` slot holds each graph
+frame that the evoked frames do not reach by outgoing links (an
+embedded frame, which only links into the graph), so that printing the
+document frame prints the whole graph.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .store import Handle, Store, Value
 
@@ -19,6 +23,7 @@ DOCUMENT_TYPE = "/s/document"
 DOCUMENT_TEXT = "/s/document/text"
 DOCUMENT_TOKENS = "/s/document/tokens"
 DOCUMENT_MENTION = "/s/document/mention"
+DOCUMENT_FRAME = "/s/document/frame"
 TOKEN_TEXT = "/s/token/text"
 TOKEN_START = "/s/token/start"
 TOKEN_LENGTH = "/s/token/length"
@@ -170,6 +175,25 @@ def doc_to_frame(doc: Document) -> Handle:
         for frame in mention.evoked:
             phrase_slots.append((evokes, frame))
         slots.append((mention_role, store.new_frame(phrase_slots)))
+
+    reached: set[Handle] = set()
+
+    def reach(frame: Handle) -> None:
+        stack = [frame]
+        while stack:
+            frame = stack.pop()
+            if frame not in reached:
+                reached.add(frame)
+                stack.extend(v for _, v in store.slots(frame)
+                             if isinstance(v, Handle) and v.is_frame())
+
+    for mention in doc.mentions:
+        for frame in mention.evoked:
+            reach(frame)
+    for frame in frame_graph(doc):
+        if frame not in reached:
+            slots.append((store.intern(DOCUMENT_FRAME), frame))
+            reach(frame)
     return store.new_frame(slots)
 
 
@@ -180,10 +204,7 @@ def _require(condition: bool, message: str) -> None:
 
 def doc_from_frame(handle: Handle, store: Store) -> Document:
     """Read a schema frame back into a Document view."""
-    isa = store.isa
-    doc_type = store.get_role(handle, isa)
-    _require(isinstance(doc_type, Handle) and doc_type.is_symbol()
-             and store.symbol_name(doc_type) == DOCUMENT_TYPE,
+    _require(type_name(store, handle) == DOCUMENT_TYPE,
              "frame is not a document (missing isa /s/document)")
 
     text = store.get_role(handle, store.intern(DOCUMENT_TEXT))
@@ -246,7 +267,7 @@ def frame_graph(doc: Document) -> list[Handle]:
     seen: set[Handle] = set()
 
     def admit(frame: Handle) -> None:
-        if frame not in seen and not _is_structural(store, frame):
+        if frame not in seen and type_name(store, frame) not in STRUCTURAL_TYPES:
             seen.add(frame)
             ordered.append(frame)
 
@@ -266,10 +287,39 @@ def frame_graph(doc: Document) -> list[Handle]:
     return ordered
 
 
-def _is_structural(store: Store, frame: Handle) -> bool:
-    value = store.get_role(frame, store.isa)
-    return (isinstance(value, Handle) and value.is_symbol()
-            and store.symbol_name(value) in STRUCTURAL_TYPES)
+def type_name(store: Store, frame: Handle) -> Optional[str]:
+    """Name of the frame's type, its first ``isa`` value, if that is a
+    symbol."""
+    value = store.frame_type(frame)
+    return store.symbol_name(value) if value is not None and value.is_symbol() else None
+
+
+def semantic_slots(store: Store, frame: Handle) -> Iterator[tuple[int, str, Value]]:
+    """(slot index, role name, value) of each semantic slot of `frame`.
+
+    Skips ``id`` slots, the first ``isa`` slot (the frame's type) and
+    slots whose role is not a symbol.  A later ``isa`` is an ordinary
+    slot: a label, or a link if its value is a frame.
+    """
+    typed = False
+    for index, (role, value) in enumerate(store.slots(frame)):
+        if role == store.isa and not typed:
+            typed = True
+        elif role != store.id and role.is_symbol():
+            yield index, store.symbol_name(role), value
+
+
+def incoming_links(store: Store, frames: list[Handle]
+                   ) -> dict[Handle, list[tuple[Handle, int, str]]]:
+    """target -> [(source, slot index, role name)] over the semantic
+    slots of `frames` whose value is a frame, in frame order, then slot
+    order."""
+    index: dict[Handle, list[tuple[Handle, int, str]]] = {}
+    for source in frames:
+        for slot, role, value in semantic_slots(store, source):
+            if isinstance(value, Handle) and value.is_frame():
+                index.setdefault(value, []).append((source, slot, role))
+    return index
 
 
 def spans_to_frames(doc: Document) -> dict[tuple[int, int], list[Handle]]:

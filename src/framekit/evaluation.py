@@ -5,17 +5,20 @@ spans are aligned greedily in mention order, and the alignment is
 extended to a fixpoint over outgoing role links: whenever both sides of
 an aligned pair carry a same-role link to unaligned frames, those
 targets become aligned.  Precision/recall/F1 are computed for Span,
-Frame, Type, Role (frame-valued slots) and Label (constant-valued
-slots), plus the Slot (Type+Role+Label) and Combined (all five)
-aggregates.
+Frame, Type (a frame's first ``isa``), Role (frame-valued slots) and
+Label (constant-valued slots), plus the Slot (Type+Role+Label) and
+Combined (all five) aggregates.  Roles and labels are the slots that
+`document.semantic_slots` yields, so a later ``isa`` is a Label.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Optional
 
-from .document import Document, frame_graph, spans_to_frames
+from .document import (Document, frame_graph, incoming_links, semantic_slots,
+                       spans_to_frames, type_name)
 from .store import Handle, Store
 
 METRICS = ("Span", "Frame", "Type", "Role", "Label", "Slot", "Combined")
@@ -109,11 +112,46 @@ def _check_tokens(gold: Document, pred: Document) -> None:
         raise TokenMismatchError("gold and predicted token sequences differ")
 
 
-def align(gold: Document, pred: Document) -> dict[Handle, Handle]:
-    """Partial bijection from gold frames to predicted frames."""
+class _Graph:
+    """One document as scoring sees it, built once: its spans, its frame
+    graph, and each frame's semantic slots split into links (role,
+    target) and labels (role, constant key)."""
+
+    def __init__(self, doc: Document):
+        self.store = doc.store
+        self.spans = spans_to_frames(doc)
+        self.frames = frame_graph(doc)
+        self.incoming = {target: [(role, source) for source, _, role in entries]
+                         for target, entries in incoming_links(self.store, self.frames).items()}
+        self._split: dict[Handle, tuple[list, list]] = {}
+
+    def links(self, frame: Handle) -> list[tuple[str, Handle]]:
+        return self.split(frame)[0]
+
+    def labels(self, frame: Handle) -> list[tuple[str, tuple]]:
+        return self.split(frame)[1]
+
+    def split(self, frame: Handle) -> tuple[list, list]:
+        if frame not in self._split:
+            links, labels = [], []
+            for _, role, value in semantic_slots(self.store, frame):
+                if isinstance(value, Handle) and value.is_frame():
+                    links.append((role, value))
+                else:
+                    key = _constant_key(self.store, value)
+                    if key is not None:
+                        labels.append((role, key))
+            self._split[frame] = (links, labels)
+        return self._split[frame]
+
+
+def align(gold: Document, pred: Document,
+          graphs: Optional[tuple[_Graph, _Graph]] = None) -> dict[Handle, Handle]:
+    """Partial bijection from gold frames to predicted frames.  `graphs`
+    passes the two documents' graphs when the caller has built them."""
     _check_tokens(gold, pred)
-    gold_spans = spans_to_frames(gold)
-    pred_spans = spans_to_frames(pred)
+    g_graph, p_graph = graphs or (_Graph(gold), _Graph(pred))
+    gold_spans, pred_spans = g_graph.spans, p_graph.spans
 
     mapping: dict[Handle, Handle] = {}
     taken: set[Handle] = set()
@@ -127,18 +165,16 @@ def align(gold: Document, pred: Document) -> dict[Handle, Handle]:
     # Extend over same-role links until nothing changes.  Links are
     # followed in both directions: embedded frames point into the
     # aligned graph and are only reachable through incoming edges.
-    gold_incoming = _incoming_index(gold.store, frame_graph(gold))
-    pred_incoming = _incoming_index(pred.store, frame_graph(pred))
     changed = True
     while changed:
         changed = False
         for g in list(mapping):
             p = mapping[g]
             pairs = [
-                (_link_targets(gold.store, g, mapping.keys()),
-                 _link_targets(pred.store, p, taken)),
-                (_grouped(gold_incoming.get(g, ()), mapping.keys()),
-                 _grouped(pred_incoming.get(p, ()), taken)),
+                (_grouped(g_graph.links(g), mapping.keys()),
+                 _grouped(p_graph.links(p), taken)),
+                (_grouped(g_graph.incoming.get(g, ()), mapping.keys()),
+                 _grouped(p_graph.incoming.get(p, ()), taken)),
             ]
             for gold_by_role, pred_by_role in pairs:
                 for role_name, g_list in gold_by_role.items():
@@ -152,24 +188,9 @@ def align(gold: Document, pred: Document) -> dict[Handle, Handle]:
     return mapping
 
 
-def _incoming_index(store: Store, frames: list[Handle]) -> dict[Handle, list[tuple[str, Handle]]]:
-    """target -> [(role, source)] over the semantic frames, in a
-    deterministic (frame order, slot order) traversal."""
-    index: dict[Handle, list[tuple[str, Handle]]] = {}
-    for frame in frames:
-        for slot in store.slots(frame):
-            if slot.role == store.id or slot.role == store.isa:
-                continue
-            if not slot.role.is_symbol():
-                continue
-            value = slot.value
-            if isinstance(value, Handle) and value.is_frame():
-                index.setdefault(value, []).append(
-                    (store.symbol_name(slot.role), frame))
-    return index
-
-
 def _grouped(entries, aligned) -> dict[str, list[Handle]]:
+    """Unaligned frames of (role, frame) entries grouped by role, in
+    entry order, without repeats."""
     out: dict[str, list[Handle]] = {}
     seen: set[tuple[str, Handle]] = set()
     for role_name, frame in entries:
@@ -178,35 +199,6 @@ def _grouped(entries, aligned) -> dict[str, list[Handle]]:
         seen.add((role_name, frame))
         out.setdefault(role_name, []).append(frame)
     return out
-
-
-def _link_targets(store: Store, frame: Handle, aligned) -> dict[str, list[Handle]]:
-    """Unaligned frame targets grouped by role, in slot order, deduped."""
-    out: dict[str, list[Handle]] = {}
-    seen: set[tuple[str, Handle]] = set()
-    for slot in store.slots(frame):
-        if slot.role == store.id or slot.role == store.isa:
-            continue
-        value = slot.value
-        if not (isinstance(value, Handle) and value.is_frame()):
-            continue
-        if value in aligned:
-            continue
-        role_name = store.symbol_name(slot.role) if slot.role.is_symbol() else None
-        if role_name is None:
-            continue
-        if (role_name, value) in seen:
-            continue
-        seen.add((role_name, value))
-        out.setdefault(role_name, []).append(value)
-    return out
-
-
-def _first_type(store: Store, frame: Handle):
-    value = store.get_role(frame, store.isa)
-    if isinstance(value, Handle) and value.is_symbol():
-        return store.symbol_name(value)
-    return None
 
 
 def _constant_key(store: Store, value):
@@ -223,99 +215,48 @@ def _freeze(value):
     return tuple(_freeze(v) for v in value) if isinstance(value, list) else value
 
 
-def _role_counter(store: Store, frame: Handle, rename) -> Counter:
-    """Multiset of (role, target) links with the target renamed through
-    `rename`; unaligned targets are dropped by returning None."""
-    counter: Counter = Counter()
-    for slot in store.slots(frame):
-        if slot.role == store.id or slot.role == store.isa:
-            continue
-        if not slot.role.is_symbol():
-            continue
-        value = slot.value
-        if isinstance(value, Handle) and value.is_frame():
-            target = rename(value)
-            if target is not None:
-                counter[(store.symbol_name(slot.role), target)] += 1
-    return counter
-
-
-def _label_counter(store: Store, frame: Handle) -> Counter:
-    counter: Counter = Counter()
-    for slot in store.slots(frame):
-        if slot.role == store.id or slot.role == store.isa:
-            continue
-        if not slot.role.is_symbol():
-            continue
-        value = slot.value
-        if isinstance(value, Handle) and value.is_frame():
-            continue
-        key = _constant_key(store, value)
-        if key is not None:
-            counter[(store.symbol_name(slot.role), key)] += 1
-    return counter
-
-
-def _slot_totals(store: Store, frames: list[Handle]) -> tuple[int, int]:
-    """(role slot count, label slot count) over `frames`."""
-    roles = labels = 0
-    for frame in frames:
-        for slot in store.slots(frame):
-            if slot.role == store.id or slot.role == store.isa:
-                continue
-            if not slot.role.is_symbol():
-                continue
-            if isinstance(slot.value, Handle) and slot.value.is_frame():
-                roles += 1
-            elif _constant_key(store, slot.value) is not None:
-                labels += 1
-    return roles, labels
-
-
 def evaluate(gold: Document, pred: Document) -> EvalReport:
     """Score one predicted document against its gold annotation."""
-    mapping = align(gold, pred)
+    g_graph, p_graph = _Graph(gold), _Graph(pred)
+    mapping = align(gold, pred, (g_graph, p_graph))
 
-    gold_span_set = set(spans_to_frames(gold))
-    pred_span_set = set(spans_to_frames(pred))
-    span_matched = len(gold_span_set & pred_span_set)
-    span = MetricCounts(span_matched, len(pred_span_set),
-                        span_matched, len(gold_span_set))
-
-    gold_frames = frame_graph(gold)
-    pred_frames = frame_graph(pred)
-    frame = MetricCounts(len(mapping), len(pred_frames),
-                         len(mapping), len(gold_frames))
+    span_matched = len(g_graph.spans.keys() & p_graph.spans.keys())
+    span = MetricCounts(span_matched, len(p_graph.spans),
+                        span_matched, len(g_graph.spans))
+    frame = MetricCounts(len(mapping), len(p_graph.frames),
+                         len(mapping), len(g_graph.frames))
 
     type_matched = 0
     for g, p in mapping.items():
-        g_type = _first_type(gold.store, g)
-        if g_type is not None and g_type == _first_type(pred.store, p):
+        g_type = type_name(gold.store, g)
+        if g_type is not None and g_type == type_name(pred.store, p):
             type_matched += 1
     type_counts = MetricCounts(
-        type_matched,
-        sum(1 for f in pred_frames if _first_type(pred.store, f) is not None),
-        type_matched,
-        sum(1 for f in gold_frames if _first_type(gold.store, f) is not None))
+        type_matched, _typed(pred.store, p_graph.frames),
+        type_matched, _typed(gold.store, g_graph.frames))
 
     role_matched = 0
     label_matched = 0
     aligned_pred = set(mapping.values())
     for g, p in mapping.items():
-        gold_links = _role_counter(gold.store, g, lambda t: mapping.get(t))
-        pred_links = _role_counter(pred.store, p,
-                                   lambda t: t if t in aligned_pred else None)
+        gold_links = Counter((role, mapping[t]) for role, t in g_graph.links(g) if t in mapping)
+        pred_links = Counter((role, t) for role, t in p_graph.links(p) if t in aligned_pred)
         role_matched += sum((gold_links & pred_links).values())
-        gold_labels = _label_counter(gold.store, g)
-        pred_labels = _label_counter(pred.store, p)
-        label_matched += sum((gold_labels & pred_labels).values())
+        label_matched += sum((Counter(g_graph.labels(g)) & Counter(p_graph.labels(p))).values())
 
-    gold_roles, gold_labels = _slot_totals(gold.store, gold_frames)
-    pred_roles, pred_labels = _slot_totals(pred.store, pred_frames)
-    role = MetricCounts(role_matched, pred_roles, role_matched, gold_roles)
-    label = MetricCounts(label_matched, pred_labels, label_matched, gold_labels)
-
+    role = MetricCounts(role_matched, _total(p_graph.links, p_graph.frames),
+                        role_matched, _total(g_graph.links, g_graph.frames))
+    label = MetricCounts(label_matched, _total(p_graph.labels, p_graph.frames),
+                         label_matched, _total(g_graph.labels, g_graph.frames))
     return EvalReport(span, frame, type_counts, role, label)
+
+
+def _typed(store: Store, frames: list[Handle]) -> int:
+    return sum(1 for f in frames if type_name(store, f) is not None)
+
+
+def _total(slots_of, frames: list[Handle]) -> int:
+    return sum(len(slots_of(f)) for f in frames)
 
 
 def evaluate_corpus(gold: list[Document], pred: list[Document]) -> EvalReport:

@@ -8,10 +8,9 @@ digits) are closed categorical sets and need no vocabulary.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
-from ..document import Document
+from ..document import _PUNCT, Document
 from ..transitions import Action
 
 RESERVED = 0
@@ -22,7 +21,6 @@ PUNCT_SHAPES = 3
 QUOTE_SHAPES = 2
 DIGIT_SHAPES = 3
 
-_PUNCT = set(string.punctuation)
 _QUOTES = set("\"'`")
 
 

@@ -40,6 +40,33 @@ def feature_dim(config: ModelConfig) -> int:
             + 4 * config.link_dim)               # role triples and back-offs
 
 
+def parameter_shapes(config: ModelConfig, lexicon: Lexicon) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight array, in allocation order."""
+    k, runs, link = config.k_attention, lexicon.num_roles, config.link_dim
+    in_dim, L = lexical_input_dim(config), config.lstm_dim
+    F, H, A = feature_dim(config), config.hidden_dim, lexicon.num_actions
+    shapes = {
+        "word_emb": (lexicon.num_words, config.word_dim),
+        "prefix_emb": (lexicon.num_prefixes, config.affix_dim),
+        "suffix_emb": (lexicon.num_suffixes, config.affix_dim),
+        "hyphen_emb": (HYPHEN_SHAPES, config.shape_dim),
+        "caps_emb": (CAPS_SHAPES, config.shape_dim),
+        "punct_emb": (PUNCT_SHAPES, config.shape_dim),
+        "quote_emb": (QUOTE_SHAPES, config.shape_dim),
+        "digit_emb": (DIGIT_SHAPES, config.shape_dim),
+        "triple_emb": (k * runs * k, link),
+        "source_role_emb": (k * runs, link),
+        "role_target_emb": (runs * k, link),
+        "source_target_emb": (k * k, link),
+    }
+    for direction in ("fw", "bw"):
+        shapes[f"lstm_{direction}_wx"] = (4 * L, in_dim)
+        shapes[f"lstm_{direction}_wh"] = (4 * L, L)
+        shapes[f"lstm_{direction}_b"] = (4 * L,)
+    shapes.update(ff_w1=(H, F), ff_b1=(H,), ff_w2=(A, H), ff_b2=(A,))
+    return shapes
+
+
 class Parameters:
     """All weight arrays plus the vocabulary they were built against."""
 
@@ -52,47 +79,24 @@ class Parameters:
 
     def _init(self, seed: int) -> None:
         cfg = self.config
-        lex = self.lexicon
         dtype = np.dtype(cfg.dtype)
         rng = np.random.default_rng(seed)
-
-        def table(name: str, rows: int, dim: int) -> None:
-            self.arrays[name] = rng.normal(0.0, 0.1, (rows, dim)).astype(dtype)
-
-        table("word_emb", lex.num_words, cfg.word_dim)
-        table("prefix_emb", lex.num_prefixes, cfg.affix_dim)
-        table("suffix_emb", lex.num_suffixes, cfg.affix_dim)
-        table("hyphen_emb", HYPHEN_SHAPES, cfg.shape_dim)
-        table("caps_emb", CAPS_SHAPES, cfg.shape_dim)
-        table("punct_emb", PUNCT_SHAPES, cfg.shape_dim)
-        table("quote_emb", QUOTE_SHAPES, cfg.shape_dim)
-        table("digit_emb", DIGIT_SHAPES, cfg.shape_dim)
-
-        k, runs = cfg.k_attention, lex.num_roles
-        table("triple_emb", k * runs * k, cfg.link_dim)
-        table("source_role_emb", k * runs, cfg.link_dim)
-        table("role_target_emb", runs * k, cfg.link_dim)
-        table("source_target_emb", k * k, cfg.link_dim)
-
-        in_dim, L = lexical_input_dim(cfg), cfg.lstm_dim
-        for direction in ("fw", "bw"):
-            sx = 1.0 / np.sqrt(in_dim)
-            sh = 1.0 / np.sqrt(L)
-            self.arrays[f"lstm_{direction}_wx"] = rng.uniform(
-                -sx, sx, (4 * L, in_dim)).astype(dtype)
-            self.arrays[f"lstm_{direction}_wh"] = rng.uniform(
-                -sh, sh, (4 * L, L)).astype(dtype)
-            bias = np.zeros(4 * L, dtype=dtype)
-            bias[L:2 * L] = 1.0  # forget gate bias
-            self.arrays[f"lstm_{direction}_b"] = bias
-
-        F, H = feature_dim(cfg), cfg.hidden_dim
-        s1 = np.sqrt(6.0 / (F + H))
-        self.arrays["ff_w1"] = rng.uniform(-s1, s1, (H, F)).astype(dtype)
-        self.arrays["ff_b1"] = np.zeros(H, dtype=dtype)
-        # Zero output layer: the initial action distribution is uniform.
-        self.arrays["ff_w2"] = np.zeros((lex.num_actions, H), dtype=dtype)
-        self.arrays["ff_b2"] = np.zeros(lex.num_actions, dtype=dtype)
+        for name, shape in parameter_shapes(cfg, self.lexicon).items():
+            if name.endswith("_emb"):
+                array = rng.normal(0.0, 0.1, shape)
+            elif name.startswith("lstm_") and name.endswith(("_wx", "_wh")):
+                bound = 1.0 / np.sqrt(shape[1])
+                array = rng.uniform(-bound, bound, shape)
+            elif name == "ff_w1":
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                array = rng.uniform(-bound, bound, shape)
+            else:
+                # Biases, and a zero output layer: the initial action
+                # distribution is uniform.
+                array = np.zeros(shape)
+                if name.startswith("lstm_"):
+                    array[shape[0] // 4:shape[0] // 2] = 1.0  # forget gate bias
+            self.arrays[name] = array.astype(dtype)
 
         if cfg.word_vectors_path:
             self._load_word_vectors(cfg.word_vectors_path)

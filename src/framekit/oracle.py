@@ -1,5 +1,6 @@
 """Oracle: converts annotated documents into canonical transition
-sequences and verifies graph-preserving round trips.
+sequences and checks that replaying them rebuilds the document, scoring
+the replay against it with the evaluator.
 
 Canonical order, per token position left to right: evoke (or refer to)
 each mention beginning there, longer spans first; immediately after each
@@ -14,15 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .document import Document, frame_graph, spans_to_frames
+from .document import (Document, frame_graph, incoming_links, semantic_slots,
+                       type_name)
+from .evaluation import evaluate
 from .store import Handle, Store
-from .transitions import (Action, ParserState, SymbolName, run_sequence)
+from .transitions import (Action, InvalidActionError, ParserState, SymbolName,
+                          run_sequence)
 
 
 class UnrepresentableDocumentError(Exception):
     """The document's frame graph cannot be expressed by the transition
     system (for example a frame that is neither evoked nor attached to
-    an evoked frame by exactly one role)."""
+    an evoked frame by exactly one role, or a span evoking two frames of
+    one type)."""
 
 
 @dataclass
@@ -37,13 +42,6 @@ class TransitionSequence:
 
     def to_text(self) -> str:
         return "\n".join(action.to_text() for action in self.actions)
-
-
-def _type_name(store: Store, frame: Handle) -> str:
-    value = store.get_role(frame, store.isa)
-    if isinstance(value, Handle) and value.is_symbol():
-        return store.symbol_name(value)
-    raise UnrepresentableDocumentError("frame has no symbol-valued isa slot")
 
 
 def _constant_of(store: Store, value) -> object:
@@ -70,11 +68,7 @@ class _Generator:
         self.evocation_order: dict[Handle, int] = {}
         self.emitted_slots: set[tuple[Handle, int]] = set()
         self.actions: list[Action] = []
-        self.incoming: dict[Handle, list[tuple[Handle, int]]] = {}
-        for frame in self.frames:
-            for i, slot in enumerate(self.store.slots(frame)):
-                if isinstance(slot.value, Handle) and slot.value.is_frame():
-                    self.incoming.setdefault(slot.value, []).append((frame, i))
+        self.incoming = incoming_links(self.store, self.frames)
 
     def run(self) -> list[Action]:
         self._validate()
@@ -95,8 +89,9 @@ class _Generator:
             for slot in slots:
                 if not slot.role.is_symbol():
                     raise UnrepresentableDocumentError("slot role is not a symbol")
+            if type_name(self.store, frame) is None:
+                raise UnrepresentableDocumentError("frame has no symbol-valued isa slot")
             if frame in self.evoked:
-                _type_name(self.store, frame)
                 continue
             # A non-evoked frame must hang off the evoked graph by
             # exactly one role, in either direction.
@@ -107,7 +102,7 @@ class _Generator:
                     if slot.value not in self.evoked:
                         raise UnrepresentableDocumentError(
                             "non-evoked frame links to another non-evoked frame")
-            for source, _ in self.incoming.get(frame, ()):
+            for source, _, _ in self.incoming.get(frame, ()):
                 edges += 1
                 if source not in self.evoked:
                     raise UnrepresentableDocumentError(
@@ -115,11 +110,15 @@ class _Generator:
             if edges != 1:
                 raise UnrepresentableDocumentError(
                     f"non-evoked frame has {edges} connecting roles, expected 1")
-            _type_name(self.store, frame)
 
     def _emit(self, action: Action) -> None:
+        try:
+            self.state.apply(action)
+        except InvalidActionError as exc:
+            # For example a span evoking two frames of one type, the
+            # second first evoked there: EVOKE would repeat the type.
+            raise UnrepresentableDocumentError(str(exc)) from None
         self.actions.append(action)
-        self.state.apply(action)
 
     def _index(self, gold_frame: Handle) -> int:
         return self.state.attention_index(self.replay_of[gold_frame])
@@ -127,7 +126,7 @@ class _Generator:
     def _evoke(self, frame: Handle, length: int) -> None:
         store = self.store
         if frame not in self.replay_of:
-            self._emit(Action.evoke(_type_name(store, frame), length))
+            self._emit(Action.evoke(type_name(store, frame), length))
             self.replay_of[frame] = self.state.attention[0]
             self.evocation_order[frame] = len(self.evocation_order)
             first = True
@@ -136,7 +135,7 @@ class _Generator:
             first = False
         self._emit_connects()
         if first:
-            self._emit_assigns(frame, skip_first_isa=True)
+            self._emit_assigns(frame)
             self._emit_creations(frame)
 
     def _emit_connects(self) -> None:
@@ -155,26 +154,15 @@ class _Generator:
                                       self.store.symbol_name(role),
                                       self._index(value)))
 
-    def _emit_assigns(self, frame: Handle, skip_first_isa: bool) -> None:
-        store = self.store
-        skipped_isa = not skip_first_isa
-        for i, slot in enumerate(store.slots(frame)):
+    def _emit_assigns(self, frame: Handle) -> None:
+        for i, role, value in semantic_slots(self.store, frame):
             if (frame, i) in self.emitted_slots:
                 continue
-            if slot.role == store.id:
-                self.emitted_slots.add((frame, i))
-                continue
-            if slot.role == store.isa and not skipped_isa:
-                skipped_isa = True
-                self.emitted_slots.add((frame, i))
-                continue
-            value = slot.value
             if isinstance(value, Handle) and value.is_frame():
                 continue  # link slot, handled by connect/creation emission
             self.emitted_slots.add((frame, i))
-            self._emit(Action.assign(self._index(frame),
-                                     store.symbol_name(slot.role),
-                                     _constant_of(store, value)))
+            self._emit(Action.assign(self._index(frame), role,
+                                     _constant_of(self.store, value)))
 
     def _emit_creations(self, frame: Handle) -> None:
         """EMBED/ELABORATE the non-evoked neighbors of a just-evoked frame."""
@@ -190,21 +178,18 @@ class _Generator:
             self.emitted_slots.add((frame, i))
             self._emit(Action.elaborate(self._index(frame),
                                         store.symbol_name(slot.role),
-                                        _type_name(store, value)))
+                                        type_name(store, value)))
             self.replay_of[value] = self.state.attention[0]
-            self._emit_assigns(value, skip_first_isa=True)
-        for source, i in self.incoming.get(frame, ()):
+            self._emit_assigns(value)
+        for source, i, role in self.incoming.get(frame, ()):
             if source in self.evoked or source in self.replay_of:
                 continue
             if (source, i) in self.emitted_slots:
                 continue
             self.emitted_slots.add((source, i))
-            role = store.slots(source)[i].role
-            self._emit(Action.embed(self._index(frame),
-                                    store.symbol_name(role),
-                                    _type_name(store, source)))
+            self._emit(Action.embed(self._index(frame), role, type_name(store, source)))
             self.replay_of[source] = self.state.attention[0]
-            self._emit_assigns(source, skip_first_isa=True)
+            self._emit_assigns(source)
 
 
 def generate(doc: Document) -> TransitionSequence:
@@ -219,105 +204,14 @@ def replay(doc: Document, sequence: TransitionSequence) -> Document:
 
 
 def roundtrip_check(doc: Document) -> bool:
-    """True iff replaying the generated sequence reproduces the
-    document's mention set and frame graph up to isomorphism."""
-    pred = replay(doc, generate(doc))
-    return _equivalent(doc, pred)
-
-
-def _slot_key(store: Store, role: Handle, value, mapping: dict[Handle, Handle],
-              universe: set[Handle]):
-    role_name = store.symbol_name(role)
-    if isinstance(value, Handle):
-        if value.is_symbol():
-            return (role_name, "sym", store.symbol_name(value))
-        if value in mapping:
-            return (role_name, "frame", mapping[value])
-        if value in universe:
-            return (role_name, "nonevoked", _signature(store, value))
-        return (role_name, "foreign", value)
-    return (role_name, "lit", type(value).__name__, _hashable(value))
-
-
-def _hashable(value):
-    return tuple(_hashable(v) for v in value) if isinstance(value, list) else value
-
-
-def _signature(store: Store, frame: Handle):
-    """Content signature of a non-evoked frame (type plus constants)."""
-    parts = []
-    for slot in store.slots(frame):
-        value = slot.value
-        if isinstance(value, Handle) and value.is_frame():
-            continue  # its single link edge, compared structurally elsewhere
-        if isinstance(value, Handle):
-            parts.append((store.symbol_name(slot.role), "sym", store.symbol_name(value)))
-        else:
-            parts.append((store.symbol_name(slot.role), "lit",
-                          type(value).__name__, _hashable(value)))
-    return tuple(sorted(parts, key=repr))
-
-
-def _equivalent(gold: Document, pred: Document) -> bool:
-    gold_spans = spans_to_frames(gold)
-    pred_spans = spans_to_frames(pred)
-    if set(gold_spans) != set(pred_spans):
-        return False
-
-    mapping: dict[Handle, Handle] = {}
-    for span in sorted(gold_spans):
-        g_frames, p_frames = gold_spans[span], pred_spans[span]
-        if len(g_frames) != len(p_frames):
-            return False
-        for g, p in zip(g_frames, p_frames):
-            if mapping.setdefault(g, p) != p:
-                return False
-
-    gold_universe = frame_graph(gold)
-    pred_universe = frame_graph(pred)
-    if len(gold_universe) != len(pred_universe):
-        return False
-    gold_set, pred_set = set(gold_universe), set(pred_universe)
-
-    reverse = {p: g for g, p in mapping.items()}
-    if len(reverse) != len(mapping):
-        return False
-
-    for g, p in mapping.items():
-        g_slots = [s for s in gold.store.slots(g) if s.role != gold.store.id]
-        p_slots = [s for s in pred.store.slots(p) if s.role != pred.store.id]
-        if len(g_slots) != len(p_slots):
-            return False
-        g_keys = sorted((_slot_key(gold.store, s.role, s.value, mapping, gold_set)
-                         for s in g_slots), key=repr)
-        identity = {h: h for h in reverse}
-        p_keys = sorted((_slot_key(pred.store, s.role, s.value, identity, pred_set)
-                         for s in p_slots), key=repr)
-        # Frame-valued keys on the pred side are already pred handles;
-        # the gold side was mapped through the correspondence.
-        if g_keys != p_keys:
-            return False
-
-    # Embedded frames: non-evoked sources pointing into the mapped graph
-    # must match by (role, target, signature) multisets.
-    def embed_profile(doc: Document, universe: list[Handle],
-                      into: dict[Handle, Handle]) -> list:
-        profile = []
-        evoked = set(into)
-        for frame in universe:
-            if frame in evoked:
-                continue
-            for slot in doc.store.slots(frame):
-                if isinstance(slot.value, Handle) and slot.value.is_frame() \
-                        and slot.value in into:
-                    profile.append((doc.store.symbol_name(slot.role),
-                                    into[slot.value],
-                                    _signature(doc.store, frame)))
-        return sorted(profile, key=repr)
-
-    gold_profile = embed_profile(gold, gold_universe, mapping)
-    pred_profile = embed_profile(pred, pred_universe, {p: p for p in reverse})
-    return gold_profile == pred_profile
+    """True iff replaying the generated sequence reproduces the document:
+    scored against it by `evaluation.evaluate`, every span, frame, type,
+    role and label is matched on both sides."""
+    report = evaluate(doc, replay(doc, generate(doc)))
+    return all(counts.matched_pred == counts.total_pred
+               and counts.matched_gold == counts.total_gold
+               for counts in (report.span, report.frame, report.type,
+                              report.role, report.label))
 
 
 @dataclass

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .document import Document, Mention, Token
+from .document import Document, Mention, Token, type_name
 from .store import Handle, Store
 
 SHIFT = "SHIFT"
@@ -297,9 +297,9 @@ class ParserState:
             frame = self.attention[action.target]
             self._evoke(frame, action.length)
             self._front(frame)
-            type_name = self._type_name(frame)
-            if type_name is not None:
-                self._evoked_types.add((self.cursor, action.length, type_name))
+            name = type_name(self.store, frame)
+            if name is not None:
+                self._evoked_types.add((self.cursor, action.length, name))
         elif kind == CONNECT:
             source = self.attention[action.source]
             target = self.attention[action.target]
@@ -335,12 +335,6 @@ class ParserState:
         if isinstance(value, SymbolName):
             return self.store.intern(str(value))
         return value
-
-    def _type_name(self, frame: Handle) -> Optional[str]:
-        value = self.store.get_role(frame, self.store.isa)
-        if isinstance(value, Handle) and value.is_symbol():
-            return self.store.symbol_name(value)
-        return None
 
     def _evoke(self, frame: Handle, length: int) -> None:
         span = (self.cursor, length)

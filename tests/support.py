@@ -241,10 +241,18 @@ def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, i
 
     def first_type(store, frame):
         for slot in store.slots(frame):
-            if slot.role == store.isa and isinstance(slot.value, Handle) \
-                    and slot.value.is_symbol():
-                return store.symbol_name(slot.value)
+            if slot.role == store.isa:
+                if isinstance(slot.value, Handle) and slot.value.is_symbol():
+                    return store.symbol_name(slot.value)
+                return None
         return None
+
+    def scored_slots(store, frame):
+        """Every slot but `id`, the first `isa` (the type) and those with
+        a non-symbol role; a later `isa` is scored like any other role."""
+        isa_slots = [i for i, s in enumerate(store.slots(frame)) if s.role == store.isa]
+        return [s for i, s in enumerate(store.slots(frame))
+                if s.role != store.id and s.role.is_symbol() and i not in isa_slots[:1]]
 
     gold_typed = [f for f in gold_frames if first_type(gold.store, f) is not None]
     pred_typed = [f for f in pred_frames if first_type(pred.store, f) is not None]
@@ -258,18 +266,14 @@ def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, i
 
     def link_slots(store, frame):
         slots = []
-        for slot in store.slots(frame):
-            if slot.role in (store.id, store.isa) or not slot.role.is_symbol():
-                continue
+        for slot in scored_slots(store, frame):
             if isinstance(slot.value, Handle) and slot.value.is_frame():
                 slots.append((store.symbol_name(slot.role), slot.value))
         return slots
 
     def constant_slots(store, frame):
         slots = []
-        for slot in store.slots(frame):
-            if slot.role in (store.id, store.isa) or not slot.role.is_symbol():
-                continue
+        for slot in scored_slots(store, frame):
             value = slot.value
             if isinstance(value, Handle):
                 if value.is_symbol():
@@ -416,9 +420,13 @@ def random_document(rng: random.Random) -> Document:
             begin = rng.randrange(n_tokens)
             length = min(rng.randint(1, 2), n_tokens - begin)
             span = (begin, length)
+            # A span never evokes two frames of one type: the second
+            # EVOKE there would be invalid, whichever frame came first.
             if evoked and rng.random() < 0.3:
                 frame = rng.choice(evoked)  # re-evocation -> REFER
                 type_name = store.symbol_name(store.get_role(frame, store.isa))
+                if type_name in span_types.get(span, set()):
+                    continue
             else:
                 type_name = rng.choice(TYPE_POOL)
                 if type_name in span_types.get(span, set()):

@@ -1,0 +1,87 @@
+import struct
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from framekit.corpus import generate_corpus
+from framekit.model import ModelConfig, load_checkpoint, save_checkpoint, train
+from framekit.model.checkpoint import MAGIC, CheckpointError
+
+
+def trained(**kw):
+    config = ModelConfig(lstm_dim=6, hidden_dim=5, word_dim=4, affix_dim=2,
+                         shape_dim=2, link_dim=3, k_attention=3, k_history=2,
+                         use_ema=True, ema_decay=0.5, **kw)
+    return train(generate_corpus(7, 4), config, seed=1, steps=4, checkpoint_every=4)
+
+
+def assert_same_arrays(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        assert a[name].shape == b[name].shape, name
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_round_trip_is_bit_exact_in_one_file(tmp_path, dtype):
+    params = trained(dtype=dtype)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    loaded = load_checkpoint(str(path))
+    assert asdict(loaded.config) == asdict(params.config)
+    assert_same_arrays(loaded.arrays, params.arrays)
+    assert_same_arrays(loaded.ema, params.ema)
+    lex, back = params.lexicon, loaded.lexicon
+    assert (back.words, back.prefixes, back.suffixes, back.roles) == \
+        (lex.words, lex.prefixes, lex.suffixes, lex.roles)
+    assert back.max_affix_len == lex.max_affix_len
+    assert [a.to_text() for a in back.actions] == [a.to_text() for a in lex.actions]
+    assert back.action_ids == lex.action_ids
+
+
+def test_truncation_raises(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC) + 4)
+    payload = len(MAGIC) + 12 + header_len
+    for size in (0, 3, 10, len(MAGIC) + 12 + header_len // 2, payload,
+                 payload + 1, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+
+def test_tensor_mismatch_raises(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    params = trained()
+    w1 = params.arrays["ff_w1"]
+    params.arrays["ff_w1"] = w1[:, :-1]
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="ff_w1"):
+        load_checkpoint(path)
+
+    params.arrays["ff_w1"] = w1
+    params.lexicon.actions.pop()  # the output layer no longer fits
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="ff_w2"):
+        load_checkpoint(path)
+
+    params = trained()
+    del params.ema["ff_b2"]
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="names"):
+        load_checkpoint(path)
+
+
+def test_other_versions_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, len(MAGIC), 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(str(path))

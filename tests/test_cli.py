@@ -1,0 +1,47 @@
+"""The command line end to end on a tiny corpus:
+gen-corpus -> oracle -> train -> parse -> eval."""
+
+from framekit import cli
+
+TINY = ["lstm_dim=6", "hidden_dim=5", "word_dim=4", "affix_dim=2", "shape_dim=2",
+        "link_dim=3", "k_attention=3", "k_history=2", "learning_rate=0.005"]
+
+
+def run(capsys, *argv):
+    assert cli.main([str(arg) for arg in argv]) == 0, capsys.readouterr().err
+    return capsys.readouterr().out
+
+
+def test_pipeline_end_to_end(tmp_path, capsys):
+    train, dev = tmp_path / "train.txt", tmp_path / "dev.txt"
+    model, pred = tmp_path / "model.ckpt", tmp_path / "pred.txt"
+    assert "wrote 12 documents" in run(capsys, "gen-corpus", "--out", train,
+                                       "--n-docs", 12, "--seed", 3)
+    run(capsys, "gen-corpus", "--out", dev, "--n-docs", 5, "--seed", 4)
+
+    sequences = tmp_path / "train.oracle"
+    table = run(capsys, "oracle", "--in", train, "--out", sequences)
+    assert table.splitlines()[-1].startswith("Total")
+    assert sequences.read_text(encoding="utf-8").count("STOP") == 12
+
+    hparams = [arg for h in TINY for arg in ("--hparam", h)]
+    log = run(capsys, "train", "--in", train, "--dev", dev, "--out", model,
+              "--steps", 6, "--checkpoint-every", 3, *hparams)
+    assert log.splitlines()[0].startswith("step=3 ")
+    assert "best checkpoint: step=" in log
+    assert sorted(p.name for p in tmp_path.glob("model.ckpt*")) == \
+        ["model.ckpt", "model.ckpt.best"]
+
+    run(capsys, "parse", "--model", model, "--in", dev, "--out", pred)
+    text = pred.read_text(encoding="utf-8")
+    assert text.count("/s/document/text") == 5
+    run(capsys, "parse", "--model", model, "--in", dev, "--out", tmp_path / "pred2.txt",
+        "--jobs", 2)
+    assert (tmp_path / "pred2.txt").read_text(encoding="utf-8") == text
+
+    one = run(capsys, "eval", "--gold", dev, "--pred", pred, "--jobs", 1)
+    two = run(capsys, "eval", "--gold", dev, "--pred", pred, "--jobs", 2)
+    assert one == two
+    assert "slot.f1=" in one
+    gold_vs_gold = run(capsys, "eval", "--gold", dev, "--pred", dev, "--jobs", 2)
+    assert "combined.f1=100.00" in gold_vs_gold

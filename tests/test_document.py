@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit.cli import CliError, read_corpus
+from framekit import cli
+from framekit.cli import CliError, read_corpus, write_corpus
 from framekit.corpus import generate_corpus
 from framekit.document import (Document, Mention, SchemaError, doc_from_frame,
                                doc_to_frame, frame_graph, tokenize)
-from framekit.notation import parse_or_raise, print_with_labels
+from framekit.evaluation import METRICS, evaluate_corpus
+from framekit.notation import parse_or_raise
 from framekit.store import Store
 from support import hit_document
 
@@ -177,32 +179,16 @@ def _embedded(doc):
     return [frame for frame in frames if frame not in reached]
 
 
-def _notation(docs):
-    """The documents as one notation text.  A document frame also links
-    its embedded frames, which it would not print otherwise; being
-    structural, it adds no link to the graph."""
-    blocks, label = [], 1
-    for doc in docs:
-        store = doc.store
-        embedded = _embedded(doc)
-        top = doc_to_frame(doc)
-        for frame in embedded:
-            store.add_slot(top, store.intern("/test/embedded"), frame)
-        text, label = print_with_labels([top], store, label)
-        blocks.append(text)
-    return "\n".join(blocks)
-
-
 def test_frame_graph_reads_no_arena_of_shared_store(tmp_path, monkeypatch):
     # Many documents in one store, as read from a file: each graph is
     # found from its own frames, the same as when read into a store alone.
     docs = generate_corpus(11, 20)
-    (tmp_path / "all.txt").write_text(_notation(docs), encoding="utf-8")
+    write_corpus(docs, str(tmp_path / "all.txt"))
     shared = read_corpus(str(tmp_path / "all.txt"))
     alone = []
     for index, doc in enumerate(docs):
         path = tmp_path / f"{index}.txt"
-        path.write_text(_notation([doc]), encoding="utf-8")
+        write_corpus([doc], str(path))
         (single,) = read_corpus(str(path))
         alone.append(single)
     assert all(doc.store is shared[0].store for doc in shared)
@@ -214,3 +200,21 @@ def test_frame_graph_reads_no_arena_of_shared_store(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Store, "frames", no_scan)
     assert [_type_names(doc) for doc in shared] == expected
+
+
+def test_embedded_frames_survive_a_notation_file(tmp_path):
+    # The document frame links each frame that only links into the
+    # graph, so the file keeps it and the oracle of the file embeds it.
+    docs = generate_corpus(11, 200)
+    path = tmp_path / "corpus.txt"
+    write_corpus(docs, str(path))
+    back = read_corpus(str(path))
+    assert sum(len(frame_graph(doc)) for doc in docs) == 698
+    assert sum(len(frame_graph(doc)) for doc in back) == 698
+    report = evaluate_corpus(docs, back)
+    for name in METRICS:
+        counts = report.metric(name)
+        assert counts.matched_gold == counts.total_gold == counts.total_pred, name
+    out = tmp_path / "oracle.txt"
+    assert cli.main(["oracle", "--in", str(path), "--out", str(out)]) == 0
+    assert "EMBED(" in out.read_text(encoding="utf-8")

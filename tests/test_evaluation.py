@@ -115,6 +115,41 @@ def test_retyped_frame_counts(hit_doc):
     assert report.role.f1 == 1.0
 
 
+def test_second_isa_is_a_label(monkeypatch):
+    """A frame's first `isa` is its type; a later one is scored as a
+    Label, and a replay that drops it is no round trip."""
+    from framekit import oracle
+
+    def build(types):
+        store = Store()
+        doc = Document("a", tokenize("a"), [], store)
+        frame = store.new_frame([(store.isa, store.intern(t)) for t in types])
+        doc.mentions = [Mention(0, 1, [frame])]
+        return doc
+
+    gold, pred = build(["/t/a", "/t/b"]), build(["/t/a"])
+    report = evaluate(gold, pred)
+    assert report.type.f1 == 1.0
+    assert (report.label.matched_gold, report.label.total_gold) == (0, 1)
+    assert report.label.recall < 1
+    expected = brute_force_counts(gold, pred)
+    for name in METRICS:
+        counts = report.metric(name)
+        assert (counts.matched_pred, counts.total_pred,
+                counts.matched_gold, counts.total_gold) == expected[name], name
+
+    assert oracle.roundtrip_check(gold)
+    full = oracle.generate
+
+    def without_second_isa(doc):
+        return oracle.TransitionSequence(
+            [a for a in full(doc) if not (a.kind == "ASSIGN" and a.role == "isa")])
+
+    monkeypatch.setattr(oracle, "generate", without_second_isa)
+    assert len(oracle.generate(gold)) == len(full(gold)) - 1
+    assert not oracle.roundtrip_check(gold)
+
+
 def test_token_mismatch_rejected(hit_doc):
     store = Store()
     other = Document("John hit a wall", tokenize("John hit a wall"), [], store)

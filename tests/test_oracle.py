@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from framekit import cli
+from framekit.cli import write_corpus
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
 from framekit.oracle import (UnrepresentableDocumentError, action_stats,
@@ -96,6 +98,30 @@ def test_unrepresentable_multiply_attached():
     store.add_slot(second, store.intern("/r/y"), hidden)
     with pytest.raises(UnrepresentableDocumentError):
         generate(doc)
+
+
+def test_span_evoking_two_frames_of_one_type(tmp_path, capsys):
+    """At span (1,1), REFER A records /t/alpha there, so evoking B (first
+    evoked at that span) with the same type is no valid action."""
+    store = Store()
+    doc = Document("a b c d e", tokenize("a b c d e"), [], store)
+    alpha = store.intern("/t/alpha")
+    a = store.new_frame([(store.isa, alpha)])
+    b = store.new_frame([(store.isa, alpha)])
+    doc.mentions = [Mention(0, 1, [a]), Mention(1, 1, [a, b]), Mention(4, 1, [b])]
+    with pytest.raises(UnrepresentableDocumentError):
+        generate(doc)
+    path = tmp_path / "doc.txt"
+    write_corpus([doc], str(path))
+    assert cli.main(["oracle", "--in", str(path)]) == 1
+    assert "error: document 0:" in capsys.readouterr().err
+
+
+def test_random_documents_stay_representable():
+    for seed in (1, 2, 7, 202):
+        rng = random.Random(seed)
+        for _ in range(300):
+            assert roundtrip_check(random_document(rng))
 
 
 def test_generate_is_deterministic():
