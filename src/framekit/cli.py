@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .corpus import generate_corpus
 from .document import (Document, SchemaError, doc_from_frame, doc_to_frame,
                        tokenize)
-from .evaluation import EvalReport, TokenMismatchError, evaluate, evaluate_corpus
+from .evaluation import TokenMismatchError, evaluate, evaluate_corpus
 from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
                     parse_tokens, save_checkpoint, train)
+from .model.checkpoint import CheckpointError
 from .model.training import TrainingError, oracle_sequences
 from .notation import parse_notation, print_with_labels
 from .oracle import UnrepresentableDocumentError, action_stats, generate
@@ -165,9 +165,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 _WORKER_MODEL: Parameters | None = None
 
 
-def _parse_worker_init(checkpoint_path: str) -> None:
+def _parse_worker_init(params: Parameters) -> None:
     global _WORKER_MODEL
-    _WORKER_MODEL = load_checkpoint(checkpoint_path)
+    _WORKER_MODEL = params
 
 
 def _parse_worker(job: tuple[int, str, list, bool]) -> tuple[int, Document]:
@@ -179,7 +179,10 @@ def _parse_worker(job: tuple[int, str, list, bool]) -> tuple[int, Document]:
 def cmd_parse(args: argparse.Namespace) -> int:
     if bool(args.input) == bool(args.text is not None):
         raise CliError("exactly one of --in or --text is required")
-    params = load_checkpoint(args.model)
+    try:
+        params = load_checkpoint(args.model)
+    except CheckpointError as exc:
+        raise CliError(str(exc))
     if args.text is not None:
         inputs = [(args.text, tokenize(args.text))]
     else:
@@ -190,10 +193,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise CliError("checkpoint holds no averaged parameters")
 
     if args.jobs > 1 and len(inputs) > 1:
+        # Imported here: the process pool's modules take about 2 MB that
+        # no other command, and no caller of read_corpus, needs.
+        from concurrent.futures import ProcessPoolExecutor
         jobs = [(i, text, tokens, use_ema) for i, (text, tokens) in enumerate(inputs)]
         with ProcessPoolExecutor(max_workers=args.jobs,
                                  initializer=_parse_worker_init,
-                                 initargs=(args.model,)) as pool:
+                                 initargs=(params,)) as pool:
             results = list(pool.map(_parse_worker, jobs))
         docs = [doc for _, doc in sorted(results, key=lambda r: r[0])]
     else:
@@ -211,30 +217,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
 # -- eval --------------------------------------------------------------------
 
 
-def _eval_worker(job: tuple[str, str, int, int]) -> EvalReport:
-    gold_path, pred_path, lo, hi = job
-    gold = read_corpus(gold_path)[lo:hi]
-    pred = read_corpus(pred_path)[lo:hi]
-    return evaluate_corpus(gold, pred)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = read_corpus(args.gold)
     pred = read_corpus(args.pred)
     if len(gold) != len(pred):
         raise CliError(f"corpus length mismatch: {len(gold)} gold vs {len(pred)} predicted")
     try:
-        if args.jobs > 1 and len(gold) > 1:
-            bounds = []
-            chunk = (len(gold) + args.jobs - 1) // args.jobs
-            for lo in range(0, len(gold), chunk):
-                bounds.append((args.gold, args.pred, lo, min(lo + chunk, len(gold))))
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                report = EvalReport()
-                for part in pool.map(_eval_worker, bounds):
-                    report = report + part
-        else:
-            report = evaluate_corpus(gold, pred)
+        report = evaluate_corpus(gold, pred)
     except TokenMismatchError as exc:
         raise CliError(str(exc))
     print(report.format_table())
@@ -329,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--metrics-out")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="verify gradients by finite differences")

@@ -71,12 +71,48 @@ def save_checkpoint(params: Parameters, path: str) -> None:
             handle.write(raw)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_dtype(value) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        np.dtype(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _tensor_entry_problem(meta) -> str | None:
+    """What is wrong with one entry of a header's tensor table, if
+    anything: it needs a string name, a list of ints for the shape, a
+    known dtype and an int offset >= 0."""
+    if not isinstance(meta, dict):
+        return "not an object"
+    if not isinstance(meta.get("name"), str):
+        return "name is not a string"
+    shape = meta.get("shape")
+    if not (isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape)):
+        return "shape is not a list of non-negative ints"
+    if not _is_dtype(meta.get("dtype")):
+        return f"unknown dtype {meta.get('dtype')!r}"
+    if not (_is_int(meta.get("offset")) and meta["offset"] >= 0):
+        return "offset is not an int >= 0"
+    return None
+
+
 def load_checkpoint(path: str) -> Parameters:
-    """Read a checkpoint; raises CheckpointError on a file that is not
-    one, is truncated, or holds tensors its configuration and lexicon
-    do not call for."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """Read a checkpoint; raises CheckpointError on a file that cannot
+    be read, is not a checkpoint, is truncated, has a malformed tensor
+    table, or holds tensors its configuration and lexicon do not call
+    for."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
     if data[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter checkpoint")
     start = len(MAGIC) + _PREAMBLE.size
@@ -98,6 +134,12 @@ def load_checkpoint(path: str) -> Parameters:
         has_ema = header["has_ema"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{path}: malformed header: tensors is not a list")
+    for index, meta in enumerate(tensors):
+        problem = _tensor_entry_problem(meta)
+        if problem:
+            raise CheckpointError(f"{path}: malformed header: tensor {index}: {problem}")
 
     expected = parameter_shapes(config, lexicon)
     names = list(expected) + ([f"ema/{n}" for n in expected] if has_ema else [])
@@ -117,7 +159,7 @@ def load_checkpoint(path: str) -> Parameters:
             raise CheckpointError(f"{path}: tensor {name} is {meta['dtype']} "
                                   f"{tuple(meta['shape'])}, expected {dtype} {shape}")
         end = meta["offset"] + int(np.prod(shape)) * dtype.itemsize
-        if meta["offset"] < 0 or end > len(payload):
+        if end > len(payload):
             raise CheckpointError(f"{path}: truncated at tensor {name}")
         array = np.frombuffer(payload[meta["offset"]:end], dtype=dtype).reshape(shape).copy()
         if name.startswith("ema/"):

@@ -16,7 +16,7 @@ from ..transitions import Action
 from . import autodiff as ad
 from .config import ModelConfig
 from .lexicon import Lexicon
-from .network import Parameters, document_loss
+from .network import Parameters, plan_example, planned_loss
 
 
 class TrainingError(Exception):
@@ -106,8 +106,10 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
     if config.use_ema:
         params.start_ema()
 
-    examples = [(doc.text, list(doc.tokens), actions)
-                for doc, actions in zip(corpus, sequences)]
+    # Everything teacher forcing reads that the weights do not change,
+    # once per example; each visit then runs only the numeric pass.
+    plans = [plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
+             for doc, actions in zip(corpus, sequences)]
     rng = random.Random(seed)
     order: list[int] = []
     window_loss = 0.0
@@ -119,18 +121,17 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         batch = []
         for _ in range(config.batch_size):
             if not order:
-                order = list(range(len(examples)))
+                order = list(range(len(plans)))
                 rng.shuffle(order)
-            batch.append(examples[order.pop()])
+            batch.append(plans[order.pop()])
 
         for tensor in tensors.values():
             tensor.zero_grad()
         losses = []
         n_actions = 0
         n_correct = 0
-        for text, tokens, actions in batch:
-            loss, count, correct = document_loss(
-                tensors, config, lexicon, text, tokens, actions)
+        for plan in batch:
+            loss, count, correct = planned_loss(tensors, config, lexicon, plan)
             losses.append(loss)
             n_actions += count
             n_correct += correct
@@ -187,9 +188,9 @@ def grad_check(params: Parameters, doc: Document,
     config = params.config
     lexicon = params.lexicon
 
+    plan = plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
     tensors = params.tensors(trainable=True)
-    loss, count, _ = document_loss(tensors, config, lexicon,
-                                   doc.text, list(doc.tokens), actions)
+    loss, count, _ = planned_loss(tensors, config, lexicon, plan)
     ad.backward(loss)
     analytic = {name: (tensor.grad if tensor.grad is not None
                        else np.zeros_like(tensor.data))
@@ -197,8 +198,7 @@ def grad_check(params: Parameters, doc: Document,
 
     def loss_at() -> float:
         frozen = params.tensors(trainable=False)
-        value, _, _ = document_loss(frozen, config, lexicon,
-                                    doc.text, list(doc.tokens), actions)
+        value, _, _ = planned_loss(frozen, config, lexicon, plan)
         return float(value.data)
 
     centre = loss_at()

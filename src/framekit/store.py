@@ -229,10 +229,6 @@ class Store:
         uid = self._uid
         return [Handle(FRAME, index, uid) for index in self._referrers[frame.index]]
 
-    def slot_count(self, frame: Handle) -> int:
-        self._check_handle(frame, FRAME)
-        return len(self._frames[frame.index])
-
     def get_role(self, frame: Handle, role: Handle) -> Value:
         """Value of the first slot with this role, or None if absent."""
         self._check_handle(frame, FRAME)

@@ -226,13 +226,6 @@ class ParserState:
     def num_tokens(self) -> int:
         return len(self.tokens)
 
-    def attention_at(self, index: int) -> Handle:
-        """Frame at buffer position `index`; 0 is the most recent."""
-        if not 0 <= index < len(self.attention):
-            raise IndexError(f"attention index {index} out of range "
-                             f"({len(self.attention)} frames)")
-        return self.attention[index]
-
     def attention_index(self, frame: Handle) -> int:
         return self.attention.index(frame)
 

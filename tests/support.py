@@ -1,14 +1,20 @@
 """Shared test utilities: the worked-example document, an exact
-backtracking graph-isomorphism oracle, a brute-force metric counter, and
-seeded random generators for stores, documents, and perturbations."""
+backtracking graph-isomorphism oracle, a brute-force metric counter,
+seeded random generators for stores, documents, and perturbations, and
+a checkpoint header editor."""
 
 from __future__ import annotations
 
+import json
 import random
 import string
+import struct
+from pathlib import Path
+from typing import Callable
 
 from framekit.document import Document, Mention, frame_graph, tokenize
 from framekit.evaluation import align
+from framekit.model.checkpoint import MAGIC
 from framekit.store import Handle, Slot, Store
 
 HIT_DOC_TEXT = """{
@@ -570,3 +576,16 @@ def perturb_document(doc: Document, rng: random.Random) -> Document:
     out = rebuild_document(out, edited)
     out.sort_mentions()
     return out
+
+
+def edit_checkpoint_header(path: Path, edit: Callable[[dict], None]) -> None:
+    """Apply `edit` to the JSON header of the checkpoint file at `path`,
+    keeping its version and tensor bytes."""
+    data = path.read_bytes()
+    start = len(MAGIC) + 12
+    version, header_len = struct.unpack_from("<IQ", data, len(MAGIC))
+    header = json.loads(data[start:start + header_len])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<IQ", version, len(raw)) + raw
+                     + data[start + header_len:])

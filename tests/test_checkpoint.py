@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import asdict
 
@@ -7,6 +8,7 @@ import pytest
 from framekit.corpus import generate_corpus
 from framekit.model import ModelConfig, load_checkpoint, save_checkpoint, train
 from framekit.model.checkpoint import MAGIC, CheckpointError
+from support import edit_checkpoint_header
 
 
 def trained(**kw):
@@ -84,4 +86,40 @@ def test_other_versions_rejected(tmp_path):
     struct.pack_into("<I", data, len(MAGIC), 1)
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(str(path))
+
+
+def _set_entry(field, value):
+    def edit(header):
+        header["tensors"][1][field] = value
+    return edit
+
+
+def _drop_entry_field(field):
+    def edit(header):
+        del header["tensors"][1][field]
+    return edit
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_set_entry("dtype", "nonsense"), "tensor 1: unknown dtype 'nonsense'"),
+    (_drop_entry_field("offset"), "tensor 1: offset"),
+    (_set_entry("shape", 5), "tensor 1: shape"),
+    (lambda header: header["tensors"].__setitem__(1, [1, 2]), "tensor 1: not an object"),
+    (lambda header: header.update(tensors=3), "tensors is not a list"),
+    (_set_entry("offset", 1.5), "tensor 1: offset"),
+], ids=["dtype", "missing-offset", "int-shape", "entry-not-object", "table-not-list",
+        "float-offset"])
+def test_malformed_tensor_table_raises(tmp_path, edit, problem):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    edit_checkpoint_header(path, edit)
+    with pytest.raises(CheckpointError,
+                       match="^" + re.escape(f"{path}: malformed header: {problem}")):
+        load_checkpoint(str(path))
+
+
+def test_unreadable_file_raises(tmp_path):
+    path = tmp_path / "missing.ckpt"
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: ")):
         load_checkpoint(str(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -14,11 +15,12 @@ from framekit.model import autodiff as ad
 from framekit.model.features import extract_features
 from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_shape,
                                     punct_shape, quote_shape)
-from framekit.model.network import (ForwardPass, document_loss, encode_tokens,
-                                    feature_dim)
+from framekit.model.network import (ExamplePlan, ForwardPass, PlannedPass,
+                                    document_loss, encode_tokens, feature_dim,
+                                    plan_example, planned_loss)
 from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
-from framekit.transitions import Action, ParserState
+from framekit.transitions import STOP, Action, ParserState
 from support import hit_document
 
 
@@ -226,6 +228,81 @@ def test_zero_parameters_uniform_logits():
     logits = run.step_logits()
     assert np.all(logits == logits[0])
     assert int(np.argmax(logits)) == 0  # ties break toward the lowest index
+
+
+# -- the teacher-forcing plan ---------------------------------------------------
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_planned_logits_equal_step_logits(activation, dtype):
+    # The planned pass runs each step's W1·x and logits in the
+    # arithmetic of step_logits, so teacher forcing scores a gold
+    # sequence exactly as greedy decoding would.
+    corpus, config, sequences, lexicon, params = setup(
+        n_docs=3, corpus_seed=11, dtype=dtype, hidden_activation=activation)
+    live_output_layer(params)
+    P = params.tensors(False)
+    for doc, actions in zip(corpus, sequences):
+        plan = plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
+        planned = PlannedPass(P, config, lexicon, plan).scores
+        run = ForwardPass(P, config, lexicon, doc.text, list(doc.tokens))
+        stepped = []
+        for action in actions:
+            stepped.append(run.step_logits())
+            run.state.apply(action)
+        stepped = np.array(stepped)
+        assert planned.shape == stepped.shape == (len(actions), lexicon.num_actions)
+        assert planned.tobytes() == stepped.tobytes()
+
+
+def plan_arrays(plan):
+    return {f.name: getattr(plan, f.name) for f in dataclasses.fields(ExamplePlan)
+            if isinstance(getattr(plan, f.name), np.ndarray)}
+
+
+def test_visits_through_one_plan_are_identical():
+    corpus, config, sequences, lexicon, params = setup(n_docs=2, corpus_seed=11)
+    live_output_layer(params)
+    doc = corpus[1]
+    plan = plan_example(config, lexicon, doc.text, list(doc.tokens), sequences[1])
+    before = {name: array.copy() for name, array in plan_arrays(plan).items()}
+    visits = []
+    for _ in range(2):
+        tensors = params.tensors(True)
+        loss, _, _ = planned_loss(tensors, config, lexicon, plan)
+        ad.backward(loss)
+        visits.append((loss.data.tobytes(),
+                       {name: t.grad.tobytes() for name, t in tensors.items()}))
+    assert visits[0] == visits[1]
+    for name, array in plan_arrays(plan).items():
+        assert not array.flags.writeable, name
+        assert array.tobytes() == before[name].tobytes(), name
+
+
+def long_document(n_sentences, seed):
+    """Sentences joined into one text and their oracle sequences into
+    one, every STOP but the last dropped: the long-docs benchmark
+    documents."""
+    sentences = generate_corpus(seed, n_sentences)
+    text = " ".join(d.text for d in sentences)
+    actions = [a for seq in oracle_sequences(sentences) for a in seq if a.kind != STOP]
+    return text, tokenize(text), actions + [Action.stop()]
+
+
+def test_plan_size_is_linear_in_steps():
+    config = ModelConfig(lstm_dim=32, hidden_dim=32)
+
+    def bytes_per_step(text, tokens, actions):
+        lexicon = Lexicon.build([], [actions], config.max_affix_len)
+        plan = plan_example(config, lexicon, text, tokens, actions)
+        return sum(a.nbytes for a in plan_arrays(plan).values()) / len(actions)
+
+    short_doc = generate_corpus(7, 1)[0]
+    short = bytes_per_step(short_doc.text, list(short_doc.tokens),
+                           oracle_sequences([short_doc])[0])
+    text, tokens, actions = long_document(200, 7)
+    assert len(actions) >= 500
+    assert bytes_per_step(text, tokens, actions) <= 2 * short
 
 
 # -- training ------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_empty_frame():
     store = Store()
     top = parse_or_raise("{}", store)
     assert len(top) == 1
-    assert store.slot_count(top[0]) == 0
+    assert len(store.slots(top[0])) == 0
 
 
 def test_two_frame_cycle():

@@ -87,7 +87,6 @@ def test_worked_example_sequence():
     ball = state.attention[1]
     assert state.store.get_role(hit, state.store.intern("/pb/arg0")) == person
     assert state.store.get_role(hit, state.store.intern("/pb/arg1")) == ball
-    assert state.attention_at(0) == hit
 
 
 def test_evoke_creates_frame_and_mention():
@@ -159,14 +158,6 @@ def test_elaborate_creates_pointed_frame():
     extra = state.attention[0]
     assert type_of(state, extra) == "/t/extra"
     assert state.store.get_role(source, state.store.intern("/r/detail")) == extra
-
-
-def test_attention_at_bounds():
-    state = fresh()
-    state.apply(Action.evoke("/t/x", 1))
-    assert isinstance(state.attention_at(0), Handle)
-    with pytest.raises(IndexError):
-        state.attention_at(5)
 
 
 def test_move_to_front_discipline():
