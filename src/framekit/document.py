@@ -64,10 +64,6 @@ class Mention:
     def span(self) -> tuple[int, int]:
         return (self.begin, self.length)
 
-    @property
-    def end(self) -> int:
-        return self.begin + self.length
-
 
 @dataclass
 class Document:

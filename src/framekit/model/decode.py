@@ -7,7 +7,7 @@ adversarial parameters; once a position exhausts its budget only SHIFT
 
 from __future__ import annotations
 
-from ..document import Document, Token, tokenize
+from ..document import Document, Token
 from ..transitions import SHIFT, STOP
 from .network import ForwardPass, Parameters
 
@@ -44,11 +44,6 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
             nonshift_here += 1
         run.state.apply(best)
     return run.state.to_document()
-
-
-def greedy_parse(text: str, params: Parameters, use_ema: bool = False) -> Document:
-    """Tokenize raw text and parse it."""
-    return parse_tokens(params, text, tokenize(text), use_ema=use_ema)
 
 
 def parse_like(params: Parameters, gold: Document, use_ema: bool = False) -> Document:

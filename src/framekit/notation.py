@@ -3,35 +3,58 @@
 The notation is a superset of JSON.  Objects in braces are frames whose
 slots are written ``role: value``; commas are treated as whitespace.
 ``=#n`` attaches a file-scoped numeric label to a frame and ``=name``
-gives it a named id; ``#n`` or ``name`` elsewhere refers to the labeled
-frame, forward references included.  ``:x`` is shorthand for an ``isa``
-slot and ``+x`` for an ``is`` slot.  Arrays, strings (JSON escaping),
-integers and floats are supported; ``nil``/``null`` denote the nil
-value.  Symbols in role position always stay symbols; in value position
-a name resolves to the frame it ids, if any, else to the symbol.
+(long form ``id: name``) gives it a named id; ``#n`` or ``name``
+elsewhere refers to the labeled frame, forward references included.
+``:x`` is shorthand for an ``isa`` slot and ``+x`` for an ``is`` slot.
+Arrays, strings, integers and floats are supported; ``nil``/``null``
+denote the nil value.  Symbols in role position always stay symbols; in
+value position a name resolves to the frame it ids, if any, else to the
+symbol.
 
-The reader never raises on malformed input: it returns a ParseResult
-whose diagnostics carry (byte offset, message) pairs.  The printer is
-deterministic and labels a frame if and only if it is referenced at
-least twice (or cyclically) or carries a named id, so that its output
-re-parses to an isomorphic graph.
+The reader takes one `_TOKEN` match at a time: blanks and commas, then
+a symbol (`_SYMBOL`), number, ``#n``, opening quote, one of ``{}[]=:+``,
+end of input, or any other character, which is always an error.
+Strings are JSON strings decoded by `json.decoder.scanstring`: a
+``\\u`` surrogate pair is one character, a lone surrogate is an error,
+and raw control characters are allowed.  A number too large for a float
+is an error.  The reader never raises on malformed input: it returns a
+ParseResult whose diagnostics carry (byte offset, message) pairs.
+
+The printer is deterministic and labels a frame if and only if it is
+referenced at least twice (or cyclically) or carries a named id.  Role
+names that `_SYMBOL` does not match, and ``nil``/``null``, print as JSON
+string keys, so the output re-parses to an isomorphic graph.
 """
-
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
+from json.decoder import JSONDecodeError, scanstring
 from typing import Optional, Union
 
 from .store import FRAME, Handle, Store, StoreError, Value
 
 _MAX_DEPTH = 200
 
-_SYMBOL_START = re.compile(r"[A-Za-z_/]")
-_SYMBOL_CHAR = re.compile(r"[A-Za-z0-9_/.\-]")
-_NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
-_WHITESPACE = " \t\r\n,"
+_SYMBOL = re.compile(r"[A-Za-z_/][A-Za-z0-9_/.\-]*")
+_KEYWORDS = ("nil", "null")
+# One token after blanks; the group that matched names its kind.
+_TOKEN = re.compile(r"""[ \t\r\n,]*(?:
+    (?P<symbol>%s)
+  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<ref>\#\d*)
+  | (?P<string>")
+  | (?P<mark>[{}\[\]=:+])
+  | (?P<end>\Z)
+  | (?P<other>.))""" % _SYMBOL.pattern, re.VERBOSE | re.DOTALL)
+# In a decoded string's source: a surrogate pair escape, a lone
+# surrogate escape (group 1), any other escape, or a raw surrogate
+# (group 2).
+_SURROGATE = re.compile(r"\\ud[89ab]..\\ud[c-f]|\\(u)d[89a-f]|\\.|([\ud800-\udfff])",
+                        re.IGNORECASE | re.DOTALL)
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
 
 
 class NotationError(Exception):
@@ -89,186 +112,146 @@ class _FrameNode:
     handle: Optional[Handle] = None
 
 
-_ID_MARK = "="
-_ISA_MARK = ":"
-_IS_MARK = "+"
+# ``:x`` and ``+x`` are slots with these roles.
+_SHORTHAND = {":": "isa", "+": "is"}
 
 
 class _SyntaxError(Exception):
-    def __init__(self, offset: int, message: str):
-        self.offset = offset
-        self.message = message
+    """Carries the (offset, message) of the first syntax error."""
 
 
 class _Parser:
+    """Recursive descent over tokens, each one `_TOKEN` match."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.n = len(text)
 
-    def error(self, message: str, offset: Optional[int] = None) -> _SyntaxError:
-        return _SyntaxError(self.pos if offset is None else offset, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos] in _WHITESPACE:
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
+    def token(self) -> tuple[str, int, str]:
+        """Read the next token: its kind, offset and text."""
+        match = _TOKEN.match(self.text, self.pos)
+        self.pos = match.end()
+        kind = match.lastgroup
+        return kind, match.start(kind), match[kind]
 
     def parse_top(self) -> list:
         tops = []
-        self.skip_ws()
-        while self.pos < self.n:
-            tops.append(self.parse_value(0))
-            self.skip_ws()
+        while (token := self.token())[0] != "end":
+            tops.append(self.parse_value(0, token))
         return tops
 
-    def parse_value(self, depth: int):
+    def parse_value(self, depth: int, token: Optional[tuple] = None):
+        """Parse the value that starts with `token`, else with the next one."""
         if depth > _MAX_DEPTH:
-            raise self.error("nesting too deep")
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "":
-            raise self.error("unexpected end of input")
-        if ch == "{":
-            return self.parse_frame(depth)
-        if ch == "[":
-            return self.parse_array(depth)
-        if ch == '"':
-            return self.parse_string()
-        if ch == "#":
-            return self.parse_ref()
-        if ch == "-" or ch.isdigit():
-            return self.parse_number()
-        if _SYMBOL_START.match(ch):
-            return self.parse_symbol_or_keyword()
-        raise self.error(f"unexpected character {ch!r}")
+            raise _SyntaxError(self.pos if token is None else token[1], "nesting too deep")
+        kind, start, text = token or self.token()
+        if kind == "symbol":
+            return None if text in _KEYWORDS else _Sym(text, start)
+        if kind == "string":
+            return self.parse_string(start)
+        if kind == "number":
+            return _number(start, text)
+        if kind == "ref":
+            return _ref(start, text)
+        if text == "{":
+            return self.parse_frame(depth, start)
+        if text == "[":
+            return self.parse_array(depth, start)
+        if kind == "end":
+            raise _SyntaxError(start, "unexpected end of input")
+        if text == "-" or text.isdigit():
+            raise _SyntaxError(start, "malformed number")
+        raise _SyntaxError(start, f"unexpected character {text!r}")
 
-    def parse_frame(self, depth: int) -> _FrameNode:
-        node = _FrameNode(offset=self.pos)
-        self.pos += 1  # '{'
+    def parse_frame(self, depth: int, start: int) -> _FrameNode:
+        node = _FrameNode(offset=start)
         while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "":
-                raise self.error("unterminated frame", node.offset)
-            if ch == "}":
-                self.pos += 1
+            token = kind, off, text = self.token()
+            if kind == "end":
+                raise _SyntaxError(start, "unterminated frame")
+            if text == "}":
                 return node
-            if ch == "=":
-                off = self.pos
-                self.pos += 1
-                self.skip_ws()
-                nxt = self.peek()
-                if nxt == "#":
-                    ref = self.parse_ref()
-                    node.num_labels.append((ref.label, off))
-                elif _SYMBOL_START.match(nxt or ""):
-                    sym = self.parse_symbol_or_keyword()
-                    if not isinstance(sym, _Sym):
-                        raise self.error("expected label after '='", off)
-                    node.names.append((sym.name, off))
+            if text == "=":
+                kind, label_start, label = self.token()
+                if kind == "ref":
+                    node.num_labels.append((_ref(label_start, label).label, off))
+                elif kind == "symbol" and label not in _KEYWORDS:
+                    node.names.append((label, off))
                 else:
-                    raise self.error("expected label after '='", off)
-            elif ch == ":":
-                self.pos += 1
-                node.slots.append((_ISA_MARK, self.parse_value(depth + 1)))
-            elif ch == "+":
-                self.pos += 1
-                node.slots.append((_IS_MARK, self.parse_value(depth + 1)))
+                    raise _SyntaxError(off, "expected label after '='")
+            elif text in _SHORTHAND:
+                node.slots.append((_Sym(_SHORTHAND[text], off), self.parse_value(depth + 1)))
             else:
-                off = self.pos
-                role = self.parse_value(depth + 1)
-                if isinstance(role, str):
+                role = self.parse_value(depth + 1, token)
+                if isinstance(role, str) and role:
                     role = _Sym(role, off)  # JSON-style string key
                 if not isinstance(role, (_Sym, _Ref, _FrameNode)):
-                    raise self.error("slot role must be a symbol or frame", off)
-                self.skip_ws()
-                if self.peek() != ":":
-                    raise self.error("expected ':' after slot role")
-                self.pos += 1
-                node.slots.append((role, self.parse_value(depth + 1)))
-
-    def parse_array(self, depth: int) -> _Array:
-        start = self.pos
-        self.pos += 1  # '['
-        items = []
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "":
-                raise self.error("unterminated array", start)
-            if ch == "]":
-                self.pos += 1
-                return _Array(items)
-            items.append(self.parse_value(depth + 1))
-
-    def parse_string(self) -> str:
-        start = self.pos
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= self.n:
-                raise self.error("unterminated string", start)
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= self.n:
-                    raise self.error("unterminated string escape", start)
-                esc = self.text[self.pos]
-                simple = {'"': '"', "\\": "\\", "/": "/", "b": "\b",
-                          "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-                if esc in simple:
-                    out.append(simple[esc])
-                    self.pos += 1
-                elif esc == "u":
-                    hexpart = self.text[self.pos + 1:self.pos + 5]
-                    if len(hexpart) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                        raise self.error("invalid \\u escape")
-                    out.append(chr(int(hexpart, 16)))
-                    self.pos += 5
+                    raise _SyntaxError(off, "slot role must be a symbol or frame")
+                _, colon, text = self.token()
+                if text != ":":
+                    raise _SyntaxError(colon, "expected ':' after slot role")
+                value = self.parse_value(depth + 1)
+                if isinstance(role, _Sym) and role.name == "id" and isinstance(value, _Sym):
+                    node.names.append((value.name, off))  # the long form of =name
                 else:
-                    raise self.error(f"invalid string escape \\{esc}")
-            else:
-                out.append(ch)
-                self.pos += 1
+                    node.slots.append((role, value))
 
-    def parse_ref(self) -> _Ref:
-        off = self.pos
-        self.pos += 1  # '#'
-        start = self.pos
-        while self.pos < self.n and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected digits after '#'", off)
-        return _Ref(int(self.text[start:self.pos]), off)
+    def parse_array(self, depth: int, start: int) -> _Array:
+        items = []
+        while (token := self.token())[2] != "]":
+            if token[0] == "end":
+                raise _SyntaxError(start, "unterminated array")
+            items.append(self.parse_value(depth + 1, token))
+        return _Array(items)
 
-    def parse_number(self) -> Union[int, float]:
-        m = _NUMBER.match(self.text, self.pos)
-        if m is None:
-            raise self.error("malformed number")
-        self.pos = m.end()
-        literal = m.group(0)
-        if m.group(1) or m.group(2):
-            return float(literal)
-        return int(literal)
-
-    def parse_symbol_or_keyword(self) -> Union[_Sym, None]:
-        off = self.pos
-        while self.pos < self.n and _SYMBOL_CHAR.match(self.text[self.pos]):
-            self.pos += 1
-        name = self.text[off:self.pos]
-        if name in ("nil", "null"):
-            return None
-        return _Sym(name, off)
+    def parse_string(self, quote: int) -> str:
+        """Decode the JSON string whose opening quote is at `quote`."""
+        text = self.text
+        try:
+            value, self.pos = scanstring(text, quote + 1, False)
+        except JSONDecodeError as exc:
+            if exc.msg.startswith("Invalid \\escape"):
+                raise _SyntaxError(exc.pos + 1, f"invalid string escape \\{text[exc.pos + 1]}")
+            # The scanner says the same of a whole \uXXXX that ends the text.
+            if exc.msg.startswith("Invalid \\u") and not _HEX4.fullmatch(text, exc.pos + 1):
+                raise _SyntaxError(exc.pos, "invalid \\u escape")
+            dangling = (len(text) - len(text.rstrip("\\"))) % 2
+            raise _SyntaxError(quote, "unterminated string escape" if dangling
+                               else "unterminated string")
+        if not value.isascii():
+            for match in _SURROGATE.finditer(text, quote, self.pos):
+                if match.lastindex:
+                    raise _SyntaxError(match.start(match.lastindex), "lone surrogate in string")
+        return value
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _number(start: int, text: str) -> Union[int, float]:
+    try:
+        value = int(text)
+    except ValueError:  # a float, or past int's digit limit
+        value = float(text)
+    if abs(value) == math.inf:
+        raise _SyntaxError(start, "number out of range")
+    return value
+
+
+def _ref(start: int, text: str) -> _Ref:
+    if text == "#":
+        raise _SyntaxError(start, "expected digits after '#'")
+    return _Ref(_number(start, text[1:]), start)
+
+
+def _byte_offsets(text: str, diagnostics: list[tuple[int, str]]) -> list[tuple[int, str]]:
+    """Turn character offsets into UTF-8 byte offsets in one ordered pass.
+
+    Lone surrogates in a caller's str count as three bytes each."""
+    offsets = {}
+    prev = nbytes = 0
+    for pos in sorted({pos for pos, _ in diagnostics}):
+        nbytes += len(text[prev:pos].encode("utf-8", "surrogatepass"))
+        offsets[pos] = nbytes
+        prev = pos
+    return [(offsets[pos], message) for pos, message in diagnostics]
 
 
 class _Builder:
@@ -281,7 +264,7 @@ class _Builder:
         self.diagnostics: list[tuple[int, str]] = []
 
     def diag(self, pos: int, message: str) -> None:
-        self.diagnostics.append((_byte_offset(self.text, pos), message))
+        self.diagnostics.append((pos, message))
 
     def collect(self, node) -> None:
         if isinstance(node, _FrameNode):
@@ -307,11 +290,11 @@ class _Builder:
 
     def fill(self, node) -> None:
         if isinstance(node, _FrameNode):
-            assert node.handle is not None
             for role, value in node.slots:
                 if isinstance(role, _FrameNode):
                     self.fill(role)
-                role_handle = self.resolve_role(role)
+                role_handle = (self.store.intern(role.name) if isinstance(role, _Sym)
+                               else self.resolve_value(role))  # a frame or a reference
                 self.fill(value)
                 resolved = self.resolve_value(value)
                 if role_handle is not None:
@@ -320,32 +303,16 @@ class _Builder:
             for item in node.items:
                 self.fill(item)
 
-    def resolve_role(self, role) -> Optional[Handle]:
-        if role == _ISA_MARK:
-            return self.store.isa
-        if role == _IS_MARK:
-            return self.store.is_
-        if isinstance(role, _Sym):
-            return self.store.intern(role.name)
-        if isinstance(role, _Ref):
-            return self.resolve_ref(role)
-        if isinstance(role, _FrameNode):
-            return role.handle
-        return None
-
-    def resolve_ref(self, ref: _Ref) -> Optional[Handle]:
-        handle = self.labels.get(ref.label)
-        if handle is None:
-            self.diag(ref.offset, f"unresolved reference #{ref.label}")
-        return handle
-
     def resolve_value(self, node) -> Value:
         if isinstance(node, _FrameNode):
             return node.handle
         if isinstance(node, _Array):
             return [self.resolve_value(item) for item in node.items]
         if isinstance(node, _Ref):
-            return self.resolve_ref(node)
+            handle = self.labels.get(node.label)
+            if handle is None:
+                self.diag(node.offset, f"unresolved reference #{node.label}")
+            return handle
         if isinstance(node, _Sym):
             sym = self.store.intern(node.name)
             bound = self.store.binding(sym)
@@ -364,7 +331,7 @@ def parse_notation(text: str, store: Store) -> ParseResult:
     try:
         tops = _Parser(text).parse_top()
     except _SyntaxError as exc:
-        return ParseResult([], [(_byte_offset(text, exc.offset), exc.message)])
+        return ParseResult([], _byte_offsets(text, [exc.args]))
     except RecursionError:
         return ParseResult([], [(0, "nesting too deep")])
 
@@ -376,23 +343,17 @@ def parse_notation(text: str, store: Store) -> ParseResult:
 
     handles = []
     for node in tops:
-        if isinstance(node, _FrameNode):
-            handles.append(node.handle)
-        elif isinstance(node, _Ref):
-            resolved = builder.resolve_ref(node)
-            if resolved is not None:
-                handles.append(resolved)
-        elif isinstance(node, _Sym):
+        if isinstance(node, (_FrameNode, _Ref, _Sym)):
             resolved = builder.resolve_value(node)
             if isinstance(resolved, Handle) and resolved.is_frame():
                 handles.append(resolved)
-            else:
+            elif isinstance(node, _Sym):
                 builder.diag(node.offset, f"top-level name {node.name!r} is not a frame")
         else:
             builder.diag(0, "top-level object must be a frame")
 
     if builder.diagnostics:
-        return ParseResult([], builder.diagnostics)
+        return ParseResult([], _byte_offsets(builder.text, builder.diagnostics))
     return ParseResult(handles, [])
 
 
@@ -415,7 +376,11 @@ class _Printer:
         self.counts: dict[int, int] = {}
         self.names: dict[int, str] = {}
         self.numbers: dict[int, int] = {}
+        # Frames used where a bare name would not read back as the frame
+        # (as a role, or as the value of an id slot): referenced as #n.
+        self.by_number: set[int] = set()
         self.printed: set[int] = set()
+        self.role_texts: dict[int, str] = {}  # symbol index -> role as printed
         self.next_number = first_label
 
     def count_refs(self, roots: list[Handle]) -> None:
@@ -434,25 +399,18 @@ class _Printer:
             name = self.store.frame_id_name(value)
             if name is not None:
                 self.names[idx] = name
-            for slot in self.store.slots(value):
-                if isinstance(slot.role, Handle) and slot.role.is_frame():
-                    stack.append(slot.role)
-                stack.append(slot.value)
-
-    def needs_label(self, frame: Handle) -> bool:
-        return self.counts.get(frame.index, 0) >= 2 or frame.index in self.names
-
-    def reference(self, frame: Handle) -> str:
-        name = self.names.get(frame.index)
-        if name is not None:
-            return name
-        return f"#{self.numbers[frame.index]}"
+            for role, slot_value in self.store.slots(value):
+                if isinstance(role, Handle) and role.is_frame():
+                    self.by_number.add(role.index)
+                    stack.append(role)
+                elif isinstance(slot_value, Handle) and slot_value.is_frame() \
+                        and role == self.store.id:
+                    self.by_number.add(slot_value.index)
+                stack.append(slot_value)
 
     def emit(self, value: Value) -> str:
         if value is None:
             return "nil"
-        if isinstance(value, bool):  # pragma: no cover - store rejects bools
-            return "true" if value else "false"
         if isinstance(value, (int, float)):
             return repr(value)
         if isinstance(value, str):
@@ -463,36 +421,37 @@ class _Printer:
             return self.store.symbol_name(value)
         return self.emit_frame(value)
 
-    def emit_frame(self, frame: Handle) -> str:
+    def emit_frame(self, frame: Handle, by_number: bool = False) -> str:
         idx = frame.index
+        name = self.names.get(idx)
         if idx in self.printed:
-            return self.reference(frame)
+            return f"#{self.numbers[idx]}" if by_number or name is None else name
         self.printed.add(idx)
         pieces = []
-        labeled = self.needs_label(frame)
-        name = self.names.get(idx)
-        if labeled and name is None:
+        if self.counts[idx] >= 2 and (name is None or idx in self.by_number):
             self.numbers[idx] = self.next_number
             self.next_number += 1
             pieces.append(f"=#{self.numbers[idx]}")
-        name_emitted = False
-        for slot in self.store.slots(frame):
-            role = slot.role
-            if role == self.store.id and not name_emitted and name is not None \
-                    and isinstance(slot.value, Handle) and slot.value.is_symbol() \
-                    and self.store.symbol_name(slot.value) == name:
-                pieces.append(f"={name}")
-                name_emitted = True
+        for role, value in self.store.slots(frame):
+            if role == self.store.id and isinstance(value, Handle):
+                # A symbol id binds this frame; a frame id is referenced by number.
+                pieces.append("=" + self.store.symbol_name(value) if value.is_symbol()
+                              else "id: " + self.emit_frame(value, by_number=True))
             elif role == self.store.isa:
-                pieces.append(":" + self.emit(slot.value))
+                pieces.append(":" + self.emit(value))
             elif role == self.store.is_:
-                pieces.append("+" + self.emit(slot.value))
+                pieces.append("+" + self.emit(value))
             else:
                 if isinstance(role, Handle) and role.is_frame():
-                    role_text = self.emit_frame(role)
+                    role_text = self.emit_frame(role, by_number=True)
+                elif role.index in self.role_texts:
+                    role_text = self.role_texts[role.index]
                 else:
                     role_text = self.store.symbol_name(role)
-                pieces.append(role_text + ": " + self.emit(slot.value))
+                    if role_text in _KEYWORDS or not _SYMBOL.fullmatch(role_text):
+                        role_text = json.dumps(role_text, ensure_ascii=False)
+                    self.role_texts[role.index] = role_text
+                pieces.append(role_text + ": " + self.emit(value))
         return "{" + " ".join(pieces) + "}"
 
 

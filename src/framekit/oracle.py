@@ -19,8 +19,8 @@ from .document import (Document, frame_graph, incoming_links, semantic_slots,
                        type_name)
 from .evaluation import evaluate
 from .store import Handle, Store
-from .transitions import (Action, InvalidActionError, ParserState, SymbolName,
-                          run_sequence)
+from .transitions import (ACTION_KINDS, Action, InvalidActionError, ParserState,
+                          SymbolName, run_sequence)
 
 
 class UnrepresentableDocumentError(Exception):
@@ -221,12 +221,9 @@ class ActionStats:
     raw: dict[str, int]
     unique: dict[str, set[str]]
 
-    KINDS = ("SHIFT", "STOP", "EVOKE", "REFER", "CONNECT", "ASSIGN",
-             "EMBED", "ELABORATE")
-
     def rows(self) -> list[tuple[str, int, int]]:
         return [(kind, len(self.unique.get(kind, ())), self.raw.get(kind, 0))
-                for kind in self.KINDS]
+                for kind in ACTION_KINDS]
 
     @property
     def total_raw(self) -> int:

@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 FRAME = "frame"
 SYMBOL = "symbol"
-NIL = "nil"
 
 # Built-in roles, pre-interned in every store at these symbol indices.
 ID_INDEX = 0
@@ -60,9 +59,6 @@ class Handle:
     index: int
     store_uid: int
 
-    def is_nil(self) -> bool:
-        return self.kind == NIL
-
     def is_frame(self) -> bool:
         return self.kind == FRAME
 
@@ -70,12 +66,8 @@ class Handle:
         return self.kind == SYMBOL
 
     def __repr__(self) -> str:
-        if self.kind == NIL:
-            return "Handle(nil)"
         return f"Handle({self.kind} {self.index}@{self.store_uid})"
 
-
-NIL_HANDLE = Handle(NIL, 0, 0)
 
 # A slot value: nil, a literal, an array of values, or a handle.
 Value = Union[None, int, float, str, list, Handle]
@@ -175,8 +167,6 @@ class Store:
         pending = [Slot(role, value) for role, value in slots]
         for slot in pending:
             self._check_handle(slot.role)
-            if slot.role.is_nil():
-                raise ValueError("slot role must not be nil")
             self._check_value(slot.value)
         ids = [slot.value for slot in pending
                if slot.role.index == ID_INDEX and slot.role.kind == SYMBOL
@@ -201,8 +191,6 @@ class Store:
         self._check_mutable()
         self._check_handle(frame, FRAME)
         self._check_handle(role)
-        if role.is_nil():
-            raise ValueError("slot role must not be nil")
         self._check_value(value)
         if role.index == ID_INDEX and role.kind == SYMBOL:
             if isinstance(value, Handle) and value.is_symbol():
@@ -266,13 +254,10 @@ class Store:
     def _check_handle(self, handle: Handle, kind: Optional[str] = None) -> None:
         if not isinstance(handle, Handle):
             raise TypeError(f"expected Handle, got {type(handle).__name__}")
-        if handle.is_nil():
-            if kind is not None:
-                raise DanglingHandleError("nil handle where an object is required")
-            return
         if handle.store_uid != self._uid:
             raise ForeignHandleError("handle belongs to a different store")
-        limit = len(self._frames) if handle.kind == FRAME else len(self._symbol_names)
+        limit = (len(self._frames) if handle.kind == FRAME
+                 else len(self._symbol_names) if handle.kind == SYMBOL else 0)
         if not 0 <= handle.index < limit:
             raise DanglingHandleError(f"handle {handle!r} does not resolve")
         if kind is not None and handle.kind != kind:

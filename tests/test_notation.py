@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -234,3 +235,223 @@ def test_deep_nesting_reports_diagnostic():
     result = parse_notation("{a: " * 500 + "1" + "}" * 500, store)
     assert not result.ok
     assert any("deep" in msg for _, msg in result.diagnostics)
+
+
+# Every malformed input maps to an exact (byte offset, message) list.
+# The "é" prefix is two bytes in UTF-8, so offsets after it are byte
+# offsets, not character indices.
+MALFORMED = [
+    ("unterminated-frame", "{a: 1", [(0, "unterminated frame")]),
+    ("unterminated-array", "{a: [1 2", [(4, "unterminated array")]),
+    ("unterminated-string", '{a: "abc', [(4, "unterminated string")]),
+    ("unterminated-after-u-escape", '{a: "\\u1234', [(4, "unterminated string")]),
+    ("unterminated-after-pair", '{a: "\\ud83d\\udc00', [(4, "unterminated string")]),
+    ("unterminated-escape", '{a: "\\', [(4, "unterminated string escape")]),
+    ("bad-escape", '{a: "x\\qy"}', [(7, "invalid string escape \\q")]),
+    ("short-u-escape", '{a: "\\u12"}', [(6, "invalid \\u escape")]),
+    ("short-u-escape-at-end", '{a: "\\u12', [(6, "invalid \\u escape")]),
+    ("utf8-unterminated-string", '{t: "é" a: "abc', [(12, "unterminated string")]),
+    ("utf8-unterminated-escape", '{t: "é" a: "\\', [(12, "unterminated string escape")]),
+    ("utf8-bad-escape", '{t: "é" a: "x\\qy"}', [(15, "invalid string escape \\q")]),
+    ("utf8-short-u-escape", '{t: "é" a: "\\u12"}', [(14, "invalid \\u escape")]),
+    ("hash-without-digits", "{a: #}", [(4, "expected digits after '#'")]),
+    ("label-without-digits", "{=# a: 1}", [(2, "expected digits after '#'")]),
+    ("label-without-digits-at-end", "{=#", [(2, "expected digits after '#'")]),
+    ("equals-without-label", "{=}", [(1, "expected label after '='")]),
+    ("equals-nil", "{=nil}", [(1, "expected label after '='")]),
+    ("lone-minus", "{a: -}", [(4, "malformed number")]),
+    ("dangling-dot", "{a: 1.}", [(5, "unexpected character '.'")]),
+    ("close-brace", "}", [(0, "unexpected character '}'")]),
+    ("colon-as-value", "{a: :}", [(4, "unexpected character ':'")]),
+    ("missing-colon", "{a 1}", [(3, "expected ':' after slot role")]),
+    ("missing-colon-json-key", '{"a" 1}', [(5, "expected ':' after slot role")]),
+    ("exponent-without-digits", "{a: 1.5e}", [(8, "expected ':' after slot role")]),
+    ("non-symbol-role", "{1: 2}", [(1, "slot role must be a symbol or frame")]),
+    ("end-after-colon", "{a:", [(3, "unexpected end of input")]),
+    ("deep-frames", "{a: " * 500 + "1" + "}" * 500, [(801, "nesting too deep")]),
+    ("deep-arrays", "[" * 500, [(201, "nesting too deep")]),
+]
+
+# Well-formed syntax whose labels, names or tops do not resolve.
+UNRESOLVED = [
+    ("unresolved-ref", "{x: #7}", [(4, "unresolved reference #7")]),
+    ("duplicate-label", "{=#1} {=#1}", [(7, "duplicate label #1")]),
+    ("duplicate-name", "{=b} {=b}", [(6, "symbol 'b' already names another frame")]),
+    ("top-number", "1", [(0, "top-level object must be a frame")]),
+    ("top-string", '"s"', [(0, "top-level object must be a frame")]),
+    ("top-array", "[{}]", [(0, "top-level object must be a frame")]),
+    ("top-nil", "nil", [(0, "top-level object must be a frame")]),
+    ("top-symbol", "{} foo", [(3, "top-level name 'foo' is not a frame")]),
+    ("top-ref", "#3", [(0, "unresolved reference #3")]),
+]
+
+
+@pytest.mark.parametrize("text,expected", [case[1:] for case in MALFORMED + UNRESOLVED],
+                         ids=[case[0] for case in MALFORMED + UNRESOLVED])
+def test_malformed_input_diagnostics(text, expected):
+    result = parse_notation(text, Store())
+    assert result.top == []
+    assert result.diagnostics == expected
+
+
+@pytest.mark.parametrize("text", [case[1] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_syntax_error_leaves_store_untouched(text):
+    store = Store()
+    parse_notation(text, store)
+    assert store.num_frames() == 0
+
+
+def test_surrogate_pair_escape_is_one_character():
+    store = Store()
+    (frame,) = parse_or_raise('{a: "\\ud83d\\ude00" b: "\\uD83D\\uDE00"}', store)
+    assert [slot.value for slot in store.slots(frame)] == ["😀", "😀"]
+    assert print_notation([frame], store) == '{a: "😀" b: "😀"}'
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('{a: "\\ud83d"}', [(6, "lone surrogate in string")]),
+    ('{a: "\\ude00\\ud83d"}', [(6, "lone surrogate in string")]),
+    ('{a: "\\ud83d\\ud83d\\ude00"}', [(6, "lone surrogate in string")]),
+    ('{t: "é" a: "x\\ud83dx"}', [(15, "lone surrogate in string")]),
+    ('{a: "\\\\ud83d"}', []),  # an escaped backslash, then plain text
+    ('{a: "\ud800" b: }', [(5, "lone surrogate in string")]),  # raw, in a caller's str
+], ids=["high", "low-then-high", "high-then-pair", "utf8-prefix", "escaped-backslash", "raw"])
+def test_lone_surrogates_are_diagnosed(text, expected):
+    store = Store()
+    result = parse_notation(text, store)
+    assert result.diagnostics == expected
+    assert store.num_frames() == (0 if expected else 1)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" * 5000, "-" + "1" * 5000],
+                         ids=["1e999", "-1e999", "5000-digits", "-5000-digits"])
+def test_numbers_out_of_range_are_diagnosed(literal):
+    store = Store()
+    result = parse_notation("{a: %s}" % literal, store)
+    assert result.diagnostics == [(4, "number out of range")]
+    assert store.num_frames() == 0
+
+
+def test_labels_out_of_range_are_diagnosed():
+    digits = "1" * 5000
+    assert parse_notation("{=#%s}" % digits, Store()).diagnostics == \
+        [(2, "number out of range")]
+    assert parse_notation("{a: #%s}" % digits, Store()).diagnostics == \
+        [(4, "number out of range")]
+
+
+def test_large_finite_numbers_read_back():
+    store = Store()
+    (frame,) = parse_or_raise("{a: 1e308 b: -1e-999 c: %s}" % ("9" * 400), store)
+    assert [slot.value for slot in store.slots(frame)] == [1e308, -0.0, int("9" * 400)]
+
+
+ROLE_NAMES = ["a", "/s/x.y-z", "a b", "nil", "null", "1x", "é", "#1", "x:y", 'say "hi"',
+              "tab\there", "-", "_", "😀", "true"]
+
+
+@pytest.mark.parametrize("name", ROLE_NAMES)
+def test_role_names_round_trip(name):
+    store = Store()
+    frame = store.new_frame([(store.intern(name), 1)])
+    text = print_notation([frame], store)
+    other = Store()
+    (back,) = parse_or_raise(text, other)
+    (slot,) = other.slots(back)
+    assert other.symbol_name(slot.role) == name
+    assert print_notation([back], other) == text
+    # A JSON object with that key reads as the same role.
+    json_key = Store()
+    (keyed,) = parse_or_raise("{%s: 1}" % json.dumps(name), json_key)
+    assert print_notation([keyed], json_key) == text
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("{=a =x}", "{=a =x}"),  # every name prints as =name
+    ("{b: 1 id: x}", "{=x b: 1}"),  # id: name is the long form of =name
+    ('{"id": x} {r: x}', "{=x}\n{r: x}"),
+    ("{id: #1} {=#1 =x}", "{id: {=#1 =x}}\nx"),  # a name after id: would read as =name
+    ("{=#1 =isa} {#1: 2}", "{=#1 =isa}\n{#1: 2}"),  # a name as a role reads as a symbol
+    ("{{=#1 =r}: 1 s: #1}", "{{=#1 =r}: 1 s: r}"),
+])
+def test_names_print_as_they_read_back(text, printed):
+    store = Store()
+    result = parse_notation(text, store)
+    assert result.ok, result.diagnostics
+    assert print_notation(result.top, store) == printed
+    other = Store()
+    assert print_notation(parse_or_raise(printed, other), other) == printed
+
+
+def test_long_form_name_binds_like_the_short_one():
+    assert parse_notation("{=x} {id: x}", Store()).diagnostics == \
+        [(6, "symbol 'x' already names another frame")]
+    store = Store()
+    first, second = parse_or_raise("{r: x} {id: x}", store)
+    assert store.get_role(first, store.intern("r")) == second
+
+
+def test_empty_json_key_is_diagnosed():
+    store = Store()
+    assert parse_notation('{"": 1}', store).diagnostics == \
+        [(1, "slot role must be a symbol or frame")]
+    assert store.num_frames() == 0
+
+
+# Structured notation: frames, arrays, labels, names, shorthand slots and
+# JSON-key roles drawn from a small grammar rather than from arbitrary
+# text, so that many draws parse and exercise the printer.
+_SEPARATORS = st.sampled_from([" ", ",", "\n", " , "])
+_NAMES = st.sampled_from(["x", "y", "b/c"])
+_LABELS = st.integers(1, 3).map(lambda n: f"#{n}")
+_JSON_KEYS = st.sampled_from(["a b", "nil", "1x", "é", "#1", "id", "isa", "is", "x", "",
+                              "😀", "\\ud83d\\ude00", "\\ud83d", "q\\\""]).map(lambda s: f'"{s}"')
+_STRINGS = st.one_of(st.text(max_size=6).map(json.dumps),
+                     st.text(max_size=6).map(lambda s: json.dumps(s, ensure_ascii=False)),
+                     st.sampled_from(['"\\ud83d\\ude00"', '"\\udc00"', '"\\u00e9"', '"\\q"']))
+_NUMBERS = st.one_of(st.integers(-10**20, 10**20).map(str),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.sampled_from(["1e999", "-1e999", "1e-999", "-0.0", "-", "01"]))
+_ATOMS = st.one_of(_STRINGS, _NUMBERS, _NAMES, _LABELS,
+                   st.sampled_from(["nil", "null", "true", "a", "#"]))
+
+
+def _frames(values):
+    role = st.one_of(st.sampled_from(["a", "b", "/r/x", "id"]), _JSON_KEYS, _LABELS)
+    slot = st.one_of(
+        st.tuples(role, values).map(lambda rv: f"{rv[0]}: {rv[1]}"),
+        values.map(lambda v: f":{v}"),
+        values.map(lambda v: f"+{v}"),
+        _LABELS.map(lambda label: f"={label}"),
+        _NAMES.map(lambda name: f"={name}"),
+    )
+    return st.tuples(st.lists(slot, max_size=4), _SEPARATORS).map(
+        lambda parts: "{" + parts[1].join(parts[0]) + "}")
+
+
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda values: st.one_of(
+        _frames(values),
+        st.tuples(st.lists(values, max_size=3), _SEPARATORS).map(
+            lambda parts: "[" + parts[1].join(parts[0]) + "]")),
+    max_leaves=12)
+_DOCUMENTS = st.tuples(st.lists(st.one_of(_frames(_VALUES), _NAMES, _LABELS), max_size=3),
+                       _SEPARATORS).map(lambda parts: parts[1].join(parts[0]))
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_accepted_notation_prints_what_reads_back(text):
+    store = Store()
+    result = parse_notation(text, store)
+    if not result.ok:
+        assert result.top == []
+        return
+    printed = print_notation(result.top, store)
+    printed.encode("utf-8")
+    other = Store()
+    again = parse_notation(printed, other)
+    assert again.ok, (printed, again.diagnostics)
+    assert print_notation(again.top, other) == printed

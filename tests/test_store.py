@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from framekit.store import (DanglingHandleError, DuplicateIdError,
                             ForeignHandleError, FrozenStoreError, Handle,
-                            Store)
+                            Store, StoreError)
 
 
 def test_intern_idempotent():
@@ -72,6 +72,19 @@ def test_new_frame_foreign_handle_rejected():
     sym = other.intern("/x")
     with pytest.raises(ForeignHandleError):
         store.new_frame([(store.isa, sym)])
+
+
+def test_handle_of_unknown_kind_rejected():
+    store = Store()
+    frame = store.new_frame()
+    for bogus in (Handle("nil", 0, 0), Handle("nil", 0, store.uid)):
+        with pytest.raises(StoreError):
+            store.new_frame([(bogus, 1)])
+        with pytest.raises(StoreError):
+            store.add_slot(frame, bogus, 1)
+        with pytest.raises(StoreError):
+            store.add_slot(frame, store.isa, bogus)
+    assert store.num_frames() == 1 and store.slots(frame) == []
 
 
 def test_duplicate_id_rejected():
