@@ -14,9 +14,8 @@ from .evaluation import (EvalReport, MetricCounts, TokenMismatchError, align,
                          evaluate, evaluate_corpus)
 from .notation import (NotationError, ParseResult, parse_notation,
                        parse_or_raise, print_notation)
-from .oracle import (ActionStats, TransitionSequence,
-                     UnrepresentableDocumentError, action_stats, generate,
-                     replay, roundtrip_check)
+from .oracle import (ActionStats, UnrepresentableDocumentError, action_stats,
+                     generate, replay, roundtrip_check)
 from .store import (DanglingHandleError, DuplicateIdError, ForeignHandleError,
                     FrozenStoreError, Handle, Slot, Store, StoreError, Value)
 from .transitions import (Action, InvalidActionError, ParserState, SymbolName,

@@ -21,9 +21,10 @@ from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
                     parse_tokens, save_checkpoint, train)
 from .model.checkpoint import CheckpointError
 from .model.training import TrainingError, oracle_sequences
-from .notation import parse_notation, print_with_labels
+from .notation import UnprintableValueError, parse_notation, print_with_labels
 from .oracle import UnrepresentableDocumentError, action_stats, generate
 from .store import Store, StoreError
+from .transitions import sequence_to_text
 
 
 class CliError(Exception):
@@ -52,8 +53,11 @@ def read_corpus(path: str) -> list[Document]:
 def format_corpus(docs: list[Document]) -> str:
     blocks = []
     label = 1
-    for doc in docs:
-        text, label = print_with_labels([doc_to_frame(doc)], doc.store, label)
+    for index, doc in enumerate(docs):
+        try:
+            text, label = print_with_labels([doc_to_frame(doc)], doc.store, label)
+        except UnprintableValueError as exc:
+            raise CliError(f"document {index}: {exc}")
         blocks.append(text)
     return "\n".join(blocks)
 
@@ -83,7 +87,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     blocks = []
     for index, doc in enumerate(docs):
         try:
-            blocks.append(generate(doc).to_text())
+            blocks.append(sequence_to_text(generate(doc)))
         except UnrepresentableDocumentError as exc:
             raise CliError(f"document {index}: {exc}")
     output = "\n\n".join(blocks)
@@ -163,6 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 _WORKER_MODEL: Parameters | None = None
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_worker_init(params: Parameters) -> None:
@@ -195,12 +200,26 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if args.jobs > 1 and len(inputs) > 1:
         # Imported here: the process pool's modules take about 2 MB that
         # no other command, and no caller of read_corpus, needs.
+        import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
         jobs = [(i, text, tokens, use_ema) for i, (text, tokens) in enumerate(inputs)]
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=_parse_worker_init,
-                                 initargs=(params,)) as pool:
-            results = list(pool.map(_parse_worker, jobs))
+        # Fresh workers that each hold BLAS to one thread: with a thread
+        # pool per worker, the workers oversubscribe the cores.
+        saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs,
+                                     mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=_parse_worker_init,
+                                     initargs=(params,)) as pool:
+                results = list(pool.map(_parse_worker, jobs))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
         docs = [doc for _, doc in sorted(results, key=lambda r: r[0])]
     else:
         docs = [parse_tokens(params, text, tokens, use_ema=use_ema)

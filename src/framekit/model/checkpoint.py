@@ -124,7 +124,11 @@ def load_checkpoint(path: str) -> Parameters:
     payload = memoryview(data)[start + header_len:]
     try:
         header = json.loads(data[start:start + header_len].decode("utf-8"))
-        config = ModelConfig(**header["config"])
+        options = dict(header["config"])
+        dropout = options.pop("dropout", 0)  # older headers hold it, always 0
+        if dropout != 0:
+            raise CheckpointError(f"{path}: dropout {dropout!r} is not supported")
+        config = ModelConfig(**options)
         tables = header["lexicon"]
         lexicon = Lexicon(words=tables["words"], prefixes=tables["prefixes"],
                           suffixes=tables["suffixes"], roles=tables["roles"],

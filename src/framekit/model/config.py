@@ -23,7 +23,6 @@ class ModelConfig:
     adam_epsilon: float = 1e-5
     gradient_clip_norm: float = 1.0
     batch_size: int = 8
-    dropout: float = 0.0  # the recipe trains without dropout; must stay 0
     affix_dim: int = 8
     shape_dim: int = 4
     link_dim: int = 16
@@ -40,8 +39,6 @@ class ModelConfig:
                      "shape_dim", "link_dim", "decode_action_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.dropout != 0.0:
-            raise ValueError("dropout is not implemented; it must stay 0")
         if self.hidden_activation not in ("relu", "tanh"):
             raise ValueError("hidden_activation must be 'relu' or 'tanh'")
         if self.dtype not in ("float32", "float64"):

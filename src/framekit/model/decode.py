@@ -7,6 +7,8 @@ adversarial parameters; once a position exhausts its budget only SHIFT
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..document import Document, Token
 from ..transitions import SHIFT, STOP
 from .network import ForwardPass, Parameters
@@ -14,7 +16,12 @@ from .network import ForwardPass, Parameters
 
 def parse_tokens(params: Parameters, text: str, tokens: list[Token],
                  use_ema: bool = False) -> Document:
-    """Parse a pre-tokenized text into a predicted document."""
+    """Parse a pre-tokenized text into a predicted document.
+
+    Each step tries the actions in descending score order, equal scores
+    in inventory order, and applies the first that is valid and within
+    the cap.  NaN scores sort last, so an action scored NaN is taken
+    only when no action with a number score can be."""
     config = params.config
     lexicon = params.lexicon
     P = params.tensors(trainable=False, use_ema=use_ema)
@@ -25,19 +32,13 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
     while not run.state.done:
         scores = run.step_logits()
         capped = nonshift_here >= config.decode_action_cap
-        best = None
-        best_score = None
-        for index, action in enumerate(actions):
-            if capped and action.kind not in (SHIFT, STOP):
-                continue
-            if not run.state.is_valid(action):
-                continue
-            if best_score is None or scores[index] > best_score:
-                best, best_score = action, scores[index]
-        if best is None:
+        for index in np.argsort(-scores, kind="stable"):
+            best = actions[index]
+            if (not capped or best.kind in (SHIFT, STOP)) and run.state.is_valid(best):
+                break
+        else:
             raise RuntimeError("action inventory has no valid action; "
                                "it must contain SHIFT and STOP")
-        assert run.state.is_valid(best)
         if best.kind == SHIFT:
             nonshift_here = 0
         elif best.kind != STOP:

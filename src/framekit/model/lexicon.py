@@ -75,7 +75,9 @@ class Lexicon:
     max_affix_len: int
 
     def __post_init__(self) -> None:
-        self.action_ids = {a: i for i, a in enumerate(self.actions)}
+        # Keyed by text: actions whose texts differ are different outputs,
+        # even where `Action` equality counts 1 and 1.0 as one.
+        self.action_ids = {a.to_text(): i for i, a in enumerate(self.actions)}
 
     @classmethod
     def build(cls, corpus: list[Document], sequences: list[list[Action]],
@@ -89,10 +91,10 @@ class Lexicon:
                 prefixes.update(_affixes(token.text, max_affix_len, suffix=False))
                 suffixes.update(_affixes(token.text, max_affix_len, suffix=True))
         roles: set[str] = set()
-        actions: set[Action] = set()
+        actions: dict[str, Action] = {}
         for sequence in sequences:
             for action in sequence:
-                actions.add(action)
+                actions.setdefault(action.to_text(), action)
                 if action.role is not None:
                     roles.add(action.role)
         return cls(
@@ -100,7 +102,7 @@ class Lexicon:
             prefixes={p: i for i, p in enumerate(sorted(prefixes), start=1)},
             suffixes={s: i for i, s in enumerate(sorted(suffixes), start=1)},
             roles={r: i for i, r in enumerate(sorted(roles), start=1)},
-            actions=sorted(actions, key=lambda a: a.to_text()),
+            actions=[actions[text] for text in sorted(actions)],
             max_affix_len=max_affix_len,
         )
 
@@ -148,4 +150,4 @@ class Lexicon:
         return self.roles.get(role, RESERVED)
 
     def action_id(self, action: Action) -> int:
-        return self.action_ids[action]
+        return self.action_ids[action.to_text()]

@@ -76,7 +76,7 @@ class Checkpoint:
 
 
 def oracle_sequences(corpus: list[Document]) -> list[list[Action]]:
-    return [list(generate(doc)) for doc in corpus]
+    return [generate(doc) for doc in corpus]
 
 
 def build_lexicon(corpus: list[Document], config: ModelConfig,
@@ -184,7 +184,7 @@ def grad_check(params: Parameters, doc: Document,
     finite differences have no headroom in single precision.
     """
     if actions is None:
-        actions = list(generate(doc))
+        actions = generate(doc)
     config = params.config
     lexicon = params.lexicon
 

@@ -21,9 +21,13 @@ is an error.  The reader never raises on malformed input: it returns a
 ParseResult whose diagnostics carry (byte offset, message) pairs.
 
 The printer is deterministic and labels a frame if and only if it is
-referenced at least twice (or cyclically) or carries a named id.  Role
-names that `_SYMBOL` does not match, and ``nil``/``null``, print as JSON
-string keys, so the output re-parses to an isomorphic graph.
+referenced at least twice (or cyclically) or carries a named id.  A
+name is bare if `_SYMBOL` matches it and it is not ``nil`` or ``null``
+(`is_bare_name`, which action texts share).  Roles that are not bare
+print as JSON string keys.  Symbol values and ids have no quoted form,
+so the printer refuses one that is not bare, and a float that is not
+finite, with `UnprintableValueError`.  So the output re-parses to an
+isomorphic graph.
 """
 from __future__ import annotations
 
@@ -55,6 +59,16 @@ _TOKEN = re.compile(r"""[ \t\r\n,]*(?:
 _SURROGATE = re.compile(r"\\ud[89ab]..\\ud[c-f]|\\(u)d[89a-f]|\\.|([\ud800-\udfff])",
                         re.IGNORECASE | re.DOTALL)
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+
+
+def is_bare_name(name: str) -> bool:
+    """Whether `name` reads back as the symbol it names when written
+    bare; any other name needs a quoted form."""
+    return name not in _KEYWORDS and _SYMBOL.fullmatch(name) is not None
+
+
+class UnprintableValueError(StoreError):
+    """A value the notation has no text for."""
 
 
 class NotationError(Exception):
@@ -411,6 +425,8 @@ class _Printer:
     def emit(self, value: Value) -> str:
         if value is None:
             return "nil"
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UnprintableValueError(f"float value {value!r} has no notation")
         if isinstance(value, (int, float)):
             return repr(value)
         if isinstance(value, str):
@@ -418,8 +434,14 @@ class _Printer:
         if isinstance(value, list):
             return "[" + " ".join(self.emit(item) for item in value) + "]"
         if value.is_symbol():
-            return self.store.symbol_name(value)
+            return self.symbol_text(value)
         return self.emit_frame(value)
+
+    def symbol_text(self, symbol: Handle) -> str:
+        name = self.store.symbol_name(symbol)
+        if not is_bare_name(name):
+            raise UnprintableValueError(f"symbol {name!r} has no notation as a value")
+        return name
 
     def emit_frame(self, frame: Handle, by_number: bool = False) -> str:
         idx = frame.index
@@ -435,7 +457,7 @@ class _Printer:
         for role, value in self.store.slots(frame):
             if role == self.store.id and isinstance(value, Handle):
                 # A symbol id binds this frame; a frame id is referenced by number.
-                pieces.append("=" + self.store.symbol_name(value) if value.is_symbol()
+                pieces.append("=" + self.symbol_text(value) if value.is_symbol()
                               else "id: " + self.emit_frame(value, by_number=True))
             elif role == self.store.isa:
                 pieces.append(":" + self.emit(value))
@@ -448,7 +470,7 @@ class _Printer:
                     role_text = self.role_texts[role.index]
                 else:
                     role_text = self.store.symbol_name(role)
-                    if role_text in _KEYWORDS or not _SYMBOL.fullmatch(role_text):
+                    if not is_bare_name(role_text):
                         role_text = json.dumps(role_text, ensure_ascii=False)
                     self.role_texts[role.index] = role_text
                 pieces.append(role_text + ": " + self.emit(value))

@@ -13,11 +13,13 @@ simulated attention buffer at emission time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .document import (Document, frame_graph, incoming_links, semantic_slots,
                        type_name)
 from .evaluation import evaluate
+from .notation import is_bare_name
 from .store import Handle, Store
 from .transitions import (ACTION_KINDS, Action, InvalidActionError, ParserState,
                           SymbolName, run_sequence)
@@ -30,25 +32,15 @@ class UnrepresentableDocumentError(Exception):
     one type)."""
 
 
-@dataclass
-class TransitionSequence:
-    actions: list[Action]
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def to_text(self) -> str:
-        return "\n".join(action.to_text() for action in self.actions)
-
-
 def _constant_of(store: Store, value) -> object:
-    if isinstance(value, Handle):
-        if value.is_symbol():
-            return SymbolName(store.symbol_name(value))
-        raise UnrepresentableDocumentError("unexpected handle constant")
+    """The ASSIGN constant for a slot value that the notation can write."""
+    if isinstance(value, Handle) and value.is_symbol():
+        name = store.symbol_name(value)
+        if is_bare_name(name):
+            return SymbolName(name)
+        raise UnrepresentableDocumentError(f"symbol value {name!r} has no notation")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UnrepresentableDocumentError(f"slot value {value!r} has no notation")
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         return value
     raise UnrepresentableDocumentError(
@@ -121,7 +113,7 @@ class _Generator:
         self.actions.append(action)
 
     def _index(self, gold_frame: Handle) -> int:
-        return self.state.attention_index(self.replay_of[gold_frame])
+        return self.state.attention.index(self.replay_of[gold_frame])
 
     def _evoke(self, frame: Handle, length: int) -> None:
         store = self.store
@@ -192,14 +184,14 @@ class _Generator:
             self._emit_assigns(source)
 
 
-def generate(doc: Document) -> TransitionSequence:
+def generate(doc: Document) -> list[Action]:
     """Canonical transition sequence reconstructing `doc`'s annotations."""
-    return TransitionSequence(_Generator(doc).run())
+    return _Generator(doc).run()
 
 
-def replay(doc: Document, sequence: TransitionSequence) -> Document:
+def replay(doc: Document, sequence: list[Action]) -> Document:
     """Apply a sequence over the document's tokens in a fresh store."""
-    state = run_sequence(doc.text, doc.tokens, list(sequence))
+    state = run_sequence(doc.text, doc.tokens, sequence)
     return state.to_document()
 
 

@@ -5,6 +5,15 @@ The attention buffer is an ordered list of every frame created so far;
 index 0 is the center of attention.  Each action that creates or
 touches a frame moves it to the front.  The buffer itself is unbounded;
 only feature extraction truncates it.
+
+An action's text is its kind, then the fields `ARGUMENTS` lists for it,
+in order: ``CONNECT(source, role, target)``.  Indices and lengths print
+as integers.  A type or role prints bare where the notation's
+bare-symbol rule (`notation.is_bare_name`) covers it, else as a JSON
+string: ``CONNECT(0, "arg0, agent", 1)``.  An ASSIGN value prints as a
+JSON string, a number, or a bare `SymbolName`.  `parse_action` reads
+with one pattern per kind, built from the same table; it also reads the
+bare names outside the rule, such as ``a b``, that older checkpoints hold.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .document import Document, Mention, Token, type_name
+from .notation import is_bare_name
 from .store import Handle, Store
 
 SHIFT = "SHIFT"
@@ -26,7 +36,18 @@ ASSIGN = "ASSIGN"
 EMBED = "EMBED"
 ELABORATE = "ELABORATE"
 
-ACTION_KINDS = (SHIFT, STOP, EVOKE, REFER, CONNECT, ASSIGN, EMBED, ELABORATE)
+# Each kind's argument fields, in the order its text writes them.
+ARGUMENTS = {
+    SHIFT: (),
+    STOP: (),
+    EVOKE: ("type", "length"),
+    REFER: ("target", "length"),
+    CONNECT: ("source", "role", "target"),
+    ASSIGN: ("source", "role", "value"),
+    EMBED: ("target", "role", "type"),
+    ELABORATE: ("source", "role", "type"),
+}
+ACTION_KINDS = tuple(ARGUMENTS)
 
 
 class SymbolName(str):
@@ -91,22 +112,15 @@ class Action:
         return Action(ELABORATE, source=source, role=role, type=type_name)
 
     def to_text(self) -> str:
-        k = self.kind
-        if k == SHIFT or k == STOP:
-            return k
-        if k == EVOKE:
-            return f"EVOKE({self.type}, {self.length})"
-        if k == REFER:
-            return f"REFER({self.target}, {self.length})"
-        if k == CONNECT:
-            return f"CONNECT({self.source}, {self.role}, {self.target})"
-        if k == ASSIGN:
-            return f"ASSIGN({self.source}, {self.role}, {_constant_text(self.value)})"
-        if k == EMBED:
-            return f"EMBED({self.target}, {self.role}, {self.type})"
-        if k == ELABORATE:
-            return f"ELABORATE({self.source}, {self.role}, {self.type})"
-        raise ValueError(f"unknown action kind {k!r}")
+        fields = ARGUMENTS[self.kind]
+        if not fields:
+            return self.kind
+        args = ", ".join(_FORMS[name][0](getattr(self, name)) for name in fields)
+        return f"{self.kind}({args})"
+
+
+def _name_text(name: str) -> str:
+    return name if is_bare_name(name) else json.dumps(name, ensure_ascii=False)
 
 
 def _constant_text(value: Constant) -> str:
@@ -120,39 +134,8 @@ def _constant_text(value: Constant) -> str:
 _NUMBER_ARG = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?$")
 
 
-def _split_args(body: str) -> list[str]:
-    args = []
-    depth = 0
-    current = []
-    in_string = False
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_string:
-            current.append(ch)
-            if ch == "\\":
-                if i + 1 < len(body):
-                    current.append(body[i + 1])
-                    i += 1
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            args.append("".join(current).strip())
-            current = []
-        else:
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            current.append(ch)
-        i += 1
-    tail = "".join(current).strip()
-    if tail:
-        args.append(tail)
-    return args
+def _parse_name(text: str) -> str:
+    return json.loads(text) if text.startswith('"') else text
 
 
 def _parse_constant(text: str) -> Constant:
@@ -163,34 +146,37 @@ def _parse_constant(text: str) -> Constant:
     return SymbolName(text)
 
 
+# A JSON string, else a bare run of characters that holds no quote or comma.
+_WORD = r'"(?:[^"\\]|\\.)*"|[^",]*?'
+_INDEX = (str, r"-?\d+", int)
+# How each argument field is written, matched and read back.
+_FORMS = {"length": _INDEX, "source": _INDEX, "target": _INDEX,
+          "type": (_name_text, _WORD, _parse_name),
+          "role": (_name_text, _WORD, _parse_name),
+          "value": (_constant_text, _WORD, _parse_constant)}
+
+
+def _pattern(kind: str, fields: tuple[str, ...]) -> re.Pattern:
+    """Matches the text of a `kind` action, one group per field."""
+    args = r"\s*,\s*".join(f"({_FORMS[name][1]})" for name in fields)
+    return re.compile(rf"{kind}\(\s*{args}\s*\)" if fields else kind)
+
+
+_PATTERNS = {kind: _pattern(kind, fields) for kind, fields in ARGUMENTS.items()}
+
+
 def parse_action(text: str) -> Action:
     """Inverse of Action.to_text."""
     text = text.strip()
-    if text == SHIFT:
-        return Action.shift()
-    if text == STOP:
-        return Action.stop()
-    m = re.fullmatch(r"([A-Z]+)\((.*)\)", text)
-    if not m:
+    kind = text.partition("(")[0]
+    match = _PATTERNS[kind].fullmatch(text) if kind in _PATTERNS else None
+    if match is None:
         raise ValueError(f"malformed action: {text!r}")
-    kind, body = m.group(1), m.group(2)
-    args = _split_args(body)
     try:
-        if kind == EVOKE:
-            return Action.evoke(args[0], int(args[1]))
-        if kind == REFER:
-            return Action.refer(int(args[0]), int(args[1]))
-        if kind == CONNECT:
-            return Action.connect(int(args[0]), args[1], int(args[2]))
-        if kind == ASSIGN:
-            return Action.assign(int(args[0]), args[1], _parse_constant(args[2]))
-        if kind == EMBED:
-            return Action.embed(int(args[0]), args[1], args[2])
-        if kind == ELABORATE:
-            return Action.elaborate(int(args[0]), args[1], args[2])
-    except (IndexError, ValueError) as exc:
+        return Action(kind, **{name: _FORMS[name][2](arg)
+                               for name, arg in zip(ARGUMENTS[kind], match.groups())})
+    except ValueError as exc:
         raise ValueError(f"malformed action: {text!r}") from exc
-    raise ValueError(f"unknown action kind in {text!r}")
 
 
 def sequence_to_text(actions: list[Action]) -> str:
@@ -198,7 +184,7 @@ def sequence_to_text(actions: list[Action]) -> str:
 
 
 def sequence_from_text(text: str) -> list[Action]:
-    return [parse_action(line) for line in text.splitlines() if line.strip()]
+    return [parse_action(line) for line in text.split("\n") if line.strip()]
 
 
 class ParserState:
@@ -225,9 +211,6 @@ class ParserState:
     @property
     def num_tokens(self) -> int:
         return len(self.tokens)
-
-    def attention_index(self, frame: Handle) -> int:
-        return self.attention.index(frame)
 
     def phrase_of(self, frame: Handle) -> Optional[tuple[int, int]]:
         """Most recent evoking span of `frame`, if it has one."""
@@ -300,8 +283,10 @@ class ParserState:
             self._front(source)
         elif kind == ASSIGN:
             source = self.attention[action.source]
-            self.store.add_slot(source, self.store.intern(action.role),
-                                self._constant_value(action.value))
+            value = action.value
+            if isinstance(value, SymbolName):
+                value = self.store.intern(str(value))
+            self.store.add_slot(source, self.store.intern(action.role), value)
             self._front(source)
         elif kind == EMBED:
             target = self.attention[action.target]
@@ -323,11 +308,6 @@ class ParserState:
             self.focused_step[frame] = self.step
         self.step += 1
         return self
-
-    def _constant_value(self, value: Constant):
-        if isinstance(value, SymbolName):
-            return self.store.intern(str(value))
-        return value
 
     def _evoke(self, frame: Handle, length: int) -> None:
         span = (self.cursor, length)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 from dataclasses import asdict
@@ -123,3 +124,31 @@ def test_unreadable_file_raises(tmp_path):
     path = tmp_path / "missing.ckpt"
     with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: ")):
         load_checkpoint(str(path))
+
+
+def test_older_headers_with_dropout_zero_load(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params = trained()
+    save_checkpoint(params, str(path))
+    edit_checkpoint_header(path, lambda header: header["config"].update(dropout=0.0))
+    assert asdict(load_checkpoint(str(path)).config) == asdict(params.config)
+    edit_checkpoint_header(path, lambda header: header["config"].update(dropout=0.5))
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: dropout 0.5 ")):
+        load_checkpoint(str(path))
+
+
+def test_older_bare_names_load_to_the_same_actions(tmp_path):
+    """Names outside the bare rule were once written bare, as in
+    `CONNECT(0, a b, 1)`; such a header still loads."""
+    path = tmp_path / "model.ckpt"
+    params = trained()
+    save_checkpoint(params, str(path))
+
+    def bare(header):
+        texts = header["lexicon"]["actions"]
+        assert any("/pb/arg0" in text for text in texts)
+        header["lexicon"]["actions"] = [t.replace("/pb/arg0", "a b") for t in texts]
+    edit_checkpoint_header(path, bare)
+    loaded = load_checkpoint(str(path)).lexicon.actions
+    assert loaded == [dataclasses.replace(a, role="a b") if a.role == "/pb/arg0" else a
+                      for a in params.lexicon.actions]

@@ -142,8 +142,7 @@ def test_second_isa_is_a_label(monkeypatch):
     full = oracle.generate
 
     def without_second_isa(doc):
-        return oracle.TransitionSequence(
-            [a for a in full(doc) if not (a.kind == "ASSIGN" and a.role == "isa")])
+        return [a for a in full(doc) if not (a.kind == "ASSIGN" and a.role == "isa")]
 
     monkeypatch.setattr(oracle, "generate", without_second_isa)
     assert len(oracle.generate(gold)) == len(full(gold)) - 1

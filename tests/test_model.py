@@ -8,7 +8,7 @@ import pytest
 
 from framekit import cli
 from framekit.corpus import generate_corpus
-from framekit.document import Document, tokenize
+from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, grad_check,
                             parse_like, train)
 from framekit.model import autodiff as ad
@@ -20,7 +20,7 @@ from framekit.model.network import (ExamplePlan, ForwardPass, PlannedPass,
                                     plan_example, planned_loss)
 from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
-from framekit.transitions import STOP, Action, ParserState
+from framekit.transitions import STOP, Action, ParserState, SymbolName
 from support import hit_document
 
 
@@ -580,19 +580,18 @@ def test_config_defaults_match_recipe():
     assert config.adam_epsilon == 1e-5
     assert config.gradient_clip_norm == 1.0
     assert config.batch_size == 8
-    assert config.dropout == 0.0
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(lstm_dim=0)
-    with pytest.raises(ValueError):
-        ModelConfig(dropout=0.5)
     config = ModelConfig()
     config.apply_override("lstm_dim", "16")
     assert config.lstm_dim == 16
     with pytest.raises(ValueError):
         config.apply_override("nonsense", "1")
+    with pytest.raises(ValueError, match="unknown model option 'dropout'"):
+        config.apply_override("dropout", "0")
 
 
 def test_feature_dim_formula():
@@ -601,3 +600,42 @@ def test_feature_dim_formula():
                 + 2 * config.k_attention * config.hidden_dim
                 + config.k_history * config.hidden_dim + 4 * config.link_dim)
     assert feature_dim(config) == expected
+
+
+def test_inventory_keeps_constants_whose_texts_differ(tmp_path):
+    """`eagerly` and `"eagerly"`, and 1 and 1.0, are four outputs that
+    decoding can each emit, though `Action` equality pairs them."""
+    docs = []
+    for manner, rank in ((SymbolName("eagerly"), 1), ("eagerly", 1.0)):
+        store = Store()
+        value = store.intern(str(manner)) if isinstance(manner, SymbolName) else manner
+        frame = store.new_frame([(store.isa, store.intern("/t/go")),
+                                 (store.intern("/c/manner"), value),
+                                 (store.intern("/c/rank"), rank)])
+        docs.append(Document("go", tokenize("go"), [Mention(0, 1, [frame])], store))
+    path = tmp_path / "corpus.txt"
+    cli.write_corpus(docs, str(path))
+    corpus = cli.read_corpus(str(path))
+    config = tiny_config(decode_action_cap=1)
+    lexicon = build_lexicon(corpus, config)
+    constants = [("/c/manner", "eagerly"), ("/c/manner", SymbolName("eagerly")),
+                 ("/c/rank", 1), ("/c/rank", 1.0)]
+    assigns = [Action.assign(0, role, value) for role, value in constants]
+    assert [a.to_text() for a in lexicon.actions if a.kind == "ASSIGN"] == \
+        [a.to_text() for a in assigns]
+    assert len({lexicon.action_id(a) for a in assigns}) == 4
+
+    params = Parameters(config, lexicon, seed=1)
+    for (role, value), action in zip(constants, assigns):
+        # Prefer the ASSIGN, then EVOKE, then SHIFT: evoke, shift, assign.
+        bias = params.arrays["ff_b2"]
+        bias[...] = 0
+        for score, preferred in enumerate((Action.shift(), Action.evoke("/t/go", 1), action)):
+            bias[lexicon.action_id(preferred)] = score + 1
+        pred = parse_like(params, corpus[0])
+        (frame,) = pred.mentions[0].evoked
+        got = pred.store.get_role(frame, pred.store.intern(role))
+        if isinstance(value, SymbolName):
+            assert pred.store.symbol_name(got) == value
+        else:
+            assert got == value and type(got) is type(value)

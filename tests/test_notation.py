@@ -1,12 +1,14 @@
 import json
+import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit.notation import (NotationError, parse_notation, parse_or_raise,
-                               print_notation, print_with_labels)
+from framekit.notation import (NotationError, UnprintableValueError, parse_notation,
+                               parse_or_raise, print_notation, print_with_labels)
 from framekit.store import Handle, Store, StoreError
 from support import HIT_DOC_TEXT, graphs_isomorphic, random_store_graph
 
@@ -455,3 +457,20 @@ def test_accepted_notation_prints_what_reads_back(text):
     again = parse_notation(printed, other)
     assert again.ok, (printed, again.diagnostics)
     assert print_notation(again.top, other) == printed
+
+
+@pytest.mark.parametrize("role", ["r", "isa", "id"])
+@pytest.mark.parametrize("name", ["a b", "nil", "null", "12", "é", "a,b"])
+def test_symbol_values_without_notation_are_refused(role, name):
+    store = Store()
+    frame = store.new_frame([(store.intern(role), store.intern(name))])
+    with pytest.raises(UnprintableValueError, match=re.escape(repr(name))):
+        print_notation([frame], store)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_floats_without_notation_are_refused(value):
+    store = Store()
+    frame = store.new_frame([(store.intern("r"), [1, value])])
+    with pytest.raises(UnprintableValueError, match=repr(value)):
+        print_notation([frame], store)

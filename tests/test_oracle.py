@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,12 +10,12 @@ from framekit.document import Document, Mention, tokenize
 from framekit.oracle import (UnrepresentableDocumentError, action_stats,
                              generate, replay, roundtrip_check)
 from framekit.store import Store
-from framekit.transitions import run_sequence
+from framekit.transitions import run_sequence, sequence_to_text
 from support import HIT_SEQUENCE, random_document
 
 
 def test_worked_example_exact_sequence(hit_doc):
-    assert generate(hit_doc).to_text() == HIT_SEQUENCE
+    assert sequence_to_text(generate(hit_doc)) == HIT_SEQUENCE
 
 
 def test_no_mentions_yields_shifts_then_stop():
@@ -63,7 +64,7 @@ def test_replay_rebuilds_graph(hit_doc):
     pred = replay(hit_doc, generate(hit_doc))
     assert [m.span for m in pred.mentions] == [(0, 1), (1, 1), (3, 1)]
     # replaying the replayed document gives the same canonical sequence
-    assert generate(pred).to_text() == HIT_SEQUENCE
+    assert sequence_to_text(generate(pred)) == HIT_SEQUENCE
 
 
 def test_unrepresentable_two_hop_chain():
@@ -117,6 +118,17 @@ def test_span_evoking_two_frames_of_one_type(tmp_path, capsys):
     assert "error: document 0:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["a b", "nil", "12", "é", math.inf, math.nan])
+def test_constants_without_notation_are_unrepresentable(value):
+    store = Store()
+    if isinstance(value, str):
+        value = store.intern(value)
+    frame = store.new_frame([(store.isa, store.intern("/t/a")), (store.intern("/c/x"), value)])
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [frame])], store)
+    with pytest.raises(UnrepresentableDocumentError, match="has no notation"):
+        generate(doc)
+
+
 def test_random_documents_stay_representable():
     for seed in (1, 2, 7, 202):
         rng = random.Random(seed)
@@ -126,12 +138,12 @@ def test_random_documents_stay_representable():
 
 def test_generate_is_deterministic():
     doc = generate_corpus(21, 1)[0]
-    assert generate(doc).to_text() == generate(doc).to_text()
+    assert sequence_to_text(generate(doc)) == sequence_to_text(generate(doc))
 
 
 def test_sequence_replays_validly():
     for doc in generate_corpus(31, 60):
-        state = run_sequence(doc.text, doc.tokens, list(generate(doc)))
+        state = run_sequence(doc.text, doc.tokens, generate(doc))
         assert state.done
         assert state.cursor == len(doc.tokens)
 

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from framekit.document import tokenize
-from framekit.store import Handle
+from framekit.corpus import generate_corpus
+from framekit.document import Document, Mention, tokenize
+from framekit.oracle import generate
+from framekit.store import Handle, Store
 from framekit.transitions import (Action, InvalidActionError, ParserState,
                                   SymbolName, parse_action, run_sequence,
                                   sequence_from_text, sequence_to_text)
-from support import HIT_SEQUENCE
+from support import HIT_SEQUENCE, random_document
 
 
 def fresh(text="John hit the ball"):
@@ -236,3 +240,58 @@ def test_action_text_forms():
         assert parse_action(text) == action
     assert isinstance(parse_action("ASSIGN(0, /c/z, /t/k)").value, SymbolName)
     assert not isinstance(parse_action('ASSIGN(0, /c/x, "s")').value, SymbolName)
+
+
+# Names outside the notation's bare-symbol rule, each beside its text.
+ODD_NAMES = [("arg0, agent", '"arg0, agent"'), ("f(x)", '"f(x)"'), ("x)", '"x)"'),
+             ('say "hi"', '"say \\"hi\\""'), ("a b", '"a b"'), ("café", '"café"'),
+             ("nil", '"nil"'), ("12", '"12"')]
+
+
+@pytest.mark.parametrize("name, text", ODD_NAMES)
+def test_names_outside_the_bare_rule_are_quoted_and_read_back(name, text):
+    actions = [(Action.evoke(name, 2), f"EVOKE({text}, 2)"),
+               (Action.connect(0, name, 1), f"CONNECT(0, {text}, 1)"),
+               (Action.assign(1, name, "v"), f'ASSIGN(1, {text}, "v")'),
+               (Action.embed(0, name, name), f"EMBED(0, {text}, {text})"),
+               (Action.elaborate(1, name, "/t/e"), f"ELABORATE(1, {text}, /t/e)")]
+    for action, written in actions:
+        assert action.to_text() == written
+        assert parse_action(written) == action
+
+
+def test_older_bare_names_still_read():
+    # Texts written before names outside the bare rule were quoted.
+    assert parse_action("CONNECT(0, a b, 1)") == Action.connect(0, "a b", 1)
+    assert parse_action("EVOKE(café, 1)") == Action.evoke("café", 1)
+    assert parse_action("ASSIGN(0, r, a b)").value == SymbolName("a b")
+
+
+@pytest.mark.parametrize("text", ["EVOKE(a, b)", "CONNECT(0, a, b, 1)", "SHIFT(1)",
+                                  "FOO(1, 2)", 'ASSIGN(0, r, "\\x")', "REFER(1)", ""])
+def test_malformed_action_text_is_rejected(text):
+    with pytest.raises(ValueError, match="malformed action"):
+        parse_action(text)
+
+
+def odd_name_document(name):
+    store = Store()
+    role = store.intern(name)
+    first = store.new_frame([(store.isa, store.intern("/t/x")), (role, "line\u2028break")])
+    second = store.new_frame([(store.isa, store.intern("/t/y")), (role, first)])
+    return Document("a b", tokenize("a b"), [Mention(0, 1, [first]), Mention(1, 1, [second])],
+                    store)
+
+
+def test_oracle_actions_read_back_exactly():
+    docs = generate_corpus(5, 150) + [odd_name_document(name) for name, _ in ODD_NAMES]
+    for seed in range(40):
+        rng = random.Random(seed)
+        docs.extend(random_document(rng) for _ in range(10))
+    for doc in docs:
+        actions = generate(doc)
+        for action in actions:
+            back = parse_action(action.to_text())
+            assert back == action
+            assert type(back.value) is type(action.value)
+        assert sequence_from_text(sequence_to_text(actions)) == actions
