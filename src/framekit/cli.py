@@ -4,7 +4,9 @@ parsing, and evaluation.
 All file I/O uses the frame notation corpus format (a sequence of
 top-level document frames), so any file written by one subcommand is
 readable by the others.  Every subcommand is deterministic given its
-flags; seeds default to 1.
+flags; seeds default to 1.  Each runs in one process; numpy's BLAS
+takes its thread count from the user's environment
+(`OPENBLAS_NUM_THREADS` and the like).
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dev = read_corpus(args.dev) if args.dev else None
 
     metric_lines: list[str] = []
-    best = {"f1": None, "step": None, "arrays": None, "ema": None}
+    best = {"f1": None, "step": None}
 
     def on_checkpoint(params: Parameters, ckpt) -> None:
         line = f"step={ckpt.step} loss={ckpt.loss:.6f} accuracy={ckpt.accuracy:.4f}"
@@ -134,9 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             if best["f1"] is None or f1 > best["f1"]:
                 best["f1"] = f1
                 best["step"] = ckpt.step
-                best["arrays"] = {k: v.copy() for k, v in params.arrays.items()}
-                best["ema"] = (None if params.ema is None else
-                               {k: v.copy() for k, v in params.ema.items()})
+                save_checkpoint(params, args.out + ".best")
         print(line)
         metric_lines.append(line)
 
@@ -148,11 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError(str(exc))
 
     save_checkpoint(params, args.out)
-    if best["arrays"] is not None:
-        final_arrays, final_ema = params.arrays, params.ema
-        params.arrays, params.ema = best["arrays"], best["ema"]
-        save_checkpoint(params, args.out + ".best")
-        params.arrays, params.ema = final_arrays, final_ema
+    if best["step"] is not None:
         print(f"best checkpoint: step={best['step']} "
               f"dev_slot_f1={100 * best['f1']:.2f}")
     else:
@@ -164,21 +160,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 # -- parse -------------------------------------------------------------------
-
-
-_WORKER_MODEL: Parameters | None = None
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _parse_worker_init(params: Parameters) -> None:
-    global _WORKER_MODEL
-    _WORKER_MODEL = params
-
-
-def _parse_worker(job: tuple[int, str, list, bool]) -> tuple[int, Document]:
-    index, text, tokens, use_ema = job
-    assert _WORKER_MODEL is not None
-    return index, parse_tokens(_WORKER_MODEL, text, tokens, use_ema=use_ema)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -193,38 +174,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     else:
         inputs = [(d.text, list(d.tokens)) for d in read_corpus(args.input)]
 
-    use_ema = args.ema
-    if use_ema and params.ema is None:
+    if args.ema and params.ema is None:
         raise CliError("checkpoint holds no averaged parameters")
-
-    if args.jobs > 1 and len(inputs) > 1:
-        # Imported here: the process pool's modules take about 2 MB that
-        # no other command, and no caller of read_corpus, needs.
-        import multiprocessing
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-        jobs = [(i, text, tokens, use_ema) for i, (text, tokens) in enumerate(inputs)]
-        # Fresh workers that each hold BLAS to one thread: with a thread
-        # pool per worker, the workers oversubscribe the cores.
-        saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
-        try:
-            with ProcessPoolExecutor(max_workers=args.jobs,
-                                     mp_context=multiprocessing.get_context("spawn"),
-                                     initializer=_parse_worker_init,
-                                     initargs=(params,)) as pool:
-                results = list(pool.map(_parse_worker, jobs))
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    del os.environ[name]
-                else:
-                    os.environ[name] = value
-        docs = [doc for _, doc in sorted(results, key=lambda r: r[0])]
-    else:
-        docs = [parse_tokens(params, text, tokens, use_ema=use_ema)
-                for text, tokens in inputs]
-
+    docs = [parse_tokens(params, text, tokens, use_ema=args.ema)
+            for text, tokens in inputs]
     body = format_corpus(docs)
     if args.out:
         Path(args.out).write_text(body + "\n" if body else "", encoding="utf-8")
@@ -262,6 +215,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .model import build_lexicon
+    if args.configs < 1:
+        raise CliError("--configs must be at least 1")
     rng = random.Random(args.seed)
     worst = 0.0
     skipped_total = 0
@@ -329,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", help="gold corpus (tokens are reused)")
     p.add_argument("--text", help="raw text for a single document")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--ema", action="store_true", help="decode with averaged parameters")
     p.set_defaults(func=cmd_parse)
 

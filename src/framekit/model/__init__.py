@@ -3,7 +3,7 @@ decoder, teacher-forced training, and greedy decoding."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
-from .decode import parse_like, parse_tokens
+from .decode import parse_tokens
 from .features import StepFeatures, extract_features
 from .lexicon import Lexicon
 from .network import Parameters, document_loss, encode_tokens, feature_dim
@@ -14,6 +14,6 @@ __all__ = [
     "Adam", "Checkpoint", "Lexicon", "ModelConfig", "Parameters",
     "StepFeatures", "TrainingError", "build_lexicon", "document_loss",
     "encode_tokens", "extract_features", "feature_dim", "grad_check",
-    "load_checkpoint", "oracle_sequences", "parse_like",
-    "parse_tokens", "save_checkpoint", "train",
+    "load_checkpoint", "oracle_sequences", "parse_tokens",
+    "save_checkpoint", "train",
 ]

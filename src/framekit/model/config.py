@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 
 @dataclass
 class ModelConfig:
@@ -53,7 +55,9 @@ class ModelConfig:
         if key == "word_vectors_path":
             value: object = raw
         elif isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
+            value = _BOOLS.get(raw.lower())
+            if value is None:
+                raise ValueError(f"{key} expects true/false/yes/no/1/0, got {raw!r}")
         elif isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float):

@@ -45,8 +45,3 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
             nonshift_here += 1
         run.state.apply(best)
     return run.state.to_document()
-
-
-def parse_like(params: Parameters, gold: Document, use_ema: bool = False) -> Document:
-    """Parse over a gold document's tokens (for span-comparable scoring)."""
-    return parse_tokens(params, gold.text, list(gold.tokens), use_ema=use_ema)

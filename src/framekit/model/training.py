@@ -98,9 +98,15 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
     """
     if not corpus:
         raise TrainingError("cannot train on an empty corpus")
+    if steps < 1 or checkpoint_every < 1:
+        raise TrainingError("steps and checkpoint_every must be at least 1")
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
-    params = Parameters(config, lexicon, seed)
+    try:
+        params = Parameters(config, lexicon, seed)
+    except (OSError, ValueError) as exc:  # reading word_vectors_path
+        raise TrainingError(f"word vectors {config.word_vectors_path}: "
+                            f"{getattr(exc, 'strerror', None) or exc}") from None
     tensors = params.tensors(trainable=True)
     adam = Adam(params.arrays, config)
     if config.use_ema:

@@ -434,6 +434,10 @@ class _Printer:
         if isinstance(value, list):
             return "[" + " ".join(self.emit(item) for item in value) + "]"
         if value.is_symbol():
+            if self.store.binding(value) is not None:
+                raise UnprintableValueError(
+                    f"symbol {self.store.symbol_name(value)!r} names a frame; "
+                    "as a value it would read back as that frame")
             return self.symbol_text(value)
         return self.emit_frame(value)
 

@@ -1,11 +1,14 @@
 """The command line end to end on a tiny corpus:
 gen-corpus -> oracle -> train -> parse -> eval."""
 
-import os
+import numpy as np
+import pytest
 
 from framekit import cli
 from framekit.corpus import generate_corpus
-from framekit.model import ModelConfig, Parameters, build_lexicon, save_checkpoint
+from framekit.document import tokenize
+from framekit.model import (ModelConfig, Parameters, build_lexicon, load_checkpoint,
+                            save_checkpoint, train)
 from framekit.model.lexicon import Lexicon
 from framekit.transitions import Action
 from support import edit_checkpoint_header
@@ -19,7 +22,7 @@ def run(capsys, *argv):
     return capsys.readouterr().out
 
 
-def test_pipeline_end_to_end(tmp_path, capsys, monkeypatch):
+def test_pipeline_end_to_end(tmp_path, capsys):
     train, dev = tmp_path / "train.txt", tmp_path / "dev.txt"
     model, pred = tmp_path / "model.ckpt", tmp_path / "pred.txt"
     assert "wrote 12 documents" in run(capsys, "gen-corpus", "--out", train,
@@ -42,14 +45,6 @@ def test_pipeline_end_to_end(tmp_path, capsys, monkeypatch):
     run(capsys, "parse", "--model", model, "--in", dev, "--out", pred)
     text = pred.read_text(encoding="utf-8")
     assert text.count("/s/document/text") == 5
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    run(capsys, "parse", "--model", model, "--in", dev, "--out", tmp_path / "pred2.txt",
-        "--jobs", 2)
-    assert (tmp_path / "pred2.txt").read_text(encoding="utf-8") == text
-    # The workers' BLAS settings are not left behind.
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     scores = run(capsys, "eval", "--gold", dev, "--pred", pred)
     assert "slot.f1=" in scores
@@ -68,11 +63,9 @@ def test_parse_reports_a_bad_checkpoint(tmp_path, capsys):
     save_checkpoint(Parameters(config, build_lexicon(corpus, config)), str(malformed))
     edit_checkpoint_header(malformed, lambda header: header.update(tensors=3))
     for path in (tmp_path / "missing.ckpt", not_a_checkpoint, malformed):
-        for jobs in ("1", "2"):
-            argv = ["parse", "--model", str(path), "--in", str(dev), "--jobs", jobs]
-            assert cli.main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert cli.main(["parse", "--model", str(path), "--in", str(dev)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_a_role_with_a_comma_trains_parses_and_scores(tmp_path, capsys):
@@ -103,3 +96,77 @@ def test_parse_reports_a_type_without_notation(tmp_path, capsys):
     assert cli.main(["parse", "--model", str(path), "--text", "word"]) == 1
     err = capsys.readouterr().err
     assert err == "error: document 0: symbol 'a b' has no notation as a value\n"
+
+
+def test_train_dev_keeps_the_best_checkpoint(tmp_path, capsys):
+    """`.best` holds the parameters at the best dev checkpoint: those
+    `train` gives with the same seed stopped at that step."""
+    train_path, dev, model = tmp_path / "train.txt", tmp_path / "dev.txt", tmp_path / "m.ckpt"
+    run(capsys, "gen-corpus", "--out", train_path, "--n-docs", 8, "--seed", 3)
+    run(capsys, "gen-corpus", "--out", dev, "--n-docs", 4, "--seed", 4)
+    hparams = [arg for h in TINY for arg in ("--hparam", h)]
+    log = run(capsys, "train", "--in", train_path, "--dev", dev, "--out", model,
+              "--steps", 40, "--checkpoint-every", 5, "--seed", 3, *hparams)
+    best_line = log.splitlines()[-1]
+    assert best_line.startswith("best checkpoint: step=")
+    best_step = int(best_line.split()[2].removeprefix("step="))
+    assert 5 < best_step < 40  # .best was overwritten, and is not the final model
+    config = ModelConfig()
+    for item in TINY:
+        config.apply_override(*item.split("="))
+    expected = train(cli.read_corpus(str(train_path)), config, seed=3, steps=best_step)
+    best = load_checkpoint(str(model) + ".best")
+    assert best.arrays.keys() == expected.arrays.keys()
+    for name, array in expected.arrays.items():
+        assert np.array_equal(best.arrays[name], array), name
+
+
+def test_parse_text(tmp_path, capsys):
+    model, parsed = tmp_path / "model.ckpt", tmp_path / "parsed.txt"
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    corpus = generate_corpus(4, 2)
+    save_checkpoint(Parameters(config, build_lexicon(corpus, config)), str(model))
+    parsed.write_text(run(capsys, "parse", "--model", model, "--text", "John hit the ball."),
+                      encoding="utf-8")
+    (doc,) = cli.read_corpus(str(parsed))
+    assert doc.text == "John hit the ball."
+    assert doc.tokens == tokenize("John hit the ball.")
+
+
+def test_grad_check(capsys):
+    out = run(capsys, "grad-check", "--configs", 1)
+    assert "worst over 1 configs" in out
+    assert cli.main(["grad-check", "--configs", "1", "--threshold", "1e-300"]) == 1
+    assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--steps", "0"],
+    ["train", "--steps", "-1"],
+    ["train", "--checkpoint-every", "0"],
+    ["train", "--hparam", "use_ema=ture"],
+    ["train", "--hparam", "word_vectors_path={missing}"],
+    ["grad-check", "--configs", "0"],
+])
+def test_bad_arguments_are_reported(tmp_path, capsys, argv):
+    corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    argv = [arg.format(missing=tmp_path / "missing.vec") for arg in argv]
+    if argv[0] == "train":
+        argv += ["--in", str(corpus), "--out", str(model), "--hparam", TINY[0]]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not model.exists()
+    if "word_vectors_path" in " ".join(argv):
+        assert str(tmp_path / "missing.vec") in err
+
+
+def test_a_symbol_value_that_names_a_frame_is_reported():
+    doc = generate_corpus(3, 1)[0]
+    store = doc.store
+    frame = doc.mentions[0].evoked[0]
+    store.add_slot(frame, store.intern("r"), store.new_frame([(store.id, store.intern("x"))]))
+    store.add_slot(frame, store.intern("q"), store.intern("x"))
+    with pytest.raises(cli.CliError, match="^document 0: symbol 'x' names a frame"):
+        cli.format_corpus([doc])

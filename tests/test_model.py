@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from framekit import cli
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, grad_check,
-                            parse_like, train)
+                            parse_tokens, train)
 from framekit.model import autodiff as ad
 from framekit.model.features import extract_features
 from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_shape,
@@ -382,7 +383,7 @@ def test_training_leaves_no_reference_cycles():
     gc.disable()
     try:
         params = train(corpus, tiny_config(), seed=1, steps=3, checkpoint_every=3)
-        parse_like(params, corpus[0])
+        parse_tokens(params, corpus[0].text, list(corpus[0].tokens))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -442,6 +443,19 @@ def test_adam_step_follows_documented_rule():
 def test_empty_corpus_rejected():
     with pytest.raises(TrainingError):
         train([], tiny_config(), steps=1)
+
+
+@pytest.mark.parametrize("counts", [dict(steps=0), dict(steps=-1), dict(checkpoint_every=0)])
+def test_step_counts_below_one_rejected(counts):
+    with pytest.raises(TrainingError, match="at least 1"):
+        train(generate_corpus(7, 2), tiny_config(), **counts)
+
+
+def test_missing_word_vectors_rejected(tmp_path):
+    config = tiny_config()
+    config.word_vectors_path = str(tmp_path / "missing.vec")
+    with pytest.raises(TrainingError, match=re.escape(config.word_vectors_path)):
+        train(generate_corpus(7, 2), config, steps=1)
 
 
 def test_checkpoint_steps_monotonic():
@@ -594,6 +608,18 @@ def test_config_validation():
         config.apply_override("dropout", "0")
 
 
+def test_bool_overrides_take_only_true_or_false_words():
+    config = ModelConfig()
+    for raw, value in [("TRUE", True), ("no", False), ("1", True), ("False", False),
+                       ("Yes", True), ("0", False)]:
+        config.apply_override("use_ema", raw)
+        assert config.use_ema is value
+    for raw in ("ture", "", "2", "on"):
+        with pytest.raises(ValueError, match=re.escape(repr(raw))):
+            config.apply_override("use_ema", raw)
+        assert config.use_ema is False
+
+
 def test_feature_dim_formula():
     config = tiny_config()
     expected = (2 * config.lstm_dim + 2 * config.k_attention * config.lstm_dim
@@ -632,7 +658,7 @@ def test_inventory_keeps_constants_whose_texts_differ(tmp_path):
         bias[...] = 0
         for score, preferred in enumerate((Action.shift(), Action.evoke("/t/go", 1), action)):
             bias[lexicon.action_id(preferred)] = score + 1
-        pred = parse_like(params, corpus[0])
+        pred = parse_tokens(params, corpus[0].text, list(corpus[0].tokens))
         (frame,) = pred.mentions[0].evoked
         got = pred.store.get_role(frame, pred.store.intern(role))
         if isinstance(value, SymbolName):

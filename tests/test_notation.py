@@ -474,3 +474,14 @@ def test_floats_without_notation_are_refused(value):
     frame = store.new_frame([(store.intern("r"), [1, value])])
     with pytest.raises(UnprintableValueError, match=repr(value)):
         print_notation([frame], store)
+
+
+@pytest.mark.parametrize("role", ["r", "isa", "is"])
+def test_a_symbol_value_that_names_a_frame_is_refused(role):
+    """`{=x}` then `{r: x}` would read back with `r` holding the frame."""
+    store = Store()
+    named = store.new_frame([(store.intern("id"), store.intern("x"))])
+    frame = store.new_frame([(store.intern(role), store.intern("x"))])
+    with pytest.raises(UnprintableValueError, match="'x'"):
+        print_notation([named, frame], store)
+    assert print_notation([named], store) == "{=x}"
