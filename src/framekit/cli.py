@@ -113,7 +113,7 @@ def _apply_overrides(config: ModelConfig, overrides: list[str]) -> None:
         try:
             config.apply_override(key, value)
         except ValueError as exc:
-            raise CliError(str(exc))
+            raise CliError(f"--hparam {exc}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:

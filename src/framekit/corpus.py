@@ -128,6 +128,7 @@ def _generate_document(rng: random.Random) -> Document:
         Mention(plan[1][0], plan[1][1], [patient]),
     ]
 
+    themes = []
     if location_plan is not None:
         location = store.new_frame([(isa, store.intern(location_plan[2]))])
         store.add_slot(verb_frame, store.intern(ARG2), location)
@@ -139,12 +140,12 @@ def _generate_document(rng: random.Random) -> Document:
         ])
         store.add_slot(verb_frame, store.intern(TEMPORAL), time_frame)
     elif adjunct == "hedge":
-        store.new_frame([
+        themes.append(store.new_frame([
             (isa, store.intern(ASSERTION_TYPE)),
             (store.intern(ASSERTED), verb_frame),
-        ])
+        ]))
 
-    doc = Document(text, tokens, mentions, store)
+    doc = Document(text, tokens, mentions, store, themes)
     doc.sort_mentions()
     doc.check()
     return doc

@@ -5,16 +5,16 @@ a ``/s/document/text`` string, a ``/s/document/tokens`` array of token
 frames (text, byte start, byte length), and one ``/s/document/mention``
 slot per phrase frame.  Phrase frames carry ``/s/phrase/begin``, an
 optional ``/s/phrase/length`` (default 1), and one ``/s/phrase/evokes``
-slot per evoked frame.  A ``/s/document/frame`` slot holds each graph
-frame that the evoked frames do not reach by outgoing links (an
-embedded frame, which only links into the graph), so that printing the
-document frame prints the whole graph.
+slot per evoked frame.  One ``/s/document/frame`` slot per theme holds
+the graph frames that no mention evokes and no outgoing link from an
+evoked frame reaches (an embedded frame, which only links into the
+graph), so that printing the document frame prints the whole graph.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .store import Handle, Store, Value
@@ -67,12 +67,16 @@ class Mention:
 
 @dataclass
 class Document:
-    """Token sequence plus mentions over frames living in `store`."""
+    """Token sequence plus mentions over frames living in `store`, and
+    the themes: the graph frames that no mention evokes and no link from
+    an evoked frame reaches.  A document built through the API must list
+    each embedded frame (one that only links into the graph) there."""
 
     text: str
     tokens: list[Token]
     mentions: list[Mention]
     store: Store
+    themes: list[Handle] = field(default_factory=list)
 
     def sort_mentions(self) -> None:
         """Normalize mention order: by begin, longer spans first."""
@@ -104,6 +108,8 @@ class Document:
             if previous is not None and key < previous:
                 raise SchemaError("mentions are not sorted")
             previous = key
+        for frame in self.themes:
+            self.store.slots(frame)  # resolves, raises otherwise
 
 
 def _utf8(text: str) -> bytes:
@@ -171,25 +177,8 @@ def doc_to_frame(doc: Document) -> Handle:
         for frame in mention.evoked:
             phrase_slots.append((evokes, frame))
         slots.append((mention_role, store.new_frame(phrase_slots)))
-
-    reached: set[Handle] = set()
-
-    def reach(frame: Handle) -> None:
-        stack = [frame]
-        while stack:
-            frame = stack.pop()
-            if frame not in reached:
-                reached.add(frame)
-                stack.extend(v for _, v in store.slots(frame)
-                             if isinstance(v, Handle) and v.is_frame())
-
-    for mention in doc.mentions:
-        for frame in mention.evoked:
-            reach(frame)
-    for frame in frame_graph(doc):
-        if frame not in reached:
-            slots.append((store.intern(DOCUMENT_FRAME), frame))
-            reach(frame)
+    frame_role = store.intern(DOCUMENT_FRAME)
+    slots.extend((frame_role, frame) for frame in doc.themes)
     return store.new_frame(slots)
 
 
@@ -244,7 +233,11 @@ def doc_from_frame(handle: Handle, store: Store) -> Document:
         _require(len(evoked) >= 1, "phrase evokes no frame")
         mentions.append(Mention(begin, length, list(evoked)))
 
-    doc = Document(text, tokens, mentions, store)
+    frame_role = store.intern(DOCUMENT_FRAME)
+    themes = [s.value for s in store.slots(handle) if s.role == frame_role]
+    _require(all(isinstance(t, Handle) and t.is_frame() for t in themes),
+             "/s/document/frame holds a non-frame")
+    doc = Document(text, tokens, mentions, store, themes)
     doc.sort_mentions()
     doc.check()
     return doc
@@ -253,10 +246,10 @@ def doc_from_frame(handle: Handle, store: Store) -> Document:
 def frame_graph(doc: Document) -> list[Handle]:
     """All semantic frames of a document in a canonical order.
 
-    Starts from the evoked frames in mention order and closes over
-    frame-to-frame links in both directions (embedded frames point at
-    evoked ones and are not reachable by outgoing links alone).
-    Document and phrase schema frames are excluded.
+    Starts from the evoked frames in mention order, then the themes, and
+    closes over outgoing frame-to-frame links, breadth first.  A frame
+    that only links into the graph belongs to it only if it is listed in
+    `doc.themes`.  Document and phrase schema frames are excluded.
     """
     store = doc.store
     ordered: list[Handle] = []
@@ -270,6 +263,8 @@ def frame_graph(doc: Document) -> list[Handle]:
     for mention in doc.mentions:
         for frame in mention.evoked:
             admit(frame)
+    for frame in doc.themes:
+        admit(frame)
 
     cursor = 0
     while cursor < len(ordered):
@@ -278,8 +273,6 @@ def frame_graph(doc: Document) -> list[Handle]:
         for slot in store.slots(frame):
             if isinstance(slot.value, Handle) and slot.value.is_frame():
                 admit(slot.value)
-        for source in store.referrers(frame):
-            admit(source)
     return ordered
 
 

@@ -103,11 +103,22 @@ def _tensor_entry_problem(meta) -> str | None:
     return None
 
 
+def _table_problem(table) -> str | None:
+    """What is wrong with a lexicon table, if anything: as
+    `Lexicon.build` makes it, it maps strings to exactly the ids 1..n."""
+    if not isinstance(table, dict):  # JSON object keys are strings
+        return "is not an object"
+    ids = table.values()
+    if not all(_is_int(i) for i in ids) or sorted(ids) != list(range(1, len(table) + 1)):
+        return f"ids are not exactly 1..{len(table)}"
+    return None
+
+
 def load_checkpoint(path: str) -> Parameters:
     """Read a checkpoint; raises CheckpointError on a file that cannot
-    be read, is not a checkpoint, is truncated, has a malformed tensor
-    table, or holds tensors its configuration and lexicon do not call
-    for."""
+    be read, is not a checkpoint, is truncated, has a malformed lexicon
+    or tensor table, or holds tensors its configuration and lexicon do
+    not call for."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -130,10 +141,23 @@ def load_checkpoint(path: str) -> Parameters:
             raise CheckpointError(f"{path}: dropout {dropout!r} is not supported")
         config = ModelConfig(**options)
         tables = header["lexicon"]
+        for name in ("words", "prefixes", "suffixes", "roles"):
+            problem = _table_problem(tables[name])
+            if problem:
+                raise ValueError(f"lexicon {name} {problem}")
+        if not (_is_int(tables["max_affix_len"])
+                and tables["max_affix_len"] == config.max_affix_len):
+            raise ValueError(f"lexicon max_affix_len {tables['max_affix_len']!r} is not "
+                             f"the configuration's {config.max_affix_len}")
+        actions = tables["actions"]
+        if not (isinstance(actions, list) and all(isinstance(t, str) for t in actions)):
+            raise ValueError("lexicon actions is not a list of strings")
         lexicon = Lexicon(words=tables["words"], prefixes=tables["prefixes"],
                           suffixes=tables["suffixes"], roles=tables["roles"],
-                          actions=[parse_action(text) for text in tables["actions"]],
+                          actions=[parse_action(text) for text in actions],
                           max_affix_len=tables["max_affix_len"])
+        if len(lexicon.action_ids) != len(lexicon.actions):
+            raise ValueError("lexicon actions repeat an action")
         tensors = header["tensors"]
         has_ema = header["has_ema"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:

@@ -39,8 +39,18 @@ class ModelConfig:
         for name in ("word_dim", "lstm_dim", "hidden_dim", "max_affix_len",
                      "k_attention", "k_history", "batch_size", "affix_dim",
                      "shape_dim", "link_dim", "decode_action_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        # Written as `not (in range)`, so that NaN fails.
+        for name in ("learning_rate", "adam_epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.gradient_clip_norm >= 0:
+            raise ValueError("gradient_clip_norm must be >= 0 (0 turns clipping off)")
         if self.hidden_activation not in ("relu", "tanh"):
             raise ValueError("hidden_activation must be 'relu' or 'tanh'")
         if self.dtype not in ("float32", "float64"):
@@ -58,10 +68,12 @@ class ModelConfig:
             value = _BOOLS.get(raw.lower())
             if value is None:
                 raise ValueError(f"{key} expects true/false/yes/no/1/0, got {raw!r}")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
+        elif isinstance(current, (int, float)):
+            parse, kind = (int, "an integer") if isinstance(current, int) else (float, "a number")
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise ValueError(f"{key} expects {kind}, got {raw!r}") from None
         else:
             value = raw
         setattr(self, key, value)

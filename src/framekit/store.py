@@ -7,18 +7,14 @@ arbitrary graphs, including cycles.  Handles stay valid for the lifetime
 of the store.  A frozen store rejects all mutation and may be shared
 read-only between threads.
 
-The store also keeps a reverse index of links: for each frame, the
-frames that hold a slot whose value is that frame, one entry per such
-slot, in allocation order of the holder.  `new_frame` and `add_slot`,
-the only mutators, keep it current, so `referrers` answers from the
-index in time proportional to its answer, however large the arena.
-Array items are not links and are not indexed.
+Links are followed forward only: a store keeps no index of the frames
+that refer to a frame.  A document lists the frames that only link into
+its graph (`document.Document.themes`), as SLING's documents do.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -92,9 +88,6 @@ class Store:
     def __init__(self) -> None:
         self._uid = next(Store._uids)
         self._frames: list[list[Slot]] = []
-        # frame index -> indices of the frames linking to it, ascending,
-        # one entry per linking slot.
-        self._referrers: list[list[int]] = []
         self._symbol_names: list[str] = []
         self._symbols: dict[str, Handle] = {}
         self._bindings: dict[int, Handle] = {}  # symbol index -> named frame
@@ -176,12 +169,6 @@ class Store:
         for symbol in ids:
             self._check_unbound(symbol, handle)
         self._frames.append(pending)
-        # The new frame has the highest index, so appending keeps each
-        # referrer list in allocation order.
-        self._referrers.append([])
-        for slot in pending:
-            if isinstance(slot.value, Handle) and slot.value.kind == FRAME:
-                self._referrers[slot.value.index].append(handle.index)
         for symbol in ids:
             self._bindings[symbol.index] = handle
         return handle
@@ -197,25 +184,10 @@ class Store:
                 self._check_unbound(value, frame)
                 self._bindings[value.index] = frame
         self._frames[frame.index].append(Slot(role, value))
-        if isinstance(value, Handle) and value.kind == FRAME:
-            insort(self._referrers[value.index], frame.index)
 
     def slots(self, frame: Handle) -> list[Slot]:
         self._check_handle(frame, FRAME)
         return list(self._frames[frame.index])
-
-    def referrers(self, frame: Handle) -> list[Handle]:
-        """Frames holding a slot whose value is `frame`.
-
-        One entry per linking slot, so a frame linking twice appears
-        twice; ordered by the holder's allocation, as a scan of
-        `frames()` would list them.  Array items are not links.  Read
-        from the reverse index: the cost is the length of the answer,
-        not the size of the store.
-        """
-        self._check_handle(frame, FRAME)
-        uid = self._uid
-        return [Handle(FRAME, index, uid) for index in self._referrers[frame.index]]
 
     def get_role(self, frame: Handle, role: Handle) -> Value:
         """Value of the first slot with this role, or None if absent."""

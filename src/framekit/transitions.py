@@ -202,6 +202,7 @@ class ParserState:
         self.created_step: dict[Handle, int] = {}
         self.focused_step: dict[Handle, int] = {}
         self.mentions: list[Mention] = []
+        self.themes: list[Handle] = []  # frames EMBED created
         self._mention_by_span: dict[tuple[int, int], Mention] = {}
         self._evoked_types: set[tuple[int, int, str]] = set()
         self._last_phrase: dict[Handle, tuple[int, int]] = {}
@@ -295,6 +296,7 @@ class ParserState:
                 (self.store.isa, type_sym),
                 (self.store.intern(action.role), target),
             ])
+            self.themes.append(frame)
             self.attention.insert(0, frame)
             self.created_step[frame] = self.step
             self.focused_step[frame] = self.step
@@ -332,7 +334,7 @@ class ParserState:
         """Snapshot the constructed annotations as a Document."""
         doc = Document(self.text, list(self.tokens),
                        [Mention(m.begin, m.length, list(m.evoked)) for m in self.mentions],
-                       self.store)
+                       self.store, list(self.themes))
         doc.sort_mentions()
         return doc
 

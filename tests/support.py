@@ -459,7 +459,9 @@ def random_document(rng: random.Random) -> Document:
         target = rng.choice(evoked)
         store.add_slot(source, store.intern(rng.choice(ROLE_POOL)), target)
 
-    # Non-evoked frames, one connecting role each.
+    # Non-evoked frames, one connecting role each; an embedded one, which
+    # only links into the graph, is listed as a theme.
+    themes: list[Handle] = []
     for _ in range(rng.randint(0, 2)):
         if not evoked:
             break
@@ -471,8 +473,9 @@ def random_document(rng: random.Random) -> Document:
             store.add_slot(anchor, store.intern(rng.choice(ROLE_POOL)), other)
         else:
             store.add_slot(other, store.intern(rng.choice(ROLE_POOL)), anchor)
+            themes.append(other)
 
-    doc = Document(text, tokens, mentions, store)
+    doc = Document(text, tokens, mentions, store, themes)
     doc.sort_mentions()
     doc.check()
     return doc
@@ -493,7 +496,8 @@ def copy_document(doc: Document) -> Document:
             store.add_slot(clones[frame], role, value)
     mentions = [Mention(m.begin, m.length, [clones[f] for f in m.evoked])
                 for m in doc.mentions]
-    out = Document(doc.text, list(doc.tokens), mentions, store)
+    out = Document(doc.text, list(doc.tokens), mentions, store,
+                   [clones[f] for f in doc.themes])
     out.sort_mentions()
     return out
 
@@ -502,8 +506,9 @@ def rebuild_document(doc: Document, edited: dict[Handle, list[Slot]]) -> Documen
     """Copy every frame of `doc.store`, in allocation order, into a fresh
     store through `new_frame` and `add_slot`, taking a frame's slots from
     `edited` where it has an entry.  Frames keep their indices and the
-    mentions are remapped.  Tests alter a store this way rather than by
-    writing its arena, so the store's index of referrers stays true."""
+    mentions and themes are remapped.  Tests alter a store this way
+    rather than by writing its arena, so every edit passes the store's
+    own checks and the original document stays as it was."""
     old = doc.store
     store = Store()
     clones = [store.new_frame() for _ in old.frames()]
@@ -521,7 +526,8 @@ def rebuild_document(doc: Document, edited: dict[Handle, list[Slot]]) -> Documen
             store.add_slot(clone, copied(slot.role), copied(slot.value))
     mentions = [Mention(m.begin, m.length, [clones[f.index] for f in m.evoked])
                 for m in doc.mentions]
-    return Document(doc.text, list(doc.tokens), mentions, store)
+    return Document(doc.text, list(doc.tokens), mentions, store,
+                    [clones[f.index] for f in doc.themes])
 
 
 def perturb_document(doc: Document, rng: random.Random) -> Document:

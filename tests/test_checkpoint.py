@@ -120,6 +120,44 @@ def test_malformed_tensor_table_raises(tmp_path, edit, problem):
         load_checkpoint(str(path))
 
 
+def _set_first_id(table, value):
+    def edit(header):
+        ids = header["lexicon"][table]
+        ids[next(iter(ids))] = value
+    return edit
+
+
+def _negate_ids(header):
+    words = header["lexicon"]["words"]
+    for word in words:
+        words[word] = -words[word]
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_set_first_id("words", 10 ** 6), "lexicon words ids are not exactly 1.."),
+    (_negate_ids, "lexicon words ids are not exactly 1.."),
+    (_set_first_id("roles", "1"), "lexicon roles ids are not exactly 1.."),
+    (lambda header: header["lexicon"].update(max_affix_len=1),
+     "lexicon max_affix_len 1 is not the configuration's 3"),
+    (lambda header: header["lexicon"].update(prefixes=["a"]),
+     "lexicon prefixes is not an object"),
+    (lambda header: header["lexicon"]["actions"].append(5),
+     "lexicon actions is not a list of strings"),
+    (lambda header: header["lexicon"]["actions"].append(header["lexicon"]["actions"][0]),
+     "lexicon actions repeat an action"),
+    (lambda header: header["config"].update(lstm_dim=6.0),
+     "lstm_dim must be an integer >= 1"),
+], ids=["huge-word-id", "negative-word-ids", "string-role-id", "max-affix-len",
+        "table-not-object", "action-not-text", "repeated-action", "float-size"])
+def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    edit_checkpoint_header(path, edit)
+    with pytest.raises(CheckpointError,
+                       match="^" + re.escape(f"{path}: malformed header: {problem}")):
+        load_checkpoint(str(path))
+
+
 def test_unreadable_file_raises(tmp_path):
     path = tmp_path / "missing.ckpt"
     with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: ")):

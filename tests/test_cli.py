@@ -162,6 +162,46 @@ def test_bad_arguments_are_reported(tmp_path, capsys, argv):
         assert str(tmp_path / "missing.vec") in err
 
 
+@pytest.mark.parametrize("hparam, message", [
+    ("lstm_dim=1.5", "lstm_dim expects an integer, got '1.5'"),
+    ("learning_rate=fast", "learning_rate expects a number, got 'fast'"),
+    ("learning_rate=-1", "learning_rate must be > 0"),
+    ("learning_rate=nan", "learning_rate must be > 0"),
+    ("adam_epsilon=0", "adam_epsilon must be > 0"),
+    ("adam_beta1=2", "adam_beta1 must be in [0, 1)"),
+    ("adam_beta2=1", "adam_beta2 must be in [0, 1)"),
+    ("ema_decay=5", "ema_decay must be in [0, 1)"),
+    ("ema_decay=-0.5", "ema_decay must be in [0, 1)"),
+    ("ema_decay=nan", "ema_decay must be in [0, 1)"),
+    ("gradient_clip_norm=-3", "gradient_clip_norm must be >= 0"),
+    ("gradient_clip_norm=nan", "gradient_clip_norm must be >= 0"),
+])
+def test_bad_hparam_values_name_the_option(tmp_path, capsys, hparam, message):
+    corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    assert cli.main(["train", "--in", str(corpus), "--out", str(model), "--steps", "2",
+                     "--hparam", hparam, "--hparam", "use_ema=1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --hparam {message}")
+    assert not model.exists()
+
+
+def test_parse_reports_a_lexicon_that_does_not_fit(tmp_path, capsys):
+    """Negative word ids once parsed with the wrong embedding rows."""
+    dev, model = tmp_path / "dev.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", dev, "--n-docs", 2, "--seed", 4)
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    save_checkpoint(Parameters(config, build_lexicon(generate_corpus(4, 2), config)),
+                    str(model))
+
+    def negate(header):
+        lexicon = header["lexicon"]
+        lexicon["words"] = {word: -index for word, index in lexicon["words"].items()}
+    edit_checkpoint_header(model, negate)
+    assert cli.main(["parse", "--model", str(model), "--in", str(dev)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {model}: malformed header: lexicon words ids are not exactly 1..")
+
+
 def test_a_symbol_value_that_names_a_frame_is_reported():
     doc = generate_corpus(3, 1)[0]
     store = doc.store

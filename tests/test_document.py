@@ -9,9 +9,10 @@ from framekit.cli import CliError, read_corpus, write_corpus
 from framekit.corpus import generate_corpus
 from framekit.document import (Document, Mention, SchemaError, doc_from_frame,
                                doc_to_frame, frame_graph, tokenize)
-from framekit.evaluation import METRICS, evaluate_corpus
+from framekit.evaluation import METRICS, evaluate, evaluate_corpus
 from framekit.notation import parse_or_raise
-from framekit.store import Store
+from framekit.oracle import UnrepresentableDocumentError, generate
+from framekit.store import DanglingHandleError, Handle, Store
 from support import hit_document
 
 GOLDEN_TOKEN_CASES = Path(__file__).parent / "data" / "tokenizer_cases.txt"
@@ -150,9 +151,60 @@ def test_frame_graph_includes_embedded(hit_doc):
     evoked = hit_doc.mentions[0].evoked[0]
     embed = store.new_frame([(store.isa, store.intern("/t/wrap")),
                              (store.intern("/r/of"), evoked)])
+    hit_doc.themes.append(embed)
     frames = frame_graph(hit_doc)
     assert embed in frames
     assert len(frames) == 4  # person, hit, ball, wrapper
+
+
+def test_frame_graph_holds_listed_themes_only(hit_doc):
+    store = hit_doc.store
+    person = hit_doc.mentions[0].evoked[0]
+    unlisted = store.new_frame([(store.isa, store.intern("/t/wrap")),
+                                (store.intern("/r/of"), person)])
+    loose = store.new_frame([(store.isa, store.intern("/t/loose"))])
+    assert unlisted not in frame_graph(hit_doc)
+    hit_doc.themes.append(loose)
+    frames = frame_graph(hit_doc)
+    assert len(frames) == 4 and frames[-1] == loose
+    # A theme with no link is in the graph: counted, though nothing can
+    # align it, and refused by the oracle.
+    report = evaluate(hit_doc, hit_doc)
+    assert (report.frame.total_gold, report.frame.matched_gold) == (4, 3)
+    with pytest.raises(UnrepresentableDocumentError, match="0 connecting roles"):
+        generate(hit_doc)
+
+
+def test_check_resolves_themes():
+    store = Store()
+    doc = Document("", [], [], store, [Handle("frame", 99, store.uid)])
+    with pytest.raises(DanglingHandleError):
+        doc.check()
+
+
+def test_themes_keep_their_order_through_a_file(tmp_path):
+    store = Store()
+    evoked = store.new_frame([(store.isa, store.intern("/t/a"))])
+    of = store.intern("/r/of")
+    first = store.new_frame([(store.isa, store.intern("/t/first")), (of, evoked)])
+    second = store.new_frame([(store.isa, store.intern("/t/second")), (of, evoked)])
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [evoked])], store, [second, first])
+    path = tmp_path / "doc.txt"
+    write_corpus([doc], str(path))
+    (back,) = read_corpus(str(path))
+    assert [back.store.symbol_name(back.store.frame_type(frame)) for frame in back.themes] \
+        == ["/t/second", "/t/first"]
+    assert _type_names(back) == _type_names(doc) == ["/t/a", "/t/second", "/t/first"]
+
+
+def test_a_theme_that_is_not_a_frame_is_reported(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text('{:/s/document /s/document/text: ""}\n'
+                    '{:/s/document /s/document/text: "" /s/document/frame: 5}\n',
+                    encoding="utf-8")
+    assert cli.main(["oracle", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: document 1: /s/document/frame holds a non-frame\n"
 
 
 def test_frame_graph_excludes_schema_frames(hit_doc):

@@ -93,6 +93,7 @@ def test_embedded_frame_aligned_via_incoming_link():
         wrapper = store.new_frame([(store.isa, store.intern("/t/w")),
                                    (store.intern("/r/of"), a)])
         doc.mentions = [Mention(0, 1, [a])]
+        doc.themes = [wrapper]
         return doc
 
     gold, pred = build(), build()

@@ -608,6 +608,17 @@ def test_config_validation():
         config.apply_override("dropout", "0")
 
 
+def test_float_options_are_bounded():
+    for bad in [dict(learning_rate=0.0), dict(adam_epsilon=-1e-5), dict(adam_beta1=1.0),
+                dict(adam_beta2=-0.1), dict(ema_decay=1.5), dict(gradient_clip_norm=-1.0),
+                dict(learning_rate=math.nan), dict(adam_beta1=math.nan),
+                dict(gradient_clip_norm=math.nan)]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+    edge = ModelConfig(adam_beta1=0.0, adam_beta2=0.0, ema_decay=0.0, gradient_clip_norm=0.0)
+    assert edge.gradient_clip_norm == 0.0  # clipping off
+
+
 def test_bool_overrides_take_only_true_or_false_words():
     config = ModelConfig()
     for raw, value in [("TRUE", True), ("no", False), ("1", True), ("False", False),

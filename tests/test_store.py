@@ -95,6 +95,22 @@ def test_duplicate_id_rejected():
         store.new_frame([(store.id, name)])
 
 
+def test_new_frame_with_a_clashing_id_allocates_nothing():
+    # A clashing id fails the call before anything is allocated: no
+    # frame, no link, no binding of the call's other ids.
+    store = Store()
+    name = store.intern("taken")
+    store.new_frame([(store.id, name)])
+    target = store.new_frame()
+    before = store.num_frames()
+    fresh = store.intern("fresh")
+    with pytest.raises(DuplicateIdError):
+        store.new_frame([(store.id, fresh), (store.id, name),
+                         (store.intern("/r/x"), target)])
+    assert store.num_frames() == before
+    assert store.resolve("fresh") == fresh  # a symbol, bound to no frame
+
+
 def test_named_frame_resolves():
     store = Store()
     name = store.intern("thing")
@@ -187,93 +203,6 @@ def test_handles_never_invalidate(ops, seed):
             store.add_slot(frames[-1], role, target)
     for handle in issued:
         store.slots(handle)  # still resolves
-        assert store.referrers(handle) == scanned_referrers(store, handle)
-
-
-def scanned_referrers(store, target):
-    """Brute force: every slot of the arena whose value is `target`."""
-    return [frame for frame in store.frames() for slot in store.slots(frame)
-            if isinstance(slot.value, Handle) and slot.value == target]
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50),
-                          st.integers(0, 50)), max_size=40))
-def test_referrers_match_arena_scan(ops):
-    # Links from any frame, old or new, in new_frame and add_slot, with
-    # array items beside them.
-    store = Store()
-    frames = [store.new_frame()]
-    role = store.intern("/r/x")
-    for kind, a, b in ops:
-        source, target = frames[a % len(frames)], frames[b % len(frames)]
-        if kind == 0:
-            frames.append(store.new_frame([(role, target), (role, [source])]))
-        elif kind == 1:
-            store.add_slot(source, role, target)
-        elif kind == 2:
-            store.add_slot(source, role, [target, "x"])
-        else:
-            store.add_slot(source, store.isa, store.intern("/t/x"))
-    for frame in frames:
-        assert store.referrers(frame) == scanned_referrers(store, frame)
-
-
-def test_referrers_in_allocation_order():
-    store = Store()
-    role = store.intern("/r/x")
-    target = store.new_frame()
-    older = store.new_frame()
-    newer = store.new_frame([(role, target)])
-    store.add_slot(older, role, target)  # added last, allocated first
-    store.add_slot(target, role, target)
-    assert store.referrers(target) == [target, older, newer]
-    assert store.referrers(older) == []
-
-
-def test_referrers_one_entry_per_slot():
-    store = Store()
-    target = store.new_frame()
-    source = store.new_frame([(store.intern("/r/a"), target)])
-    store.add_slot(source, store.intern("/r/b"), target)
-    store.add_slot(source, store.intern("/r/a"), target)
-    assert store.referrers(target) == [source, source, source]
-
-
-def test_referrers_ignore_array_items():
-    store = Store()
-    target = store.new_frame()
-    store.new_frame([(store.intern("/r/x"), [target])])
-    assert store.referrers(target) == []
-
-
-def test_referrers_kept_when_new_frame_rebinds_id():
-    # A clashing id fails the call before anything is allocated: no
-    # frame, no link, no binding of the call's other ids.
-    store = Store()
-    name = store.intern("taken")
-    store.new_frame([(store.id, name)])
-    target = store.new_frame()
-    before = store.num_frames()
-    fresh = store.intern("fresh")
-    with pytest.raises(DuplicateIdError):
-        store.new_frame([(store.id, fresh), (store.id, name),
-                         (store.intern("/r/x"), target)])
-    assert store.num_frames() == before
-    assert store.referrers(target) == scanned_referrers(store, target) == []
-    assert store.resolve("fresh") == fresh  # a symbol, bound to no frame
-
-
-def test_referrers_rejects_bad_handles():
-    store = Store()
-    other = Store()
-    with pytest.raises(ForeignHandleError):
-        store.referrers(other.new_frame())
-    with pytest.raises(DanglingHandleError):
-        store.referrers(Handle("frame", 99, store.uid))
-    with pytest.raises(DanglingHandleError):
-        store.referrers(store.isa)
-    with pytest.raises(TypeError):
-        store.referrers(0)
 
 
 def test_reachability_stays_in_store():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from framekit.corpus import generate_corpus
-from framekit.document import Document, Mention, tokenize
+from framekit.document import Document, Mention, frame_graph, tokenize
 from framekit.oracle import generate
 from framekit.store import Handle, Store
 from framekit.transitions import (Action, InvalidActionError, ParserState,
@@ -162,6 +162,24 @@ def test_elaborate_creates_pointed_frame():
     extra = state.attention[0]
     assert type_of(state, extra) == "/t/extra"
     assert state.store.get_role(source, state.store.intern("/r/detail")) == extra
+
+
+def test_to_document_lists_embedded_frames_not_elaborated_ones():
+    state = fresh()
+    state.apply(Action.evoke("/t/x", 1))
+    evoked = state.attention[0]
+    state.apply(Action.embed(0, "/r/of", "/t/wrap"))
+    wrapper = state.attention[0]
+    state.apply(Action.elaborate(1, "/r/detail", "/t/extra"))
+    extra = state.attention[0]
+    state.apply(Action.embed(0, "/r/on", "/t/note"))
+    note = state.attention[0]
+    # A later link reaches the wrapper; it stays listed all the same.
+    state.apply(Action.connect(3, "/r/back", 2))
+    assert state.store.get_role(evoked, state.store.intern("/r/back")) == wrapper
+    doc = state.to_document()
+    assert doc.themes == [wrapper, note]
+    assert set(frame_graph(doc)) == {evoked, wrapper, extra, note}
 
 
 def test_move_to_front_discipline():
