@@ -17,7 +17,7 @@ from .notation import (NotationError, ParseResult, parse_notation,
 from .oracle import (ActionStats, UnrepresentableDocumentError, action_stats,
                      generate, replay, roundtrip_check)
 from .store import (DanglingHandleError, DuplicateIdError, ForeignHandleError,
-                    FrozenStoreError, Handle, Slot, Store, StoreError, Value)
+                    Handle, Slot, Store, StoreError, Value)
 from .transitions import (Action, InvalidActionError, ParserState, SymbolName,
                           parse_action, run_sequence, sequence_from_text,
                           sequence_to_text)

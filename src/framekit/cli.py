@@ -86,19 +86,19 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     docs = read_corpus(args.input)
-    blocks = []
+    sequences = []
     for index, doc in enumerate(docs):
         try:
-            blocks.append(sequence_to_text(generate(doc)))
+            sequences.append(generate(doc))
         except UnrepresentableDocumentError as exc:
             raise CliError(f"document {index}: {exc}")
-    output = "\n\n".join(blocks)
+    output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
         Path(args.out).write_text(output + "\n" if output else "", encoding="utf-8")
     else:
         if output:
             print(output)
-    print(action_stats(docs).format_table())
+    print(action_stats(sequences).format_table())
     return 0
 
 

@@ -5,7 +5,7 @@ epsilon=1e-5, gradient clipping at 1.0, batch size 8, no dropout)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -57,7 +57,8 @@ class ModelConfig:
             raise ValueError("dtype must be 'float32' or 'float64'")
 
     def apply_override(self, key: str, raw: str) -> None:
-        """Set one field from a key=value command line override."""
+        """Set one field from a key=value command line override; a
+        rejected value leaves the configuration as it was."""
         matching = {f.name: f for f in fields(self)}
         if key not in matching:
             raise ValueError(f"unknown model option {key!r}")
@@ -76,5 +77,5 @@ class ModelConfig:
                 raise ValueError(f"{key} expects {kind}, got {raw!r}") from None
         else:
             value = raw
+        replace(self, **{key: value})  # validates a copy
         setattr(self, key, value)
-        self.__post_init__()

@@ -10,28 +10,27 @@ matmul per direction.  A decoder step's feature vector gathers rows of
 two pools, the LSTM outputs and the hidden activations of the steps so
 far (`ForwardPass`), plus the summed embeddings of its role links.
 
-Greedy decoding (`ForwardPass.step_logits`) extracts each step's
-features from the parser state as it goes, since its next state
-depends on its prediction.  Teacher forcing comes in two parts:
+One function, `decoder_steps`, is the decoder's forward.  It gathers
+the LSTM and link features of a block of steps at once and runs only
+the hidden recurrence step by step, then gives the block's logits.
+Greedy decoding (`ForwardPass.step_logits`) calls it for one step at a
+time, since its next state depends on its prediction; teacher forcing
+calls it once for the whole example:
 
 - a plan (`plan_example`, `ExamplePlan`) replays the oracle sequence
   once and records what the weights do not change: the tokens' table
   rows, and each step's pool rows, link ids and target action;
-- the numeric pass over a plan (`PlannedPass`) gathers every step's
-  LSTM and link features at once.  Step by step it runs only what the
-  recurrence needs: the gathered hidden rows, W1·x and the logits, in
-  the arithmetic of `step_logits`, so its logits are those of the
-  step-by-step pass bit for bit.  Its backward runs only
-  dpre -> W1_hiddenᵀ·dpre (decoder) and dz -> Whᵀ·dz (encoder) step
-  by step, then gives each weight one matmul.  Rows are scatter-added
-  through numpy's one-dimensional `np.add.at` (`_add_rows`), which
-  adds in the same order as the two-dimensional one, several times
-  faster.
+- the numeric pass over a plan (`PlannedPass`) runs `decoder_steps`
+  over every step, so a gold sequence is scored exactly as decoding
+  would score it.  Its backward runs only dpre -> W1_hiddenᵀ·dpre
+  (decoder) and dz -> Whᵀ·dz (encoder) step by step, then gives each
+  weight one matmul.  Rows are scatter-added through numpy's
+  one-dimensional `np.add.at` (`_add_rows`), which adds in the same
+  order as the two-dimensional one, several times faster.
 
 `train` plans each example once and runs the pass on every visit;
-`document_loss` plans and runs in one call.  Both give the same
-numbers, and `_step_rows` turns features into pool rows for the plan
-and for `step_logits` alike.
+`document_loss` plans and runs in one call.  `_step_rows` turns
+features into pool rows for the plan and for `step_logits` alike.
 """
 
 from __future__ import annotations
@@ -304,6 +303,41 @@ def _lstm_pool(config: ModelConfig, encoding: Encoding) -> np.ndarray:
     return np.concatenate([zero, encoding.lr, encoding.rl])
 
 
+def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarray,
+                  hidden: np.ndarray, first: int, lstm_rows, hidden_rows,
+                  link_steps: np.ndarray, link_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's forward over steps `first`, `first` + 1, ...: one
+    row per step of pool rows (`_step_rows`), and the links of all
+    steps with the step each belongs to, counted from `first`.
+
+    Every step's LSTM and link features are gathered at once.  Only the
+    hidden activations go step by step: step s reads earlier rows of
+    the hidden pool `hidden` and writes its activation to row s + 1.
+    Returns the feature vectors X, one row per step, and the logits,
+    one matrix-vector product per step."""
+    lstm_end, link_start = _feature_bounds(config)
+    w1, b1 = P["ff_w1"].data, P["ff_b1"].data
+    steps = len(lstm_rows)
+    X = np.zeros((steps, w1.shape[1]), w1.dtype)
+    X[:, :lstm_end] = lstm_pool[lstm_rows].reshape(steps, lstm_end)
+    if link_steps.size:
+        links = np.zeros((steps, w1.shape[1] - link_start), w1.dtype)
+        _add_rows(links, link_steps,
+                  np.concatenate([P[name].data.take(ids, axis=0) for name, ids
+                                  in zip(_LINK_TABLES, link_ids)], axis=1))
+        X[:, link_start:] = links
+    relu = config.hidden_activation == "relu"
+    for x, rows, row in zip(X, hidden_rows, range(first + 1, first + steps + 1)):
+        x[lstm_end:link_start] = hidden[rows].reshape(-1)
+        pre = w1 @ x + b1
+        if relu:
+            np.maximum(pre, 0.0, out=hidden[row])
+        else:
+            np.tanh(pre, out=hidden[row])
+    activations = hidden[first + 1:first + steps + 1, :, None]
+    return X, np.matmul(P["ff_w2"].data, activations)[:, :, 0] + P["ff_b2"].data
+
+
 class ForwardPass:
     """Greedy decoding's forward state for one document: the parser
     state, the token encodings, and the hidden activations of the steps
@@ -321,35 +355,22 @@ class ForwardPass:
         self.lexicon = lexicon
         self.state = ParserState(text, tokens)
         self.lstm_pool = _lstm_pool(config, encode_tokens(P, config, lexicon, tokens))
-        dtype = self.lstm_pool.dtype
-        self.hidden_pool = np.zeros((64, config.hidden_dim), dtype)
-        self.steps = 0
-        self._no_links = np.zeros(len(_LINK_TABLES) * config.link_dim, dtype)
+        self.hidden_pool = np.zeros((64, config.hidden_dim), self.lstm_pool.dtype)
 
     def step_logits(self) -> np.ndarray:
         """Score every action in the current state; records the hidden
         activation so later steps can attend to it."""
-        cfg = self.config
-        P = self.P
-        feats = extract_features(self.state, self.lexicon,
-                                 cfg.k_attention, cfg.k_history)
-        step = self.steps
-        lstm, hidden, links = _step_rows(feats, self.state.num_tokens, step)
-        parts = [self.lstm_pool[lstm].reshape(-1), self.hidden_pool[hidden].reshape(-1)]
-        if links[0]:
-            parts.extend(P[name].data[ids].sum(axis=0)
-                         for name, ids in zip(_LINK_TABLES, links))
-        else:
-            parts.append(self._no_links)
-        x = np.concatenate(parts)
-        pre = P["ff_w1"].data @ x + P["ff_b1"].data
-        activation = np.maximum(pre, 0.0) if cfg.hidden_activation == "relu" else np.tanh(pre)
-        if step + 1 == len(self.hidden_pool):
+        cfg, state = self.config, self.state
+        feats = extract_features(state, self.lexicon, cfg.k_attention, cfg.k_history)
+        lstm, hidden, links = _step_rows(feats, state.num_tokens, state.step)
+        if state.step + 1 == len(self.hidden_pool):
             self.hidden_pool = np.concatenate([self.hidden_pool,
                                                np.zeros_like(self.hidden_pool)])
-        self.hidden_pool[step + 1] = activation
-        self.steps += 1
-        return P["ff_w2"].data @ activation + P["ff_b2"].data
+        link_ids = np.array(links, np.intp)
+        _, scores = decoder_steps(self.P, cfg, self.lstm_pool, self.hidden_pool,
+                                  state.step, [lstm], [hidden],
+                                  np.zeros(link_ids.shape[1], np.intp), link_ids)
+        return scores[0]
 
 
 @dataclass(frozen=True)
@@ -414,34 +435,11 @@ class PlannedPass:
         self.plan = plan
         self.encoding = encode_tokens(P, config, lexicon, plan.tokens, plan.token_rows)
         self.lstm_pool = _lstm_pool(config, self.encoding)
-        lstm_end, link_start = _feature_bounds(config)
-        w1, b1 = P["ff_w1"].data, P["ff_b1"].data
-        steps = len(plan.targets)
-        # Every step's LSTM and link features at once; only the hidden
-        # activations, and with them W1·x and the logits, go step by
-        # step, in the arithmetic of `step_logits`.
-        X = self.inputs = np.zeros((steps, w1.shape[1]), w1.dtype)
-        X[:, :lstm_end] = self.lstm_pool[plan.lstm_rows].reshape(steps, lstm_end)
-        if plan.link_steps.size:
-            links = np.zeros((steps, w1.shape[1] - link_start), w1.dtype)
-            _add_rows(links, plan.link_steps,
-                      np.concatenate([P[name].data[ids] for name, ids
-                                      in zip(_LINK_TABLES, plan.link_ids)], axis=1))
-            X[:, link_start:] = links
-        hidden = np.zeros((steps + 1, config.hidden_dim), w1.dtype)  # the hidden pool
-        relu = config.hidden_activation == "relu"
-        for t, rows in enumerate(plan.hidden_rows):
-            x = X[t]
-            x[lstm_end:link_start] = hidden[rows].reshape(-1)
-            pre = w1 @ x + b1
-            if relu:
-                np.maximum(pre, 0.0, out=hidden[t + 1])
-            else:
-                np.tanh(pre, out=hidden[t + 1])
+        hidden = np.zeros((len(plan.targets) + 1, config.hidden_dim), self.lstm_pool.dtype)
+        self.inputs, self.scores = decoder_steps(
+            P, config, self.lstm_pool, hidden, 0, plan.lstm_rows, plan.hidden_rows,
+            plan.link_steps, plan.link_ids)
         self.hidden = hidden[1:]
-        # One matrix-vector product per step, as in `step_logits`.
-        self.scores = (np.matmul(P["ff_w2"].data, self.hidden[:, :, None])[:, :, 0]
-                       + P["ff_b2"].data)
 
     def backward(self, d_logits: np.ndarray) -> None:
         """Accumulate parameter gradients given the gradient of every

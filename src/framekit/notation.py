@@ -338,10 +338,8 @@ def parse_notation(text: str, store: Store) -> ParseResult:
     """Parse notation text into `store`, returning tops and diagnostics.
 
     Any input yields a ParseResult; malformed input is reported through
-    diagnostics rather than exceptions.  The store must not be frozen.
+    diagnostics rather than exceptions.
     """
-    if store.frozen:
-        raise StoreError("cannot parse into a frozen store")
     try:
         tops = _Parser(text).parse_top()
     except _SyntaxError as exc:

@@ -233,12 +233,12 @@ class ActionStats:
         return "\n".join(lines)
 
 
-def action_stats(corpus: list[Document]) -> ActionStats:
-    """Tally oracle actions over a corpus; raises on unrepresentable docs."""
+def action_stats(sequences: list[list[Action]]) -> ActionStats:
+    """Tally action sequences, such as the oracle's for a corpus."""
     raw: dict[str, int] = {}
     unique: dict[str, set[str]] = {}
-    for doc in corpus:
-        for action in generate(doc):
+    for sequence in sequences:
+        for action in sequence:
             raw[action.kind] = raw.get(action.kind, 0) + 1
             unique.setdefault(action.kind, set()).add(action.to_text())
     return ActionStats(raw, unique)

@@ -4,8 +4,8 @@ A store owns every frame allocated in it and a bidirectional symbol
 table.  Frames are ordered lists of (role, value) slots; slot values may
 be literals, arrays, or handles to other frames, so a store can hold
 arbitrary graphs, including cycles.  Handles stay valid for the lifetime
-of the store.  A frozen store rejects all mutation and may be shared
-read-only between threads.
+of the store.  Unlike SLING's global store, a store is never frozen: it
+stays writable for its whole life.
 
 Links are followed forward only: a store keeps no index of the frames
 that refer to a frame.  A document lists the frames that only link into
@@ -29,10 +29,6 @@ IS_INDEX = 2
 
 class StoreError(Exception):
     """Base class for frame store contract violations."""
-
-
-class FrozenStoreError(StoreError):
-    """Mutation was attempted on a frozen store."""
 
 
 class ForeignHandleError(StoreError):
@@ -91,7 +87,6 @@ class Store:
         self._symbol_names: list[str] = []
         self._symbols: dict[str, Handle] = {}
         self._bindings: dict[int, Handle] = {}  # symbol index -> named frame
-        self._frozen = False
         self.id = self.intern("id")
         self.isa = self.intern("isa")
         self.is_ = self.intern("is")
@@ -101,13 +96,6 @@ class Store:
     @property
     def uid(self) -> int:
         return self._uid
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> None:
-        self._frozen = True
 
     def num_frames(self) -> int:
         return len(self._frames)
@@ -123,7 +111,6 @@ class Store:
         """Return the symbol handle for `name`, creating it if needed."""
         if name in self._symbols:
             return self._symbols[name]
-        self._check_mutable()
         if not name:
             raise ValueError("symbol name must be non-empty")
         handle = Handle(SYMBOL, len(self._symbol_names), self._uid)
@@ -156,7 +143,6 @@ class Store:
         that name; re-binding a name already attached to another frame
         is a DuplicateIdError.
         """
-        self._check_mutable()
         pending = [Slot(role, value) for role, value in slots]
         for slot in pending:
             self._check_handle(slot.role)
@@ -175,7 +161,6 @@ class Store:
 
     def add_slot(self, frame: Handle, role: Handle, value: Value) -> None:
         """Append one slot to a frame; duplicates are permitted."""
-        self._check_mutable()
         self._check_handle(frame, FRAME)
         self._check_handle(role)
         self._check_value(value)
@@ -218,10 +203,6 @@ class Store:
         if existing is not None and existing != frame:
             name = self._symbol_names[symbol.index]
             raise DuplicateIdError(f"symbol {name!r} already names another frame")
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise FrozenStoreError("store is frozen")
 
     def _check_handle(self, handle: Handle, kind: Optional[str] = None) -> None:
         if not isinstance(handle, Handle):

@@ -49,7 +49,7 @@ def test_inventory_breadth():
 
 def test_nonevoked_frame_rate():
     docs = generate_corpus(3, 600)
-    stats = action_stats(docs)
+    stats = action_stats([generate(d) for d in docs])
     created = stats.raw.get("EMBED", 0) + stats.raw.get("ELABORATE", 0)
     # roughly one non-evoked frame per ~10 documents
     assert 0.03 * len(docs) <= created <= 0.35 * len(docs)

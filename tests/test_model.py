@@ -236,17 +236,25 @@ def test_zero_parameters_uniform_logits():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_planned_logits_equal_step_logits(activation, dtype):
-    # The planned pass runs each step's W1·x and logits in the
-    # arithmetic of step_logits, so teacher forcing scores a gold
-    # sequence exactly as greedy decoding would.
-    corpus, config, sequences, lexicon, params = setup(
+    # The planned pass runs decoder_steps over a whole example and
+    # step_logits runs it one step at a time, so teacher forcing scores
+    # a gold sequence exactly as greedy decoding would.  The long
+    # document (over 128 steps) regrows the decoding hidden pool.
+    corpus, config, sequences, _, _ = setup(
         n_docs=3, corpus_seed=11, dtype=dtype, hidden_activation=activation)
+    examples = [(doc.text, list(doc.tokens), actions)
+                for doc, actions in zip(corpus, sequences)]
+    examples.append(long_document(20, 7))
+    assert len(examples[-1][2]) > 128
+    lexicon = Lexicon.build(corpus, [actions for _, _, actions in examples],
+                            config.max_affix_len)
+    params = Parameters(config, lexicon, seed=1)
     live_output_layer(params)
     P = params.tensors(False)
-    for doc, actions in zip(corpus, sequences):
-        plan = plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
+    for text, tokens, actions in examples:
+        plan = plan_example(config, lexicon, text, tokens, actions)
         planned = PlannedPass(P, config, lexicon, plan).scores
-        run = ForwardPass(P, config, lexicon, doc.text, list(doc.tokens))
+        run = ForwardPass(P, config, lexicon, text, tokens)
         stepped = []
         for action in actions:
             stepped.append(run.step_logits())
@@ -606,6 +614,17 @@ def test_config_validation():
         config.apply_override("nonsense", "1")
     with pytest.raises(ValueError, match="unknown model option 'dropout'"):
         config.apply_override("dropout", "0")
+
+
+def test_rejected_override_leaves_the_field_unchanged():
+    config = ModelConfig()
+    for key, raw in [("learning_rate", "-1"), ("lstm_dim", "0"), ("adam_beta1", "nan"),
+                     ("hidden_activation", "sigmoid"), ("dtype", "float16")]:
+        before = getattr(config, key)
+        with pytest.raises(ValueError, match=key):
+            config.apply_override(key, raw)
+        assert getattr(config, key) == before
+    assert config == ModelConfig()
 
 
 def test_float_options_are_bounded():

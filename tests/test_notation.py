@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from framekit.notation import (NotationError, UnprintableValueError, parse_notation,
                                parse_or_raise, print_notation, print_with_labels)
-from framekit.store import Handle, Store, StoreError
+from framekit.store import Handle, Store
 from support import HIT_DOC_TEXT, graphs_isomorphic, random_store_graph
 
 
@@ -113,13 +113,6 @@ def test_duplicate_label():
     result = parse_notation("{=#1} {=#1}", store)
     assert not result.ok
     assert any("duplicate" in msg for _, msg in result.diagnostics)
-
-
-def test_frozen_store_rejected():
-    store = Store()
-    store.freeze()
-    with pytest.raises(StoreError):
-        parse_notation("{}", store)
 
 
 def test_parse_or_raise_raises():

@@ -159,7 +159,7 @@ def test_stats_counts():
     store = Store()
     docs = [Document("a b c", tokenize("a b c"), [], Store()),
             Document("x y z w", tokenize("x y z w"), [], Store())]
-    stats = action_stats(docs)
+    stats = action_stats([generate(d) for d in docs])
     assert stats.raw["SHIFT"] == 7
     assert stats.raw["STOP"] == 2
     assert len(stats.unique["SHIFT"]) == 1
@@ -168,14 +168,14 @@ def test_stats_counts():
 
 def test_stats_shift_equals_tokens_stop_equals_docs():
     docs = generate_corpus(41, 80)
-    stats = action_stats(docs)
+    stats = action_stats([generate(d) for d in docs])
     assert stats.raw["SHIFT"] == sum(len(d.tokens) for d in docs)
     assert stats.raw["STOP"] == len(docs)
 
 
 def test_stats_match_independent_recount():
     docs = generate_corpus(1, 100)
-    stats = action_stats(docs)
+    stats = action_stats([generate(d) for d in docs])
     raw: dict[str, int] = {}
     unique: dict[str, set] = {}
     for doc in docs:
@@ -190,7 +190,7 @@ def test_stats_match_independent_recount():
 
 def test_stats_table_layout():
     docs = generate_corpus(1, 10)
-    table = action_stats(docs).format_table()
+    table = action_stats([generate(d) for d in docs]).format_table()
     lines = table.splitlines()
     assert lines[0].split() == ["Action", "Type", "#", "Unique", "Args", "Raw", "Count"]
     assert lines[1].startswith("SHIFT")

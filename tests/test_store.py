@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framekit.store import (DanglingHandleError, DuplicateIdError,
-                            ForeignHandleError, FrozenStoreError, Handle,
+                            ForeignHandleError, Handle,
                             Store, StoreError)
 
 
@@ -17,13 +17,6 @@ def test_intern_idempotent():
 def test_intern_distinct_names():
     store = Store()
     assert store.intern("/saft/person") != store.intern("/saft/location")
-
-
-def test_intern_frozen_store_rejected():
-    store = Store()
-    store.freeze()
-    with pytest.raises(FrozenStoreError):
-        store.intern("/x")
 
 
 def test_intern_empty_name_rejected():
@@ -136,14 +129,6 @@ def test_duplicate_slots_permitted():
     store.add_slot(frame, role, 1)
     store.add_slot(frame, role, 1)
     assert len(store.slots(frame)) == 2
-
-
-def test_add_slot_frozen_rejected():
-    store = Store()
-    frame = store.new_frame()
-    store.freeze()
-    with pytest.raises(FrozenStoreError):
-        store.add_slot(frame, store.isa, 1)
 
 
 def test_get_role_first_match():
