@@ -34,12 +34,8 @@ class CliError(Exception):
 
 
 def read_corpus(path: str) -> list[Document]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(str(exc))
     store = Store()
-    result = parse_notation(text, store)
+    result = parse_notation(Path(path).read_text(encoding="utf-8"), store)
     if not result.ok:
         details = "; ".join(f"byte {off}: {msg}" for off, msg in result.diagnostics[:5])
         raise CliError(f"{path}: parse failed: {details}")
@@ -217,6 +213,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     from .model import build_lexicon
     if args.configs < 1:
         raise CliError("--configs must be at least 1")
+    if not args.threshold > 0:
+        raise CliError("--threshold must be > 0")
     rng = random.Random(args.seed)
     worst = 0.0
     skipped_total = 0
@@ -307,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

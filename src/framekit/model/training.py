@@ -182,7 +182,8 @@ def grad_check(params: Parameters, doc: Document,
     """Max relative error of analytic vs central-difference gradients.
 
     Checks every element of every parameter tensor; the error for each
-    is |analytic - numeric| / max(1, |analytic|, |numeric|).  Elements
+    is |analytic - numeric| / max(1, |analytic|, |numeric|), or inf
+    where that is not finite (a NaN passes no check).  Elements
     at a kink of the loss (a relu input within `step` of zero) are
     skipped and counted: there the two one-sided differences disagree
     by more than 100 * step, relative, where a smooth loss moves them
@@ -226,5 +227,5 @@ def grad_check(params: Parameters, doc: Document,
             numeric = (upper + lower) / 2.0
             a = float(grad_flat[index])
             error = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, error)
+            worst = max(worst, error if math.isfinite(error) else math.inf)
     return GradCheck(worst, skipped)

@@ -191,8 +191,8 @@ class ParserState:
     """Mutable parse state: cursor, attention buffer, graph under
     construction, and per-frame step bookkeeping."""
 
-    def __init__(self, text: str, tokens: list[Token], store: Optional[Store] = None):
-        self.store = store if store is not None else Store()
+    def __init__(self, text: str, tokens: list[Token]):
+        self.store = Store()
         self.text = text
         self.tokens = tokens
         self.cursor = 0
@@ -218,7 +218,9 @@ class ParserState:
         return self._last_phrase.get(frame)
 
     def is_valid(self, action: Action) -> bool:
-        """Total validity predicate for `action` in the current state."""
+        """Whether `action`, with the fields `ARGUMENTS` lists set, is valid
+        now: `source` and `target` address the buffer, a `length` fits the
+        tokens left, and EVOKE repeats no type on a span."""
         kind = action.kind
         if self.done:
             return kind == STOP
@@ -226,29 +228,18 @@ class ParserState:
             return self.cursor < self.num_tokens
         if kind == STOP:
             return self.cursor == self.num_tokens
+        fields = ARGUMENTS.get(kind)
+        if fields is None:
+            return False
         size = len(self.attention)
-        if kind == EVOKE:
-            if action.length is None or action.length < 1:
-                return False
-            if self.cursor + action.length > self.num_tokens:
-                return False
-            key = (self.cursor, action.length, action.type)
-            return key not in self._evoked_types
-        if kind == REFER:
-            if action.length is None or action.length < 1:
-                return False
-            if self.cursor + action.length > self.num_tokens:
-                return False
-            return 0 <= action.target < size
-        if kind == CONNECT:
-            return 0 <= action.source < size and 0 <= action.target < size
-        if kind == ASSIGN:
-            return 0 <= action.source < size
-        if kind == EMBED:
-            return 0 <= action.target < size
-        if kind == ELABORATE:
-            return 0 <= action.source < size
-        return False
+        if "source" in fields and not 0 <= action.source < size:
+            return False
+        if "target" in fields and not 0 <= action.target < size:
+            return False
+        if "length" in fields and not 0 < action.length <= self.num_tokens - self.cursor:
+            return False
+        return kind != EVOKE or \
+            (self.cursor, action.length, action.type) not in self._evoked_types
 
     # -- mutation ----------------------------------------------------------
 
@@ -258,60 +249,42 @@ class ParserState:
             raise InvalidActionError(f"invalid action {action.to_text()} at "
                                      f"cursor={self.cursor} step={self.step}")
         kind = action.kind
+        fields = ARGUMENTS[kind]
+        source = self.attention[action.source] if "source" in fields else None
+        target = self.attention[action.target] if "target" in fields else None
+        store = self.store
         if kind == SHIFT:
             self.cursor += 1
         elif kind == STOP:
             self.done = True
-        elif kind == EVOKE:
-            type_sym = self.store.intern(action.type)
-            frame = self.store.new_frame([(self.store.isa, type_sym)])
-            self._evoke(frame, action.length)
-            self.attention.insert(0, frame)
-            self.created_step[frame] = self.step
-            self.focused_step[frame] = self.step
-            self._evoked_types.add((self.cursor, action.length, action.type))
         elif kind == REFER:
-            frame = self.attention[action.target]
-            self._evoke(frame, action.length)
-            self._front(frame)
-            name = type_name(self.store, frame)
-            if name is not None:
-                self._evoked_types.add((self.cursor, action.length, name))
-        elif kind == CONNECT:
-            source = self.attention[action.source]
-            target = self.attention[action.target]
-            self.store.add_slot(source, self.store.intern(action.role), target)
-            self._front(source)
-        elif kind == ASSIGN:
-            source = self.attention[action.source]
-            value = action.value
+            self._evoke(target, action.length, type_name(store, target))
+            self._front(target)
+        elif kind in (CONNECT, ASSIGN):
+            # A slot on the source, which comes to the front.
+            value = action.value if target is None else target
             if isinstance(value, SymbolName):
-                value = self.store.intern(str(value))
-            self.store.add_slot(source, self.store.intern(action.role), value)
+                value = store.intern(str(value))
+            store.add_slot(source, store.intern(action.role), value)
             self._front(source)
-        elif kind == EMBED:
-            target = self.attention[action.target]
-            type_sym = self.store.intern(action.type)
-            frame = self.store.new_frame([
-                (self.store.isa, type_sym),
-                (self.store.intern(action.role), target),
-            ])
-            self.themes.append(frame)
+        else:
+            # EVOKE, EMBED, ELABORATE: a new frame at the front.
+            slots = [(store.isa, store.intern(action.type))]
+            if kind == EMBED:
+                slots.append((store.intern(action.role), target))
+            frame = store.new_frame(slots)
             self.attention.insert(0, frame)
-            self.created_step[frame] = self.step
-            self.focused_step[frame] = self.step
-        elif kind == ELABORATE:
-            source = self.attention[action.source]
-            type_sym = self.store.intern(action.type)
-            frame = self.store.new_frame([(self.store.isa, type_sym)])
-            self.store.add_slot(source, self.store.intern(action.role), frame)
-            self.attention.insert(0, frame)
-            self.created_step[frame] = self.step
-            self.focused_step[frame] = self.step
+            self.created_step[frame] = self.focused_step[frame] = self.step
+            if kind == EVOKE:
+                self._evoke(frame, action.length, action.type)
+            elif kind == EMBED:
+                self.themes.append(frame)
+            else:
+                store.add_slot(source, store.intern(action.role), frame)
         self.step += 1
         return self
 
-    def _evoke(self, frame: Handle, length: int) -> None:
+    def _evoke(self, frame: Handle, length: int, name: Optional[str]) -> None:
         span = (self.cursor, length)
         mention = self._mention_by_span.get(span)
         if mention is None:
@@ -322,6 +295,8 @@ class ParserState:
             mention.evoked.append(frame)
         self._last_phrase[frame] = span
         self.focused_step[frame] = self.step
+        if name is not None:
+            self._evoked_types.add((self.cursor, length, name))
 
     def _front(self, frame: Handle) -> None:
         self.attention.remove(frame)
@@ -339,10 +314,9 @@ class ParserState:
         return doc
 
 
-def run_sequence(text: str, tokens: list[Token], actions: list[Action],
-                 store: Optional[Store] = None) -> ParserState:
+def run_sequence(text: str, tokens: list[Token], actions: list[Action]) -> ParserState:
     """Replay a full action sequence from a fresh state."""
-    state = ParserState(text, tokens, store)
+    state = ParserState(text, tokens)
     for action in actions:
         state.apply(action)
     return state

@@ -15,6 +15,7 @@ from support import edit_checkpoint_header
 
 TINY = ["lstm_dim=6", "hidden_dim=5", "word_dim=4", "affix_dim=2", "shape_dim=2",
         "link_dim=3", "k_attention=3", "k_history=2", "learning_rate=0.005"]
+TINY_HPARAMS = [arg for h in TINY for arg in ("--hparam", h)]
 
 
 def run(capsys, *argv):
@@ -141,12 +142,33 @@ def test_grad_check(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--n-docs", "2", "--out", "{missing}"],
+    ["oracle", "--in", "{corpus}", "--out", "{missing}"],
+    ["train", "--in", "{corpus}", "--steps", "1", "--out", "{missing}", *TINY_HPARAMS],
+    ["parse", "--model", "{model}", "--in", "{corpus}", "--out", "{missing}"],
+    ["eval", "--gold", "{corpus}", "--pred", "{corpus}", "--metrics-out", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_output_path_is_reported(tmp_path, capsys, argv):
+    corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    run(capsys, "train", "--in", corpus, "--out", model, "--steps", 1, *TINY_HPARAMS)
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    argv = [arg.format(corpus=corpus, model=model, missing=missing) for arg in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["train", "--steps", "0"],
     ["train", "--steps", "-1"],
     ["train", "--checkpoint-every", "0"],
     ["train", "--hparam", "use_ema=ture"],
     ["train", "--hparam", "word_vectors_path={missing}"],
     ["grad-check", "--configs", "0"],
+    ["grad-check", "--threshold", "nan"],
+    ["grad-check", "--threshold", "0"],
+    ["grad-check", "--threshold=-1e-4"],
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, argv):
     corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
@@ -160,6 +182,8 @@ def test_bad_arguments_are_reported(tmp_path, capsys, argv):
     assert not model.exists()
     if "word_vectors_path" in " ".join(argv):
         assert str(tmp_path / "missing.vec") in err
+    if "--threshold" in argv[1]:
+        assert err == "error: --threshold must be > 0\n"
 
 
 @pytest.mark.parametrize("hparam, message", [

@@ -580,6 +580,15 @@ def test_grad_check_tanh_hidden():
     assert result.skipped == 0  # tanh is smooth: no kinks
 
 
+def test_grad_check_counts_a_nan_as_an_infinite_error():
+    corpus = generate_corpus(7, 1)
+    config = tiny_config(dtype="float64")
+    sequences = oracle_sequences(corpus)
+    params = Parameters(config, build_lexicon(corpus, config, sequences), seed=3)
+    params.arrays["ff_b2"][0] = math.nan
+    assert grad_check(params, corpus[0], sequences[0]).error == math.inf
+
+
 def test_grad_check_command(capsys):
     assert cli.main(["grad-check", "--configs", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out

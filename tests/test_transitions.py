@@ -77,6 +77,76 @@ def test_apply_rejects_invalid():
         state.apply(Action.stop())
 
 
+def three_frames(text="a b c d"):
+    """Buffer [c, b, a] with the cursor on the second of four tokens."""
+    state = fresh(text)
+    for name in ("/t/a", "/t/b", "/t/c"):
+        state.apply(Action.evoke(name, 1))
+    return state.apply(Action.shift())
+
+
+# Each argument-bearing kind, built from one buffer index and one length
+# (a kind with two indices varies each in turn, the other held at 0).
+INDEXED = {
+    "REFER": [lambda i: Action.refer(i, 1)],
+    "CONNECT": [lambda i: Action.connect(i, "/r/x", 0),
+                lambda i: Action.connect(0, "/r/x", i)],
+    "ASSIGN": [lambda i: Action.assign(i, "/c/x", 1)],
+    "EMBED": [lambda i: Action.embed(i, "/r/x", "/t/e")],
+    "ELABORATE": [lambda i: Action.elaborate(i, "/r/x", "/t/e")],
+}
+LENGTHED = {"EVOKE": lambda n: Action.evoke("/t/new", n),
+            "REFER": lambda n: Action.refer(0, n)}
+
+
+@pytest.mark.parametrize("kind, make", [(kind, make) for kind, makes in INDEXED.items()
+                                        for make in makes])
+def test_buffer_indices_must_address_the_buffer(kind, make):
+    state = three_frames()
+    assert not state.is_valid(make(-1))
+    assert not state.is_valid(make(3))
+    assert state.is_valid(make(2))
+    state.apply(make(2))
+
+
+@pytest.mark.parametrize("kind", sorted(LENGTHED))
+def test_lengths_must_fit_the_tokens_left(kind):
+    state = three_frames()
+    assert not state.is_valid(LENGTHED[kind](0))
+    assert not state.is_valid(LENGTHED[kind](-1))
+    assert not state.is_valid(LENGTHED[kind](4))
+    assert state.is_valid(LENGTHED[kind](3))
+    state.apply(LENGTHED[kind](3))
+
+
+def test_unknown_kind_is_invalid_and_only_stop_follows_stop():
+    state = three_frames()
+    assert not state.is_valid(Action("FOO"))
+    for _ in range(3):
+        state.apply(Action.shift())
+    state.apply(Action.stop())
+    after = [Action.shift(), Action("FOO"), Action.evoke("/t/new", 1)]
+    after += [make(0) for makes in INDEXED.values() for make in makes]
+    assert [action for action in after if state.is_valid(action)] == []
+    assert state.is_valid(Action.stop())
+
+
+@pytest.mark.parametrize("action", [Action.evoke("/t/new", 1),
+                                    Action.embed(1, "/r/x", "/t/e"),
+                                    Action.elaborate(1, "/r/x", "/t/e")])
+def test_a_created_frame_is_created_and_focused_now(action):
+    state = three_frames()
+    other = state.attention[1]
+    focused = dict(state.focused_step)
+    state.apply(action)
+    frame = state.attention[0]
+    assert len(state.attention) == 4 and frame not in focused
+    assert state.created_step[frame] == state.focused_step[frame] == state.step - 1 == 4
+    # The frame it links to or from keeps its place and its focus step.
+    assert state.attention[2] == other
+    assert state.focused_step == {**focused, frame: 4}
+
+
 # -- application -------------------------------------------------------------
 
 def test_worked_example_sequence():
