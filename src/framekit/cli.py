@@ -12,6 +12,7 @@ takes its thread count from the user's environment
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -112,7 +113,19 @@ def _apply_overrides(config: ModelConfig, overrides: list[str]) -> None:
             raise CliError(f"--hparam {exc}")
 
 
+def _check_writable(path: str) -> None:
+    """Report now, not after the work that fills it, an output path whose
+    directory is missing or read-only, or that names a directory."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise CliError(f"{path}: no such directory: {directory}")
+    if Path(path).is_dir() or not os.access(directory, os.W_OK):
+        raise CliError(f"{path}: cannot be written")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    for path in filter(None, (args.out, args.out + ".best", args.metrics_out)):
+        _check_writable(path)
     corpus = read_corpus(args.input)
     config = ModelConfig()
     _apply_overrides(config, args.hparam)

@@ -140,6 +140,9 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        # One object per distinct string value, as json's key memo: a
+        # corpus repeats its token texts, and its documents keep them.
+        self.strings: dict[str, str] = {}
 
     def token(self) -> tuple[str, int, str]:
         """Read the next token: its kind, offset and text."""
@@ -236,7 +239,7 @@ class _Parser:
             for match in _SURROGATE.finditer(text, quote, self.pos):
                 if match.lastindex:
                     raise _SyntaxError(match.start(match.lastindex), "lone surrogate in string")
-        return value
+        return self.strings.setdefault(value, value)
 
 
 def _number(start: int, text: str) -> Union[int, float]:

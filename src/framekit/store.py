@@ -1,11 +1,15 @@
 """Arena-style container for frames and interned symbols.
 
 A store owns every frame allocated in it and a bidirectional symbol
-table.  Frames are ordered lists of (role, value) slots; slot values may
-be literals, arrays, or handles to other frames, so a store can hold
+table.  Frames are ordered sequences of (role, value) slots; slot values
+may be literals, arrays, or handles to other frames, so a store can hold
 arbitrary graphs, including cycles.  Handles stay valid for the lifetime
 of the store.  Unlike SLING's global store, a store is never frozen: it
 stays writable for its whole life.
+
+A handle is a tuple, so it hashes and compares in C; it compares equal
+to a plain tuple of its fields, but a store accepts only `Handle`s.
+`slots()` hands out a frame's own immutable tuple of slots, not a copy.
 
 Links are followed forward only: a store keeps no index of the frames
 that refer to a frame.  A document lists the frames that only link into
@@ -15,7 +19,6 @@ its graph (`document.Document.themes`), as SLING's documents do.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 FRAME = "frame"
@@ -43,8 +46,7 @@ class DuplicateIdError(StoreError):
     """A symbol is already bound as the id of a different frame."""
 
 
-@dataclass(frozen=True)
-class Handle:
+class Handle(NamedTuple):
     """Store-scoped reference to one frame or interned symbol."""
 
     kind: str
@@ -83,7 +85,9 @@ class Store:
 
     def __init__(self) -> None:
         self._uid = next(Store._uids)
-        self._frames: list[list[Slot]] = []
+        # A frame's slots: a list while it gains slots (appends stay
+        # cheap on large frames), a tuple once read.
+        self._frames: list[Union[list[Slot], tuple[Slot, ...]]] = []
         self._symbol_names: list[str] = []
         self._symbols: dict[str, Handle] = {}
         self._bindings: dict[int, Handle] = {}  # symbol index -> named frame
@@ -119,7 +123,9 @@ class Store:
         return handle
 
     def symbol_name(self, handle: Handle) -> str:
-        self._check_handle(handle, SYMBOL)
+        if not (handle.__class__ is Handle and handle.store_uid == self._uid and
+                handle.kind == SYMBOL and 0 <= handle.index < len(self._symbol_names)):
+            self._check_handle(handle, SYMBOL)
         return self._symbol_names[handle.index]
 
     def binding(self, symbol: Handle) -> Optional[Handle]:
@@ -168,19 +174,31 @@ class Store:
             if isinstance(value, Handle) and value.is_symbol():
                 self._check_unbound(value, frame)
                 self._bindings[value.index] = frame
-        self._frames[frame.index].append(Slot(role, value))
+        slots = self._frames[frame.index]
+        if slots.__class__ is tuple:  # read since its last append
+            slots = self._frames[frame.index] = list(slots)
+        slots.append(Slot(role, value))
 
-    def slots(self, frame: Handle) -> list[Slot]:
-        self._check_handle(frame, FRAME)
-        return list(self._frames[frame.index])
+    def slots(self, frame: Handle) -> tuple[Slot, ...]:
+        """The frame's slots in order: the store's own tuple, the same
+        object on every read until the frame gains a slot."""
+        if not (frame.__class__ is Handle and frame.store_uid == self._uid and
+                frame.kind == FRAME and 0 <= frame.index < len(self._frames)):
+            self._check_handle(frame, FRAME)
+        slots = self._frames[frame.index]
+        if slots.__class__ is list:
+            slots = self._frames[frame.index] = tuple(slots)
+        return slots
 
     def get_role(self, frame: Handle, role: Handle) -> Value:
         """Value of the first slot with this role, or None if absent."""
-        self._check_handle(frame, FRAME)
-        self._check_handle(role)
-        for slot in self._frames[frame.index]:
-            if slot.role == role:
-                return slot.value
+        slots = self.slots(frame)
+        if not (role.__class__ is Handle and role.store_uid == self._uid and
+                role.kind == SYMBOL and 0 <= role.index < len(self._symbol_names)):
+            self._check_handle(role)
+        for slot_role, value in slots:
+            if slot_role == role:
+                return value
         return None
 
     def frame_type(self, frame: Handle) -> Optional[Handle]:
@@ -205,6 +223,8 @@ class Store:
             raise DuplicateIdError(f"symbol {name!r} already names another frame")
 
     def _check_handle(self, handle: Handle, kind: Optional[str] = None) -> None:
+        """Raise unless `handle` is live here and of `kind`; the readers
+        test the passing case inline and call this when that test fails."""
         if not isinstance(handle, Handle):
             raise TypeError(f"expected Handle, got {type(handle).__name__}")
         if handle.store_uid != self._uid:

@@ -540,7 +540,7 @@ def perturb_document(doc: Document, rng: random.Random) -> Document:
 
     def slots_of(frame: Handle) -> list[Slot]:
         if frame not in edited:
-            edited[frame] = store.slots(frame)
+            edited[frame] = list(store.slots(frame))
         return edited[frame]
 
     for _ in range(rng.randint(1, 3)):

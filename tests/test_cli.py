@@ -155,8 +155,27 @@ def test_an_unwritable_output_path_is_reported(tmp_path, capsys, argv):
     missing = tmp_path / "no-such-dir" / "out.txt"
     argv = [arg.format(corpus=corpus, model=model, missing=missing) for arg in argv]
     assert cli.main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+    assert "step=" not in out  # train reports it before its first step
+
+
+@pytest.mark.parametrize("output", ["best", "metrics-out"])
+def test_train_checks_its_other_outputs_before_its_first_step(tmp_path, capsys, output):
+    # `--out` itself is checked by test_an_unwritable_output_path_is_reported.
+    corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    argv = ["train", "--in", corpus, "--out", model, "--steps", 1, *TINY_HPARAMS]
+    if output == "best":
+        unwritable = tmp_path / "model.ckpt.best"
+        unwritable.mkdir()
+    else:
+        unwritable = tmp_path / "no-such-dir" / "metrics.txt"
+        argv += ["--metrics-out", unwritable]
+    assert cli.main([str(arg) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(unwritable) in err and "Traceback" not in err
+    assert "step=" not in out and not model.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -105,7 +105,7 @@ def test_retyped_frame_counts(hit_doc):
     pred = copy_document(hit_doc)
     store = pred.store
     ball = pred.mentions[2].evoked[0]
-    slots = store.slots(ball)
+    slots = list(store.slots(ball))
     slots[0] = slots[0]._replace(value=store.intern("/saft/other"))
     pred = rebuild_document(pred, {ball: slots})
     report = evaluate(hit_doc, pred)

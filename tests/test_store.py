@@ -77,7 +77,7 @@ def test_handle_of_unknown_kind_rejected():
             store.add_slot(frame, bogus, 1)
         with pytest.raises(StoreError):
             store.add_slot(frame, store.isa, bogus)
-    assert store.num_frames() == 1 and store.slots(frame) == []
+    assert store.num_frames() == 1 and store.slots(frame) == ()
 
 
 def test_duplicate_id_rejected():
@@ -208,3 +208,81 @@ def test_reachability_stays_in_store():
             if isinstance(slot.value, Handle) and slot.value.is_frame():
                 assert slot.value.store_uid == store.uid
                 stack.append(slot.value)
+
+
+def test_a_plain_tuple_is_not_a_handle():
+    # A handle compares equal to the tuple of its fields, but the store
+    # takes only handles it could have issued.
+    store = Store()
+    role = store.intern("/r/x")
+    frame = store.new_frame([(role, 1)])
+    for live in (frame, role):
+        assert tuple(live) == live
+    with pytest.raises(TypeError):
+        store.slots(tuple(frame))
+    with pytest.raises(TypeError):
+        store.get_role(tuple(frame), role)
+    with pytest.raises(TypeError):
+        store.get_role(frame, tuple(role))
+    with pytest.raises(TypeError):
+        store.add_slot(tuple(frame), role, 2)
+    with pytest.raises(TypeError):
+        store.add_slot(frame, tuple(role), 2)
+    with pytest.raises(TypeError):
+        store.add_slot(frame, role, tuple(frame))
+    with pytest.raises(TypeError):
+        store.new_frame([(role, tuple(frame))])
+    with pytest.raises(TypeError):
+        store.symbol_name(tuple(role))
+    assert store.num_frames() == 1 and len(store.slots(frame)) == 1
+
+
+def test_an_in_range_handle_of_another_store_is_foreign():
+    store, other = Store(), Store()
+    frame = store.new_frame()
+    role = store.intern("/r/x")
+    foreign_frame = other.new_frame()
+    foreign_role = other.intern("/r/x")
+    assert (foreign_frame.index, foreign_role.index) == (frame.index, role.index)
+    with pytest.raises(ForeignHandleError):
+        store.slots(foreign_frame)
+    with pytest.raises(ForeignHandleError):
+        store.get_role(frame, foreign_role)
+    with pytest.raises(ForeignHandleError):
+        store.add_slot(frame, role, foreign_frame)
+    with pytest.raises(ForeignHandleError):
+        store.symbol_name(foreign_role)
+
+
+def test_a_negative_or_wrong_kind_index_dangles():
+    store = Store()
+    frame = store.new_frame()
+    role = store.intern("/r/x")
+    for bogus in (Handle("frame", -1, store.uid), Handle("symbol", -1, store.uid)):
+        with pytest.raises(DanglingHandleError):
+            store.slots(bogus)
+        with pytest.raises(DanglingHandleError):
+            store.get_role(frame, bogus)
+        with pytest.raises(DanglingHandleError):
+            store.add_slot(frame, role, bogus)
+    with pytest.raises(DanglingHandleError):
+        store.symbol_name(Handle("symbol", -1, store.uid))
+    with pytest.raises(DanglingHandleError):
+        store.slots(role)  # a symbol is not a frame
+    with pytest.raises(DanglingHandleError):
+        store.symbol_name(frame)
+
+
+def test_slots_are_immutable_and_not_copied():
+    store = Store()
+    role = store.intern("/r/x")
+    frame = store.new_frame([(role, 1)])
+    slots = store.slots(frame)
+    assert store.slots(frame) is slots
+    with pytest.raises(TypeError):
+        slots[0] = slots[0]._replace(value=2)  # a tuple: no item assignment
+    assert not hasattr(slots, "append")
+    store.add_slot(frame, role, 2)
+    assert [s.value for s in slots] == [1]  # what was read stays as read
+    assert [s.value for s in store.slots(frame)] == [1, 2]
+    assert store.slots(frame) is store.slots(frame)
