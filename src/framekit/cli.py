@@ -146,6 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 best["f1"] = f1
                 best["step"] = ckpt.step
                 save_checkpoint(params, args.out + ".best")
+        line += f" grad_norm={ckpt.grad_norm:.4f} clip_rate={ckpt.clip_rate:.3f}"
         print(line)
         metric_lines.append(line)
 

@@ -1,11 +1,12 @@
 """A minimal reverse-mode autodiff tape over whole-document nodes.
 
-The network's math lives in `network.py`, which computes one document's
+The network's math lives in `network.py`, which computes a batch's
 loss and runs its backward explicitly; it hands the result here as one
-node per document.  This module only joins those nodes: `addn` sums
-them, `scale` divides by the batch's action count, and `backward` runs
-every node's backward closure in reverse topological order, with
-gradients accumulating into the `Tensor.grad` buffer of each parameter.
+node per batch (a batch of one document gives a document's node).  This
+module only joins those nodes: `addn` sums them, `scale` divides by the
+batch's action count, and `backward` runs every node's backward closure
+in reverse topological order, with gradients accumulating into the
+`Tensor.grad` buffer of each parameter.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _post_order(node: Tensor, order: list[Tensor], seen: set[int]) -> None:
 
 def backward(root: Tensor) -> None:
     """Backpropagate d(root)/d(everything); root must be scalar-like.
-    Nodes are whole documents, so the graph is a few levels deep."""
+    Nodes are whole batches, so the graph is a few levels deep."""
     order: list[Tensor] = []
     _post_order(root, order, set())
     root.grad = np.ones_like(root.data)

@@ -4,33 +4,44 @@ embeddings feeding a single-hidden-layer feed-forward unit whose own
 activations recur into later steps through the attention and history
 features.
 
-Everything runs on numpy arrays.  The encoder steps both LSTM
-directions together and computes the input term of all tokens in one
-matmul per direction.  A decoder step's feature vector gathers rows of
-two pools, the LSTM outputs and the hidden activations of the steps so
-far (`ForwardPass`), plus the summed embeddings of its role links.
-
-One function, `decoder_steps`, is the decoder's forward.  It gathers
-the LSTM and link features of a block of steps at once and runs only
-the hidden recurrence step by step, then gives the block's logits.
+Everything runs on numpy arrays.  A decoder step's feature vector
+gathers rows of two pools, the LSTM outputs (`Encoding`) and the hidden
+activations of the steps so far (`ForwardPass`), plus the summed
+embeddings of its role links.  One function, `decoder_steps`, is the
+decoder's forward: it gathers the LSTM and link features of a block of
+steps at once and runs only the hidden recurrence step by step.
 Greedy decoding (`ForwardPass.step_logits`) calls it for one step at a
-time, since its next state depends on its prediction; teacher forcing
-calls it once for the whole example:
+time, since its next state depends on its prediction.  Teacher forcing
+runs one pass over a whole training batch:
 
 - a plan (`plan_example`, `ExamplePlan`) replays the oracle sequence
   once and records what the weights do not change: the tokens' table
   rows, and each step's pool rows, link ids and target action;
-- the numeric pass over a plan (`PlannedPass`) runs `decoder_steps`
-  over every step, so a gold sequence is scored exactly as decoding
-  would score it.  Its backward runs only dpre -> W1_hiddenᵀ·dpre
-  (decoder) and dz -> Whᵀ·dz (encoder) step by step, then gives each
-  weight one matmul.  Rows are scatter-added through numpy's
-  one-dimensional `np.add.at` (`_add_rows`), which adds in the same
+- the numeric pass over a batch of plans (`PlannedPass`) runs the
+  documents in lockstep through one encoder and one decoder pass.  The
+  encoder pads the token sequences to the longest; a sequence of n
+  tokens runs while step t < n, reading token t left to right and
+  token n - 1 - t right to left.  The decoder keeps every document's
+  steps in one hidden pool, each document from its own row offset, and
+  its step t runs every document with more than t steps.  The backward
+  runs only dpre -> W1_hiddenᵀ·dpre and dz -> Whᵀ·dz in lockstep,
+  latest step first.  Rows are scatter-added through numpy's
+  one-dimensional `np.add.at` (`_add_rows`): the same sums in the same
   order as the two-dimensional one, several times faster.
 
-`train` plans each example once and runs the pass on every visit;
-`document_loss` plans and runs in one call.  `_step_rows` turns
-features into pool rows for the plan and for `step_logits` alike.
+The pass is bit-identical to one document at a time, and scores a gold
+sequence exactly as decoding does.  Each per-row product (Wh·h, W1·x,
+W2·h and their transposes) is a stacked matrix-vector `np.matmul`,
+which gives a row the same sums however many rows run with it.  The
+matrix-matrix products over one document's tokens or steps stay per
+document: the weight gradients (dzᵀ·inputs, dpreᵀ·X) would sum over
+another length, and the input terms and the gradients passed down a
+layer would round differently, since numpy sends a one-row product to
+another BLAS routine than a many-row one.  Each weight gradient
+receives its documents' contributions in batch order, and the
+documents' losses are summed in batch order, as `autodiff.addn` sums
+them.  `train` plans each example once; `document_loss` and
+`grad_check` run the pass over a batch of one.
 """
 
 from __future__ import annotations
@@ -199,15 +210,24 @@ def token_table(lexicon: Lexicon, tokens: list[Token]) -> np.ndarray:
 
 
 class Encoding:
-    """The biLSTM outputs for one token sequence: `lr` and `rl` hold
-    the left-to-right and right-to-left activation of each token.
+    """The biLSTM outputs of a batch of token sequences in one pool,
+    `pool`: row 0 is the zero vector that absent features read, then
+    each sequence in turn gives its left-to-right activations, one row
+    per token, and its right-to-left ones.  `docs` holds, per sequence,
+    its first row in `inputs` (its pool rows follow row twice that),
+    its length and its slot in the padded arrays.
 
-    The two directions step together: at step t, direction 0 reads
-    token t and direction 1 reads token n - 1 - t.  Each keeps its
-    gates and cells for the backward."""
+    The recurrence steps every sequence and both directions together,
+    padded to the longest sequence.  At step t, sequence b (n_b tokens)
+    runs only while t < n_b: its direction 0 reads token t and its
+    direction 1 token n_b - 1 - t.  The padded arrays hold the
+    sequences longest first, so the ones running at step t are a
+    prefix; each keeps its gates and cells for the backward."""
 
-    def __init__(self, P: dict[str, Tensor], rows: np.ndarray, max_affix_len: int):
+    def __init__(self, P: dict[str, Tensor], token_rows: list[np.ndarray],
+                 max_affix_len: int):
         self.P = P
+        rows = np.concatenate(token_rows)
         n, m = len(rows), max_affix_len
         self.ids: list[tuple[str, np.ndarray]] = []  # per table, (tokens, rows)
         columns = []
@@ -224,59 +244,80 @@ class Encoding:
         (wx_fw, wh_fw, b_fw), (wx_bw, wh_bw, b_bw) = self.weights
         self.wh = wh = np.stack([wh_fw.data, wh_bw.data])
         L = wh.shape[2]
-        # The input term for every token at once; only Wh·h is per step.
-        z_in = np.stack([inputs @ wx_fw.data.T + b_fw.data,
-                         inputs[::-1] @ wx_bw.data.T + b_bw.data], axis=1)
-        self.gates = gates = np.empty_like(z_in)             # i, f, o, g
-        self.cells = np.zeros((n + 1, 2, L), dtype=z_in.dtype)    # row 0: c before t=0
-        self.outputs = np.zeros((n + 1, 2, L), dtype=z_in.dtype)  # row 0: h before t=0
-        c = self.cells[0]
-        h = self.outputs[0]
-        for t in range(n):
-            z = z_in[t] + np.matmul(wh, h[:, :, None])[:, :, 0]
-            gates[t, :, :3 * L] = 1.0 / (1.0 + np.exp(-z[:, :3 * L]))
-            gates[t, :, 3 * L:] = np.tanh(z[:, 3 * L:])
-            i, f, o, g = gates[t].reshape(2, 4, L).transpose(1, 0, 2)
-            c = self.cells[t + 1] = f * c + i * g
-            h = self.outputs[t + 1] = o * np.tanh(c)
-        self.lr = self.outputs[1:, 0]
-        self.rl = self.outputs[:0:-1, 1]
+        lengths = [len(r) for r in token_rows]
+        slots = np.argsort([-n for n in lengths], kind="stable").argsort()
+        self.docs = list(zip(np.cumsum([0] + lengths[:-1]), lengths, slots))
+        self.running = [sum(n > t for n in lengths) for t in range(max(lengths))]
+        T, B = len(self.running), len(lengths)
+        # Each sequence's input term for all its tokens at once; only
+        # Wh·h goes step by step.
+        z_in = np.zeros((T, B, 2, 4 * L), wh.dtype)
+        for start, n, j in self.docs:
+            x = inputs[start:start + n]
+            z_in[:n, j] = np.stack([x @ wx_fw.data.T + b_fw.data,
+                                    x[::-1] @ wx_bw.data.T + b_bw.data], axis=1)
+        self.gates = gates = np.zeros_like(z_in)                  # i, f, o, g
+        self.cells = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)    # row 0: c before t=0
+        self.outputs = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)  # row 0: h before t=0
+        for t, k in enumerate(self.running):
+            z = z_in[t, :k] + np.matmul(wh, self.outputs[t, :k, :, :, None])[..., 0]
+            gates[t, :k, :, :3 * L] = 1.0 / (1.0 + np.exp(-z[..., :3 * L]))
+            gates[t, :k, :, 3 * L:] = np.tanh(z[..., 3 * L:])
+            i, f, o, g = gates[t, :k].reshape(k, 2, 4, L).transpose(2, 0, 1, 3)
+            c = self.cells[t + 1, :k] = f * self.cells[t, :k] + i * g
+            self.outputs[t + 1, :k] = o * np.tanh(c)
+        pool = [np.zeros((1, L), z_in.dtype)]
+        for _, n, j in self.docs:
+            pool += [self.outputs[1:n + 1, j, 0], self.outputs[n:0:-1, j, 1]]
+        self.pool = np.concatenate(pool)
 
-    def backward(self, d_lr: np.ndarray, d_rl: np.ndarray) -> None:
+    def backward(self, d_pool: np.ndarray) -> None:
         """Accumulate the gradients of the LSTM weights and embedding
-        tables for output gradients `d_lr` and `d_rl`."""
-        d_outputs = np.stack([d_lr, d_rl[::-1]], axis=1)
-        n, _, L = d_outputs.shape
-        gates = self.gates.reshape(n, 2, 4, L)
-        i, f, o, g = (gates[:, :, k] for k in range(4))
+        tables for the gradient `d_pool` of the pool."""
+        T, B, _, L = self.outputs[1:].shape
+        d_outputs = np.zeros((T, B, 2, L), dtype=d_pool.dtype)
+        for start, n, j in self.docs:
+            row = 2 * start + 1
+            d_outputs[:n, j] = np.stack([d_pool[row:row + n],
+                                         d_pool[row + n:row + 2 * n][::-1]], axis=1)
+        gates = self.gates.reshape(T, B, 2, 4, L)
+        i, f, o, g = (gates[..., k, :] for k in range(4))
         tanh_c = np.tanh(self.cells[1:])
         # d(activation)/d(pre-activation) of each gate.
         d_act = self.gates * (1.0 - self.gates)
-        d_act[:, :, 3 * L:] = 1.0 - g * g
-        d_act = d_act.reshape(n, 2, 4, L)
+        d_act[..., 3 * L:] = 1.0 - g * g
+        d_act = d_act.reshape(T, B, 2, 4, L)
         # Per step, dz = [dc·g, dc·c_prev, dh·tanh(c), dc·i] * d_act.
-        by_dc = np.stack([g, self.cells[:-1], np.zeros_like(g), i], axis=2) * d_act
-        by_dh = tanh_c * d_act[:, :, 2]
+        by_dc = np.stack([g, self.cells[:-1], np.zeros_like(g), i], axis=-2)
+        by_dc *= d_act
+        by_dh = tanh_c * d_act[..., 2, :]
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(self.gates)
-        dh_next = np.zeros((2, L), dtype=dz.dtype)
-        dc_next = np.zeros((2, L), dtype=dz.dtype)
-        for t in range(n - 1, -1, -1):
-            dh = d_outputs[t] + dh_next
-            dc = dc_next + dh * dc_by_dh[t]
-            z = dz[t].reshape(2, 4, L)
-            np.multiply(by_dc[t], dc[:, None], out=z)
-            z[:, 2] = by_dh[t] * dh
-            dc_next = dc * f[t]
-            dh_next = np.matmul(dz[t][:, None], self.wh)[:, 0]
-        d_inputs = []
-        for k, (wx, wh, b) in enumerate(self.weights):
-            dz_k = dz[:, k]
-            wx.accumulate(dz_k.T @ (self.inputs if k == 0 else self.inputs[::-1]))
-            wh.accumulate(dz_k.T @ self.outputs[:-1, k])
-            b.accumulate(dz_k.sum(axis=0))
-            d_inputs.append(dz_k @ wx.data)
-        d_inputs = d_inputs[0] + d_inputs[1][::-1]
+        dz = np.zeros_like(self.gates)
+        dh_next = np.zeros((B, 2, L), dtype=dz.dtype)
+        dc_next = np.zeros((B, 2, L), dtype=dz.dtype)
+        for t in range(T - 1, -1, -1):
+            k = self.running[t]
+            dh = d_outputs[t, :k] + dh_next[:k]
+            dc = dc_next[:k] + dh * dc_by_dh[t, :k]
+            z = dz[t, :k].reshape(k, 2, 4, L)
+            np.multiply(by_dc[t, :k], dc[:, :, None], out=z)
+            z[:, :, 2] = by_dh[t, :k] * dh
+            dc_next[:k] = dc * f[t, :k]
+            dh_next[:k] = np.matmul(dz[t, :k, :, None], self.wh)[:, :, 0]
+        # These products sum over one sequence's tokens, or would round
+        # differently at another row count, so they go sequence by
+        # sequence, in batch order.
+        d_inputs = np.empty_like(self.inputs)
+        for start, n, j in self.docs:
+            x = self.inputs[start:start + n]
+            parts = []
+            for k, (wx, wh, bias) in enumerate(self.weights):
+                dz_k = dz[:n, j, k]
+                wx.accumulate(dz_k.T @ (x if k == 0 else x[::-1]))
+                wh.accumulate(dz_k.T @ self.outputs[:n, j, k])
+                bias.accumulate(dz_k.sum(axis=0))
+                parts.append(dz_k @ wx.data)
+            d_inputs[start:start + n] = parts[0] + parts[1][::-1]
         offset = 0
         for name, ids in self.ids:
             table = self.P[name]
@@ -289,32 +330,27 @@ class Encoding:
 
 def encode_tokens(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
                   tokens: list[Token], rows: np.ndarray | None = None) -> Encoding:
-    """Left-to-right and right-to-left LSTM activations per token;
-    `rows`, when given, is the tokens' `token_table`."""
+    """The biLSTM pool of one token sequence; `rows`, when given, is
+    the tokens' `token_table`."""
     if rows is None:
         rows = token_table(lexicon, tokens)
-    return Encoding(P, rows, lexicon.max_affix_len)
-
-
-def _lstm_pool(config: ModelConfig, encoding: Encoding) -> np.ndarray:
-    """Row 0 the zero vector, then the left-to-right activations, then
-    the right-to-left ones."""
-    zero = np.zeros((1, config.lstm_dim), encoding.lr.dtype)
-    return np.concatenate([zero, encoding.lr, encoding.rl])
+    return Encoding(P, [rows], lexicon.max_affix_len)
 
 
 def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarray,
-                  hidden: np.ndarray, first: int, lstm_rows, hidden_rows,
+                  hidden: np.ndarray, first: int, groups, lstm_rows, hidden_rows,
                   link_steps: np.ndarray, link_ids) -> tuple[np.ndarray, np.ndarray]:
-    """The decoder's forward over steps `first`, `first` + 1, ...: one
-    row per step of pool rows (`_step_rows`), and the links of all
-    steps with the step each belongs to, counted from `first`.
+    """The decoder's forward over a block of steps: one row per step of
+    pool rows (`_step_rows`), and the links of all steps with the step
+    row each belongs to.
 
     Every step's LSTM and link features are gathered at once.  Only the
-    hidden activations go step by step: step s reads earlier rows of
-    the hidden pool `hidden` and writes its activation to row s + 1.
-    Returns the feature vectors X, one row per step, and the logits,
-    one matrix-vector product per step."""
+    hidden activations go step by step: `groups` lists the step rows
+    that run together, in order, as index arrays or slices, and step
+    row i reads earlier rows of the hidden pool `hidden` and writes its
+    activation to row first + i + 1.  Returns the feature vectors X, one
+    row per step, and the logits; every per-row product is a stacked
+    matrix-vector product, the same for a group of one row or of many."""
     lstm_end, link_start = _feature_bounds(config)
     w1, b1 = P["ff_w1"].data, P["ff_b1"].data
     steps = len(lstm_rows)
@@ -327,13 +363,11 @@ def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarr
                                   in zip(_LINK_TABLES, link_ids)], axis=1))
         X[:, link_start:] = links
     relu = config.hidden_activation == "relu"
-    for x, rows, row in zip(X, hidden_rows, range(first + 1, first + steps + 1)):
-        x[lstm_end:link_start] = hidden[rows].reshape(-1)
-        pre = w1 @ x + b1
-        if relu:
-            np.maximum(pre, 0.0, out=hidden[row])
-        else:
-            np.tanh(pre, out=hidden[row])
+    for rows in groups:
+        X[rows, lstm_end:link_start] = hidden[hidden_rows[rows]].reshape(
+            -1, link_start - lstm_end)
+        pre = np.matmul(w1, X[rows, :, None])[:, :, 0] + b1
+        hidden[first + 1:][rows] = np.maximum(pre, 0.0) if relu else np.tanh(pre)
     activations = hidden[first + 1:first + steps + 1, :, None]
     return X, np.matmul(P["ff_w2"].data, activations)[:, :, 0] + P["ff_b2"].data
 
@@ -345,7 +379,7 @@ class ForwardPass:
 
     A step's feature vector gathers rows of two pools whose row 0 is
     the zero vector that absent features read: the LSTM pool
-    (`_lstm_pool`) and the hidden pool, which holds step s's hidden
+    (`Encoding.pool`) and the hidden pool, which holds step s's hidden
     activation at row s + 1."""
 
     def __init__(self, P: dict[str, Tensor], config: ModelConfig,
@@ -354,7 +388,7 @@ class ForwardPass:
         self.config = config
         self.lexicon = lexicon
         self.state = ParserState(text, tokens)
-        self.lstm_pool = _lstm_pool(config, encode_tokens(P, config, lexicon, tokens))
+        self.lstm_pool = encode_tokens(P, config, lexicon, tokens).pool
         self.hidden_pool = np.zeros((64, config.hidden_dim), self.lstm_pool.dtype)
 
     def step_logits(self) -> np.ndarray:
@@ -368,7 +402,7 @@ class ForwardPass:
                                                np.zeros_like(self.hidden_pool)])
         link_ids = np.array(links, np.intp)
         _, scores = decoder_steps(self.P, cfg, self.lstm_pool, self.hidden_pool,
-                                  state.step, [lstm], [hidden],
+                                  state.step, [slice(0, 1)], [lstm], [hidden],
                                   np.zeros(link_ids.shape[1], np.intp), link_ids)
         return scores[0]
 
@@ -383,7 +417,6 @@ class ExamplePlan:
 
     Size is linear in the steps: one int per feature."""
 
-    tokens: list[Token]
     token_rows: np.ndarray   # (tokens, 6 + 2 * max_affix_len)
     lstm_rows: np.ndarray    # (steps, 2 + 2k)
     hidden_rows: np.ndarray  # (steps, 2k + k_history)
@@ -421,97 +454,134 @@ def plan_example(config: ModelConfig, lexicon: Lexicon, text: str,
         targets=np.array(targets, dtype=np.intp))
     for array in arrays.values():
         array.flags.writeable = False
-    return ExamplePlan(tokens=tokens, **arrays)
+    return ExamplePlan(**arrays)
 
 
 class PlannedPass:
-    """Teacher forcing's numeric pass over one plan: every step's
-    logits in `scores`, and the backward that `planned_loss` runs."""
+    """Teacher forcing's numeric pass over a batch of plans: every
+    step's logits in `scores`, and the backward that `planned_loss`
+    runs.
+
+    The documents share one LSTM pool (`Encoding`) and one hidden pool.
+    Document b's steps are the rows `spans[b]` of the batch's steps, so
+    its step s writes hidden row spans[b][0] + s + 1; its plan's pool
+    rows are shifted by those offsets.  The hidden recurrence runs in
+    lockstep: at step t, every document with more than t steps."""
 
     def __init__(self, P: dict[str, Tensor], config: ModelConfig,
-                 lexicon: Lexicon, plan: ExamplePlan):
+                 lexicon: Lexicon, plans: list[ExamplePlan]):
         self.P = P
         self.config = config
-        self.plan = plan
-        self.encoding = encode_tokens(P, config, lexicon, plan.tokens, plan.token_rows)
-        self.lstm_pool = _lstm_pool(config, self.encoding)
-        hidden = np.zeros((len(plan.targets) + 1, config.hidden_dim), self.lstm_pool.dtype)
+        self.encoding = encoding = Encoding(P, [plan.token_rows for plan in plans],
+                                            lexicon.max_affix_len)
+        lengths = np.array([len(plan.targets) for plan in plans])
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        self.spans = list(zip(bounds[:-1], bounds[1:]))
+
+        def pool_rows(rows, offset):  # row 0, the zero row, stays
+            return np.where(rows > 0, rows + offset, 0)
+
+        self.lstm_rows = np.concatenate([pool_rows(plan.lstm_rows, 2 * start) for plan,
+                                         (start, _, _) in zip(plans, encoding.docs)])
+        self.hidden_rows = np.concatenate([pool_rows(plan.hidden_rows, start)
+                                           for plan, start in zip(plans, bounds)])
+        self.link_steps = np.concatenate([plan.link_steps + start for plan, start
+                                          in zip(plans, bounds)])
+        self.link_ids = np.concatenate([plan.link_ids for plan in plans], axis=1)
+        self.targets = np.concatenate([plan.targets for plan in plans])
+        self.groups = [bounds[:-1][lengths > t] + t for t in range(lengths.max())]
+        hidden = np.zeros((bounds[-1] + 1, config.hidden_dim), encoding.pool.dtype)
         self.inputs, self.scores = decoder_steps(
-            P, config, self.lstm_pool, hidden, 0, plan.lstm_rows, plan.hidden_rows,
-            plan.link_steps, plan.link_ids)
+            P, config, encoding.pool, hidden, 0, self.groups, self.lstm_rows,
+            self.hidden_rows, self.link_steps, self.link_ids)
         self.hidden = hidden[1:]
 
     def backward(self, d_logits: np.ndarray) -> None:
         """Accumulate parameter gradients given the gradient of every
-        step's logits, one row per step."""
-        P, cfg, plan = self.P, self.config, self.plan
+        step's logits, one row per step.
+
+        Each weight product that sums over one document's steps runs
+        document by document, in batch order, so every weight gradient
+        receives the same sums in the same order as from a batch of
+        one document at a time."""
+        # The decoder's arrays are freed before the encoder's backward.
+        self.encoding.backward(self._decoder_backward(d_logits))
+
+    def _decoder_backward(self, d_logits: np.ndarray) -> np.ndarray:
+        """The decoder's part of `backward`: the LSTM pool's gradient."""
+        P, cfg = self.P, self.config
         steps, H, L, D = len(d_logits), cfg.hidden_dim, cfg.lstm_dim, cfg.link_dim
         lstm_end, link_start = _feature_bounds(cfg)
         w1 = P["ff_w1"].data
         w1_hidden = w1[:, lstm_end:link_start]
-        hidden = self.hidden
-        P["ff_w2"].accumulate(d_logits.T @ hidden)
-        P["ff_b2"].accumulate(d_logits.sum(axis=0))
+        hidden, spans = self.hidden, self.spans
         # Row 0 collects the gradient of the zero row, then is dropped.
         d_hidden = np.zeros((steps + 1, H), dtype=hidden.dtype)
-        d_hidden[1:] = d_logits @ P["ff_w2"].data
+        for start, end in spans:
+            P["ff_w2"].accumulate(d_logits[start:end].T @ hidden[start:end])
+            P["ff_b2"].accumulate(d_logits[start:end].sum(axis=0))
+            d_hidden[start + 1:end + 1] = d_logits[start:end] @ P["ff_w2"].data
         if cfg.hidden_activation == "relu":
             d_act = (hidden > 0.0).astype(hidden.dtype)
         else:
             d_act = 1.0 - hidden * hidden
         # Hidden activations feed later steps, so only the hidden part
         # of the input gradient runs step by step, latest step first.
-        # Each step adds into d_hidden the way `_add_rows` does.
         d_pre = np.empty((steps, H), dtype=hidden.dtype)
-        flat = (plan.hidden_rows[:, :, None] * H + np.arange(H)).reshape(steps, -1)
-        d_flat = d_hidden.reshape(-1)
-        for t in range(steps - 1, -1, -1):
-            d = d_pre[t]
-            np.multiply(d_hidden[t + 1], d_act[t], out=d)
-            np.add.at(d_flat, flat[t], d @ w1_hidden)
-        P["ff_w1"].accumulate(d_pre.T @ self.inputs)
-        P["ff_b1"].accumulate(d_pre.sum(axis=0))
-        d_x = d_pre @ w1
-
-        d_pool = np.zeros_like(self.lstm_pool)
-        _add_rows(d_pool, plan.lstm_rows.reshape(-1), d_x[:, :lstm_end].reshape(-1, L))
-        if plan.link_steps.size:
-            d_links = d_x[plan.link_steps, link_start:]
-            for k, (name, ids) in enumerate(zip(_LINK_TABLES, plan.link_ids)):
+        for rows in reversed(self.groups):
+            d = d_pre[rows] = d_hidden[rows + 1] * d_act[rows]
+            _add_rows(d_hidden, self.hidden_rows[rows].reshape(-1),
+                      np.matmul(d[:, None], w1_hidden).reshape(-1, H))
+        # The hidden columns of the input gradient went step by step
+        # above; only the LSTM and link columns are kept.
+        d_lstm = np.empty((steps, lstm_end), dtype=hidden.dtype)
+        d_links = np.empty((steps, w1.shape[1] - link_start), dtype=hidden.dtype)
+        for start, end in spans:
+            P["ff_w1"].accumulate(d_pre[start:end].T @ self.inputs[start:end])
+            P["ff_b1"].accumulate(d_pre[start:end].sum(axis=0))
+            d_x = d_pre[start:end] @ w1
+            d_lstm[start:end] = d_x[:, :lstm_end]
+            d_links[start:end] = d_x[:, link_start:]
+        if self.link_steps.size:
+            d_links = d_links[self.link_steps]
+            for k, (name, ids) in enumerate(zip(_LINK_TABLES, self.link_ids)):
                 _add_rows(P[name].grad_buffer(), ids, d_links[:, k * D:(k + 1) * D])
-        n = len(plan.tokens)
-        self.encoding.backward(d_pool[1:n + 1], d_pool[n + 1:])
+        d_pool = np.zeros_like(self.encoding.pool)
+        _add_rows(d_pool, self.lstm_rows.reshape(-1), d_lstm.reshape(-1, L))
+        return d_pool
 
 
 def planned_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
-                 plan: ExamplePlan) -> tuple[Tensor, int, int]:
-    """Teacher-forced cross-entropy over a planned example.
+                 plans: list[ExamplePlan]) -> tuple[Tensor, int, int]:
+    """Teacher-forced cross-entropy over a batch of planned examples.
 
-    Returns (summed loss as one autodiff node whose backward covers the
-    whole document, action count, correctly ranked actions).
+    Returns (the loss summed over each document's steps, then over the
+    documents in batch order, as `autodiff.addn` sums them, as one
+    autodiff node whose backward covers the whole batch; action count;
+    correctly ranked actions).
     """
-    run = PlannedPass(P, config, lexicon, plan)
-    scores, targets = run.scores, plan.targets
+    run = PlannedPass(P, config, lexicon, plans)
+    scores, targets = run.scores, run.targets
     steps = np.arange(len(targets))
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
     losses = -np.log(np.maximum(probs[steps, targets], np.finfo(probs.dtype).tiny))
     correct = int(np.sum(np.argmax(scores, axis=1) == targets))
+    sums = [losses[start:end].sum() for start, end in run.spans]
 
     def back(g: np.ndarray) -> None:
         d_logits = probs.copy()
         d_logits[steps, targets] -= 1.0
         run.backward(d_logits * g)
 
-    loss = Tensor(np.asarray(losses.sum(), dtype=probs.dtype),
-                  parents=P.values(), backward=back)
+    loss = Tensor(np.asarray(sum(sums[1:], sums[0])), parents=P.values(), backward=back)
     return loss, len(targets), correct
 
 
 def document_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
                   text: str, tokens: list[Token],
                   actions) -> tuple[Tensor, int, int]:
-    """`planned_loss` of a freshly planned example."""
+    """`planned_loss` of one freshly planned example."""
     return planned_loss(P, config, lexicon,
-                        plan_example(config, lexicon, text, tokens, actions))
+                        [plan_example(config, lexicon, text, tokens, actions)])

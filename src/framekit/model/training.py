@@ -45,7 +45,9 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> float:
+        """Update the arrays; returns the gradients' global norm before
+        clipping."""
         cfg = self.config
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if norm > cfg.gradient_clip_norm > 0:
@@ -65,13 +67,19 @@ class Adam:
             update = (cfg.learning_rate * (m / bias1)
                       / (np.sqrt(v / bias2) + cfg.adam_epsilon))
             self.arrays[name] -= update.astype(self.arrays[name].dtype)
+        return norm
 
 
 @dataclass
 class Checkpoint:
+    """The means over the steps since the last checkpoint: loss per
+    action, accuracy, global gradient norm before clipping, and the
+    share of steps whose gradients were clipped."""
     step: int
     loss: float
     accuracy: float
+    grad_norm: float
+    clip_rate: float
     dev_slot_f1: Optional[float] = None
 
 
@@ -118,10 +126,7 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
              for doc, actions in zip(corpus, sequences)]
     rng = random.Random(seed)
     order: list[int] = []
-    window_loss = 0.0
-    window_correct = 0
-    window_actions = 0
-    window_steps = 0
+    window = []  # per step since the last checkpoint: loss, correct, actions, norm
 
     for step in range(1, steps + 1):
         batch = []
@@ -133,15 +138,8 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
 
         for tensor in tensors.values():
             tensor.zero_grad()
-        losses = []
-        n_actions = 0
-        n_correct = 0
-        for plan in batch:
-            loss, count, correct = planned_loss(tensors, config, lexicon, plan)
-            losses.append(loss)
-            n_actions += count
-            n_correct += correct
-        total = ad.scale(ad.addn(losses), 1.0 / n_actions)
+        loss, n_actions, n_correct = planned_loss(tensors, config, lexicon, batch)
+        total = ad.scale(loss, 1.0 / n_actions)
         loss_value = float(total.data)
         if not math.isfinite(loss_value):
             raise TrainingError(f"non-finite loss at step {step}")
@@ -150,24 +148,22 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         grads = {name: (tensor.grad if tensor.grad is not None
                         else np.zeros_like(tensor.data))
                  for name, tensor in tensors.items()}
-        adam.step(grads)
+        norm = adam.step(grads)
         if config.use_ema:
             params.update_ema(config.ema_decay)
 
-        window_loss += loss_value
-        window_correct += n_correct
-        window_actions += n_actions
-        window_steps += 1
+        window.append((loss_value, n_correct, n_actions, norm))
         if step % checkpoint_every == 0 or step == steps:
+            losses, correct, actions, norms = zip(*window)
+            clipped = sum(n > config.gradient_clip_norm > 0 for n in norms)
             report = Checkpoint(step=step,
-                                loss=window_loss / window_steps,
-                                accuracy=window_correct / max(1, window_actions))
+                                loss=sum(losses) / len(window),
+                                accuracy=sum(correct) / max(1, sum(actions)),
+                                grad_norm=sum(norms) / len(window),
+                                clip_rate=clipped / len(window))
             if on_checkpoint is not None:
                 on_checkpoint(params, report)
-            window_loss = 0.0
-            window_correct = 0
-            window_actions = 0
-            window_steps = 0
+            window = []
     return params
 
 
@@ -197,7 +193,7 @@ def grad_check(params: Parameters, doc: Document,
 
     plan = plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
     tensors = params.tensors(trainable=True)
-    loss, count, _ = planned_loss(tensors, config, lexicon, plan)
+    loss, count, _ = planned_loss(tensors, config, lexicon, [plan])
     ad.backward(loss)
     analytic = {name: (tensor.grad if tensor.grad is not None
                        else np.zeros_like(tensor.data))
@@ -205,7 +201,7 @@ def grad_check(params: Parameters, doc: Document,
 
     def loss_at() -> float:
         frozen = params.tensors(trainable=False)
-        value, _, _ = planned_loss(frozen, config, lexicon, plan)
+        value, _, _ = planned_loss(frozen, config, lexicon, [plan])
         return float(value.data)
 
     centre = loss_at()

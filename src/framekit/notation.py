@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, scanstring
 from typing import Optional, Union
@@ -140,9 +141,6 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        # One object per distinct string value, as json's key memo: a
-        # corpus repeats its token texts, and its documents keep them.
-        self.strings: dict[str, str] = {}
 
     def token(self) -> tuple[str, int, str]:
         """Read the next token: its kind, offset and text."""
@@ -239,7 +237,9 @@ class _Parser:
             for match in _SURROGATE.finditer(text, quote, self.pos):
                 if match.lastindex:
                     raise _SyntaxError(match.start(match.lastindex), "lone surrogate in string")
-        return self.strings.setdefault(value, value)
+        # One object per distinct string value, across files too: a
+        # corpus repeats its token texts, and its documents keep them.
+        return sys.intern(value)
 
 
 def _number(start: int, text: str) -> Union[int, float]:

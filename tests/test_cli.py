@@ -122,6 +122,30 @@ def test_train_dev_keeps_the_best_checkpoint(tmp_path, capsys):
         assert np.array_equal(best.arrays[name], array), name
 
 
+def test_train_reports_gradient_norm_and_clip_rate(tmp_path, capsys):
+    train_path, model, metrics = (tmp_path / "train.txt", tmp_path / "m.ckpt",
+                                  tmp_path / "metrics.txt")
+    run(capsys, "gen-corpus", "--out", train_path, "--n-docs", 8, "--seed", 3)
+    log = run(capsys, "train", "--in", train_path, "--out", model, "--steps", 6,
+              "--checkpoint-every", 3, "--metrics-out", metrics, *TINY_HPARAMS,
+              "--hparam", "gradient_clip_norm=0.5")
+    lines = log.splitlines()
+    assert metrics.read_text(encoding="utf-8").splitlines() == lines
+    config = ModelConfig(gradient_clip_norm=0.5)
+    for item in TINY:
+        config.apply_override(*item.split("="))
+    reports = []
+    train(cli.read_corpus(str(train_path)), config, seed=1, steps=6, checkpoint_every=3,
+          on_checkpoint=lambda params, report: reports.append(report))
+    assert len(lines) == len(reports) == 2
+    for line, report in zip(lines, reports):
+        assert line == (f"step={report.step} loss={report.loss:.6f} "
+                        f"accuracy={report.accuracy:.4f} grad_norm={report.grad_norm:.4f} "
+                        f"clip_rate={report.clip_rate:.3f}")
+    assert all(report.grad_norm > 0 for report in reports)
+    assert any(0 < report.clip_rate for report in reports)
+
+
 def test_parse_text(tmp_path, capsys):
     model, parsed = tmp_path / "model.ckpt", tmp_path / "parsed.txt"
     config = ModelConfig(lstm_dim=6, hidden_dim=5)

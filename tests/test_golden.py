@@ -2,7 +2,12 @@
 the evaluation of gold against its oracle replay, for three generated
 corpora of 200 documents, pinned by SHA-256.  A change to the store,
 the oracle, the printer or the evaluator that is meant to keep every
-output byte for byte must leave these digests as they are."""
+output byte for byte must leave these digests as they are.
+
+Training is pinned the same way: every parameter array after 40 steps,
+and the parse that model gives, in two configurations.  A change to the
+network or the optimiser that is meant to be bit-identical must leave
+those digests as they are too."""
 
 import hashlib
 
@@ -11,6 +16,7 @@ import pytest
 from framekit import cli, oracle
 from framekit.corpus import generate_corpus
 from framekit.evaluation import evaluate_corpus
+from framekit.model import ModelConfig, parse_tokens, train
 from framekit.transitions import sequence_to_text
 
 GOLDEN = {
@@ -41,3 +47,32 @@ def test_outputs_match_their_recorded_digests(tmp_path, seed):
            sha256(path.read_bytes()),
            sha256(evaluate_corpus(docs, replays).format_machine()))
     assert got == GOLDEN[seed]
+
+
+# lstm = hidden = 32, lr 0.005 and batch 8 are the benchmark's pipeline
+# configuration; the second one swaps relu for tanh and float32 for
+# float64.
+PIPELINE = dict(lstm_dim=32, hidden_dim=32, learning_rate=0.005, batch_size=8)
+TRAINED = {
+    "float32-relu": (dict(PIPELINE),
+                     "ee34193f6ff15a823e70fce03a8f94df07d0fc2d403ef9dcf7caaeb73df4f69f",
+                     "ab48ebf4aa1eea6c3e39814df4b3966578e9adfc51990a5085da5ed5c6804e85"),
+    "float64-tanh": (dict(PIPELINE, hidden_activation="tanh", dtype="float64"),
+                     "400fa4618e7527c689bfee51dc205a4e01b90cdd866db0fd9741c22abc79d770",
+                     "27c43dd6bf17e4dd558983c284c51b0efcddfa5278e2f6a02646b0cb8822c6ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED))
+def test_training_matches_its_recorded_digests(name):
+    options, params_digest, parse_digest = TRAINED[name]
+    params = train(generate_corpus(11, 60), ModelConfig(**options), seed=1, steps=40,
+                   checkpoint_every=40)
+    digest = hashlib.sha256()
+    for key, array in params.arrays.items():
+        digest.update(key.encode("utf-8") + array.dtype.str.encode("ascii")
+                      + array.tobytes())
+    preds = [parse_tokens(params, doc.text, list(doc.tokens))
+             for doc in generate_corpus(12, 20)]
+    assert (digest.hexdigest(), sha256(cli.format_corpus(preds))) == (params_digest,
+                                                                      parse_digest)

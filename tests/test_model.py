@@ -43,10 +43,13 @@ def setup(n_docs=3, corpus_seed=7, **kw):
 
 # -- encoder -----------------------------------------------------------------
 
+# The pool of one sequence of n tokens: the zero row, then n
+# left-to-right rows, then n right-to-left ones.
+
 def test_encode_empty_sentence():
     _, config, _, lexicon, params = setup()
     encoding = encode_tokens(params.tensors(False), config, lexicon, [])
-    assert encoding.lr.shape == encoding.rl.shape == (0, config.lstm_dim)
+    assert encoding.pool.shape == (1, config.lstm_dim)
 
 
 def test_encode_zero_weights_zero_activations():
@@ -55,13 +58,13 @@ def test_encode_zero_weights_zero_activations():
         array[...] = 0.0
     tokens = tokenize("John hit")
     encoding = encode_tokens(params.tensors(False), config, lexicon, tokens)
-    assert np.all(encoding.lr == 0.0) and np.all(encoding.rl == 0.0)
+    assert encoding.pool.shape == (5, config.lstm_dim) and np.all(encoding.pool == 0.0)
 
 
 def test_encode_shapes_single_token():
     _, config, _, lexicon, params = setup()
     encoding = encode_tokens(params.tensors(False), config, lexicon, tokenize("word"))
-    assert encoding.lr.shape == encoding.rl.shape == (1, config.lstm_dim)
+    assert encoding.pool.shape == (3, config.lstm_dim)
 
 
 # -- features ----------------------------------------------------------------
@@ -236,7 +239,7 @@ def test_zero_parameters_uniform_logits():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_planned_logits_equal_step_logits(activation, dtype):
-    # The planned pass runs decoder_steps over a whole example and
+    # The planned pass runs decoder_steps over a whole batch and
     # step_logits runs it one step at a time, so teacher forcing scores
     # a gold sequence exactly as greedy decoding would.  The long
     # document (over 128 steps) regrows the decoding hidden pool.
@@ -251,9 +254,10 @@ def test_planned_logits_equal_step_logits(activation, dtype):
     params = Parameters(config, lexicon, seed=1)
     live_output_layer(params)
     P = params.tensors(False)
+    plans, all_stepped = [], []
     for text, tokens, actions in examples:
-        plan = plan_example(config, lexicon, text, tokens, actions)
-        planned = PlannedPass(P, config, lexicon, plan).scores
+        plans.append(plan_example(config, lexicon, text, tokens, actions))
+        planned = PlannedPass(P, config, lexicon, plans[-1:]).scores
         run = ForwardPass(P, config, lexicon, text, tokens)
         stepped = []
         for action in actions:
@@ -262,6 +266,10 @@ def test_planned_logits_equal_step_logits(activation, dtype):
         stepped = np.array(stepped)
         assert planned.shape == stepped.shape == (len(actions), lexicon.num_actions)
         assert planned.tobytes() == stepped.tobytes()
+        all_stepped.append(stepped)
+    # The same examples in one batch, in lockstep.
+    together = PlannedPass(P, config, lexicon, plans).scores
+    assert together.tobytes() == np.concatenate(all_stepped).tobytes()
 
 
 def plan_arrays(plan):
@@ -278,7 +286,7 @@ def test_visits_through_one_plan_are_identical():
     visits = []
     for _ in range(2):
         tensors = params.tensors(True)
-        loss, _, _ = planned_loss(tensors, config, lexicon, plan)
+        loss, _, _ = planned_loss(tensors, config, lexicon, [plan])
         ad.backward(loss)
         visits.append((loss.data.tobytes(),
                        {name: t.grad.tobytes() for name, t in tensors.items()}))
@@ -337,12 +345,31 @@ def test_training_is_deterministic():
         assert a.arrays[name].tobytes() == b.arrays[name].tobytes(), name
 
 
-def test_train_equals_its_pieces():
+def replayed_document(text, actions):
+    state = ParserState(text, tokenize(text))
+    for action in actions:
+        state.apply(action)
+    return state.to_document()
+
+
+def lockstep_corpus():
+    """Documents of very different lengths for one batch: an empty one
+    (one step), a one-token one, two with mentions but no role links,
+    the long document (over 128 steps) and five generated ones."""
+    person = Action.evoke("/saft/person", 1)
+    shift, stop = Action.shift(), Action.stop()
+    text, _, actions = long_document(20, 7)
+    return [replayed_document("Rome", [Action.evoke("/t/city", 1), shift, stop]),
+            replayed_document("Ann met Bob", [person, shift, shift, person, shift, stop]),
+            replayed_document(text, actions),
+            replayed_document("Hello there", [shift, shift, stop]),
+            replayed_document("", [stop]),
+            *generate_corpus(7, 5)]
+
+
+def assert_train_equals_its_pieces(corpus, config, seed, steps):
     # train() is document_loss per document, then addn, scale, backward
     # and Adam.step, over shuffled passes from random.Random(seed).
-    corpus = generate_corpus(7, 5)
-    config = tiny_config()
-    seed, steps = 2, 4
     reported = []
     trained = train(corpus, config, seed=seed, steps=steps, checkpoint_every=1,
                     on_checkpoint=lambda p, c: reported.append(c.loss))
@@ -381,6 +408,25 @@ def test_train_equals_its_pieces():
     assert losses == reported
     for name, array in trained.arrays.items():
         assert array.tobytes() == params.arrays[name].tobytes(), name
+
+
+def test_train_equals_its_pieces():
+    assert_train_equals_its_pieces(generate_corpus(7, 5), tiny_config(), seed=2, steps=4)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_train_equals_its_pieces_on_mixed_lengths(batch_size, activation):
+    # One batch runs documents of 0 to over 100 tokens together.  At
+    # 32 dimensions a one-row product rounds differently from a
+    # many-row one, so the one-token document checks that the input
+    # terms stay per document.
+    corpus = lockstep_corpus()
+    lengths = [len(s) for s in oracle_sequences(corpus)]
+    assert lengths[:2] == [3, 6] and lengths[2] > 128
+    config = ModelConfig(lstm_dim=32, hidden_dim=32, batch_size=batch_size,
+                         hidden_activation=activation)
+    assert_train_equals_its_pieces(corpus, config, seed=2, steps=9)
 
 
 def test_training_leaves_no_reference_cycles():
@@ -428,7 +474,7 @@ def test_adam_step_follows_documented_rule():
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert norm < config.gradient_clip_norm
     arrays = {k: np.ones_like(g) for k, g in grads.items()}
-    Adam(arrays, config).step(grads)
+    assert Adam(arrays, config).step(grads) == norm
     for k, g in grads.items():
         expected = 1.0 - config.learning_rate * g / (np.abs(g) + config.adam_epsilon)
         np.testing.assert_allclose(arrays[k], expected, rtol=1e-12, atol=0)
@@ -437,7 +483,7 @@ def test_adam_step_follows_documented_rule():
     # clip/norm before it reaches the moments.
     big = {k: 10.0 * g for k, g in grads.items()}
     adam = Adam({k: np.zeros_like(g) for k, g in big.items()}, config)
-    adam.step(big)
+    assert adam.step(big) == math.sqrt(sum(float(np.sum(g * g)) for g in big.values()))
     factor = config.gradient_clip_norm / (10.0 * norm)
     for k, g in big.items():
         clipped = g * factor
@@ -446,6 +492,24 @@ def test_adam_step_follows_documented_rule():
         np.testing.assert_allclose(adam.v[k],
                                    (1.0 - config.adam_beta2) * clipped * clipped,
                                    rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("clip, rate", [(1e-9, 1.0), (1e9, 0.0), (0.0, 0.0)])
+def test_checkpoints_report_mean_gradient_norm_and_clip_rate(clip, rate):
+    # A checkpoint over three steps gives the mean of the three norms
+    # that single-step checkpoints give; every step is clipped below
+    # the smallest norm, none above the largest or with clipping off.
+    corpus = generate_corpus(7, 4)
+    config = tiny_config(gradient_clip_norm=clip)
+    single, triple = [], []
+    train(corpus, config, seed=1, steps=3, checkpoint_every=1,
+          on_checkpoint=lambda p, c: single.append(c))
+    train(corpus, config, seed=1, steps=3, checkpoint_every=3,
+          on_checkpoint=lambda p, c: triple.append(c))
+    assert [c.clip_rate for c in single] == [rate] * 3
+    assert len(triple) == 1 and triple[0].clip_rate == rate
+    assert triple[0].grad_norm == sum(c.grad_norm for c in single) / 3
+    assert all(c.grad_norm > 0 for c in single)
 
 
 def test_empty_corpus_rejected():
