@@ -36,7 +36,10 @@ class CliError(Exception):
 
 def read_corpus(path: str) -> list[Document]:
     store = Store()
-    result = parse_notation(Path(path).read_text(encoding="utf-8"), store)
+    try:
+        result = parse_notation(Path(path).read_bytes().decode("utf-8"), store)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: byte {exc.start}: not valid UTF-8")
     if not result.ok:
         details = "; ".join(f"byte {off}: {msg}" for off, msg in result.diagnostics[:5])
         raise CliError(f"{path}: parse failed: {details}")

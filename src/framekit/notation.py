@@ -17,17 +17,21 @@ end of input, or any other character, which is always an error.
 Strings are JSON strings decoded by `json.decoder.scanstring`: a
 ``\\u`` surrogate pair is one character, a lone surrogate is an error,
 and raw control characters are allowed.  A number too large for a float
-is an error.  The reader never raises on malformed input: it returns a
-ParseResult whose diagnostics carry (byte offset, message) pairs.
+is an error.  The parser records one entry per frame, in the order of
+the opening braces: its labels, names and slots.  Only a text that
+parses is allocated, one frame per entry; then labels and names bind
+frame by frame (the first binding wins), and then the slots are added.
+The reader never raises on malformed input: it returns a ParseResult
+whose diagnostics carry (byte offset, message) pairs, sorted by offset.
 
 The printer is deterministic and labels a frame if and only if it is
 referenced at least twice (or cyclically) or carries a named id.  A
 name is bare if `_SYMBOL` matches it and it is not ``nil`` or ``null``
 (`is_bare_name`, which action texts share).  Roles that are not bare
 print as JSON string keys.  Symbol values and ids have no quoted form,
-so the printer refuses one that is not bare, and a float that is not
-finite, with `UnprintableValueError`.  So the output re-parses to an
-isomorphic graph.
+so the printer refuses one that is not bare, a float that is not
+finite, and nesting deeper than the reader accepts, with
+`UnprintableValueError`.  So the output re-parses to an isomorphic graph.
 """
 from __future__ import annotations
 
@@ -97,34 +101,27 @@ class ParseResult:
 # Reader
 # --------------------------------------------------------------------------
 
-# AST nodes.  Literal values are represented by themselves (None, int,
-# float, str); the node classes cover everything that needs resolution.
+# The parser's record.  Literal values stand for themselves (None, int,
+# float, str) and an array is a list; these placeholders stand for what
+# resolves only once every frame is allocated.  A slot's role is the
+# name of a symbol (a JSON-style string key too), a `_Ref` or a `_Frame`.
 
 
-@dataclass
+@dataclass(slots=True)
 class _Sym:
     name: str
     offset: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _Ref:
     label: int
     offset: int
 
 
-@dataclass
-class _Array:
-    items: list
-
-
-@dataclass
-class _FrameNode:
-    offset: int
-    num_labels: list[tuple[int, int]] = field(default_factory=list)  # (label, offset)
-    names: list[tuple[str, int]] = field(default_factory=list)
-    slots: list = field(default_factory=list)  # (role_node, value_node)
-    handle: Optional[Handle] = None
+@dataclass(slots=True)
+class _Frame:
+    index: int  # of the frame's entry in `_Parser.frames`
 
 
 # ``:x`` and ``+x`` are slots with these roles.
@@ -136,11 +133,14 @@ class _SyntaxError(Exception):
 
 
 class _Parser:
-    """Recursive descent over tokens, each one `_TOKEN` match."""
+    """Recursive descent over tokens, each one `_TOKEN` match, recording
+    in `frames`, in the order of the opening braces, each frame's labels
+    and names (with the offset of their ``=`` or role) and its slots."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.frames: list[tuple[list[tuple[int, int]], list[tuple[str, int]], list]] = []
 
     def token(self) -> tuple[str, int, str]:
         """Read the next token: its kind, offset and text."""
@@ -178,46 +178,48 @@ class _Parser:
             raise _SyntaxError(start, "malformed number")
         raise _SyntaxError(start, f"unexpected character {text!r}")
 
-    def parse_frame(self, depth: int, start: int) -> _FrameNode:
-        node = _FrameNode(offset=start)
+    def parse_frame(self, depth: int, start: int) -> _Frame:
+        frame = _Frame(len(self.frames))
+        labels, names, slots = entry = [], [], []
+        self.frames.append(entry)
         while True:
             token = kind, off, text = self.token()
             if kind == "end":
                 raise _SyntaxError(start, "unterminated frame")
             if text == "}":
-                return node
+                return frame
             if text == "=":
                 kind, label_start, label = self.token()
                 if kind == "ref":
-                    node.num_labels.append((_ref(label_start, label).label, off))
+                    labels.append((_ref(label_start, label).label, off))
                 elif kind == "symbol" and label not in _KEYWORDS:
-                    node.names.append((label, off))
+                    names.append((label, off))
                 else:
                     raise _SyntaxError(off, "expected label after '='")
             elif text in _SHORTHAND:
-                node.slots.append((_Sym(_SHORTHAND[text], off), self.parse_value(depth + 1)))
+                slots.append((_SHORTHAND[text], self.parse_value(depth + 1)))
             else:
                 role = self.parse_value(depth + 1, token)
-                if isinstance(role, str) and role:
-                    role = _Sym(role, off)  # JSON-style string key
-                if not isinstance(role, (_Sym, _Ref, _FrameNode)):
+                if isinstance(role, _Sym):
+                    role = role.name
+                if not (role and isinstance(role, (str, _Ref, _Frame))):
                     raise _SyntaxError(off, "slot role must be a symbol or frame")
                 _, colon, text = self.token()
                 if text != ":":
                     raise _SyntaxError(colon, "expected ':' after slot role")
                 value = self.parse_value(depth + 1)
-                if isinstance(role, _Sym) and role.name == "id" and isinstance(value, _Sym):
-                    node.names.append((value.name, off))  # the long form of =name
+                if role == "id" and isinstance(value, _Sym):
+                    names.append((value.name, off))  # the long form of =name
                 else:
-                    node.slots.append((role, value))
+                    slots.append((role, value))
 
-    def parse_array(self, depth: int, start: int) -> _Array:
+    def parse_array(self, depth: int, start: int) -> list:
         items = []
         while (token := self.token())[2] != "]":
             if token[0] == "end":
                 raise _SyntaxError(start, "unterminated array")
             items.append(self.parse_value(depth + 1, token))
-        return _Array(items)
+        return items
 
     def parse_string(self, quote: int) -> str:
         """Decode the JSON string whose opening quote is at `quote`."""
@@ -259,117 +261,86 @@ def _ref(start: int, text: str) -> _Ref:
 
 
 def _byte_offsets(text: str, diagnostics: list[tuple[int, str]]) -> list[tuple[int, str]]:
-    """Turn character offsets into UTF-8 byte offsets in one ordered pass.
-
-    Lone surrogates in a caller's str count as three bytes each."""
-    offsets = {}
+    """Sort diagnostics by offset and turn character offsets into UTF-8
+    byte offsets in one pass; a lone surrogate counts three bytes."""
+    out = []
     prev = nbytes = 0
-    for pos in sorted({pos for pos, _ in diagnostics}):
+    for pos, message in sorted(diagnostics, key=lambda diagnostic: diagnostic[0]):
         nbytes += len(text[prev:pos].encode("utf-8", "surrogatepass"))
-        offsets[pos] = nbytes
         prev = pos
-    return [(offsets[pos], message) for pos, message in diagnostics]
+        out.append((nbytes, message))
+    return out
 
 
-class _Builder:
-    """Second pass: allocates frames, binds labels, then fills slots."""
-
-    def __init__(self, store: Store, text: str):
-        self.store = store
-        self.text = text
-        self.labels: dict[int, Handle] = {}
-        self.diagnostics: list[tuple[int, str]] = []
-
-    def diag(self, pos: int, message: str) -> None:
-        self.diagnostics.append((pos, message))
-
-    def collect(self, node) -> None:
-        if isinstance(node, _FrameNode):
-            node.handle = self.store.new_frame()
-            for label, off in node.num_labels:
-                if label in self.labels:
-                    self.diag(off, f"duplicate label #{label}")
-                else:
-                    self.labels[label] = node.handle
-            for name, off in node.names:
-                sym = self.store.intern(name)
-                try:
-                    self.store.add_slot(node.handle, self.store.id, sym)
-                except StoreError as exc:
-                    self.diag(off, str(exc))
-            for role, value in node.slots:
-                if isinstance(role, _FrameNode):
-                    self.collect(role)
-                self.collect(value)
-        elif isinstance(node, _Array):
-            for item in node.items:
-                self.collect(item)
-
-    def fill(self, node) -> None:
-        if isinstance(node, _FrameNode):
-            for role, value in node.slots:
-                if isinstance(role, _FrameNode):
-                    self.fill(role)
-                role_handle = (self.store.intern(role.name) if isinstance(role, _Sym)
-                               else self.resolve_value(role))  # a frame or a reference
-                self.fill(value)
-                resolved = self.resolve_value(value)
-                if role_handle is not None:
-                    self.store.add_slot(node.handle, role_handle, resolved)
-        elif isinstance(node, _Array):
-            for item in node.items:
-                self.fill(item)
-
-    def resolve_value(self, node) -> Value:
-        if isinstance(node, _FrameNode):
-            return node.handle
-        if isinstance(node, _Array):
-            return [self.resolve_value(item) for item in node.items]
-        if isinstance(node, _Ref):
-            handle = self.labels.get(node.label)
-            if handle is None:
-                self.diag(node.offset, f"unresolved reference #{node.label}")
-            return handle
-        if isinstance(node, _Sym):
-            sym = self.store.intern(node.name)
-            bound = self.store.binding(sym)
-            return bound if bound is not None else sym
-        return node
+def _resolve(value, store: Store, handles: list[Handle], labels: dict[int, Handle],
+             diagnostics: list[tuple[int, str]]) -> Value:
+    """The store value of a parsed value: each placeholder becomes the
+    handle it stands for, and a reference that does not resolve nil."""
+    cls = value.__class__
+    if cls is _Frame:
+        return handles[value.index]
+    if cls is _Sym:  # a name ids a frame, else it is a symbol
+        return store.resolve(value.name) or store.intern(value.name)
+    if cls is _Ref:
+        handle = labels.get(value.label)
+        if handle is None:
+            diagnostics.append((value.offset, f"unresolved reference #{value.label}"))
+        return handle
+    if cls is list:
+        return [_resolve(item, store, handles, labels, diagnostics) for item in value]
+    return value
 
 
 def parse_notation(text: str, store: Store) -> ParseResult:
-    """Parse notation text into `store`, returning tops and diagnostics.
-
-    Any input yields a ParseResult; malformed input is reported through
-    diagnostics rather than exceptions.
-    """
+    """Parse notation text into `store`, returning tops and diagnostics;
+    malformed input is reported through diagnostics, never by raising."""
+    parser = _Parser(text)
     try:
-        tops = _Parser(text).parse_top()
+        tops = parser.parse_top()
     except _SyntaxError as exc:
         return ParseResult([], _byte_offsets(text, [exc.args]))
     except RecursionError:
         return ParseResult([], [(0, "nesting too deep")])
 
-    builder = _Builder(store, text)
-    for node in tops:
-        builder.collect(node)
-    for node in tops:
-        builder.fill(node)
+    # Only a text that parses allocates; the first binding of a label or name wins.
+    handles = [store.new_frame() for _ in parser.frames]
+    labels: dict[int, Handle] = {}
+    diagnostics: list[tuple[int, str]] = []
+    for handle, (frame_labels, names, _) in zip(handles, parser.frames):
+        for label, off in frame_labels:
+            if label in labels:
+                diagnostics.append((off, f"duplicate label #{label}"))
+            else:
+                labels[label] = handle
+        for name, off in names:
+            try:
+                store.add_slot(handle, store.id, store.intern(name))
+            except StoreError as exc:
+                diagnostics.append((off, str(exc)))
 
-    handles = []
-    for node in tops:
-        if isinstance(node, (_FrameNode, _Ref, _Sym)):
-            resolved = builder.resolve_value(node)
-            if isinstance(resolved, Handle) and resolved.is_frame():
-                handles.append(resolved)
-            elif isinstance(node, _Sym):
-                builder.diag(node.offset, f"top-level name {node.name!r} is not a frame")
-        else:
-            builder.diag(0, "top-level object must be a frame")
+    for handle, (_, _, slots) in zip(handles, parser.frames):
+        for role, value in slots:
+            # A role symbol stays a symbol even if it ids a frame.
+            role = (store.intern(role) if role.__class__ is str
+                    else _resolve(role, store, handles, labels, diagnostics))
+            value = _resolve(value, store, handles, labels, diagnostics)
+            if role is not None:
+                store.add_slot(handle, role, value)
 
-    if builder.diagnostics:
-        return ParseResult([], _byte_offsets(builder.text, builder.diagnostics))
-    return ParseResult(handles, [])
+    top = []
+    for value in tops:
+        if value.__class__ not in (_Frame, _Ref, _Sym):
+            diagnostics.append((0, "top-level object must be a frame"))
+            continue
+        resolved = _resolve(value, store, handles, labels, diagnostics)
+        if isinstance(resolved, Handle) and resolved.is_frame():
+            top.append(resolved)
+        elif value.__class__ is _Sym:
+            diagnostics.append((value.offset, f"top-level name {value.name!r} is not a frame"))
+
+    if diagnostics:
+        return ParseResult([], _byte_offsets(text, diagnostics))
+    return ParseResult(top, [])
 
 
 def parse_or_raise(text: str, store: Store) -> list[Handle]:
@@ -423,7 +394,13 @@ class _Printer:
                     self.by_number.add(slot_value.index)
                 stack.append(slot_value)
 
-    def emit(self, value: Value) -> str:
+    def emit(self, value: Value, depth: int, by_number: bool = False) -> str:
+        """The text of `value`, which the reader meets at nesting `depth`
+        (as `_Parser.parse_value` counts it); `by_number` refers to a frame
+        printed before by its number even if it has a name."""
+        if depth > _MAX_DEPTH:
+            raise UnprintableValueError(
+                f"nesting deeper than {_MAX_DEPTH} levels does not read back")
         if value is None:
             return "nil"
         if isinstance(value, float) and not math.isfinite(value):
@@ -433,14 +410,14 @@ class _Printer:
         if isinstance(value, str):
             return json.dumps(value, ensure_ascii=False)
         if isinstance(value, list):
-            return "[" + " ".join(self.emit(item) for item in value) + "]"
+            return "[" + " ".join(self.emit(item, depth + 1) for item in value) + "]"
         if value.is_symbol():
             if self.store.binding(value) is not None:
                 raise UnprintableValueError(
                     f"symbol {self.store.symbol_name(value)!r} names a frame; "
                     "as a value it would read back as that frame")
             return self.symbol_text(value)
-        return self.emit_frame(value)
+        return self.emit_frame(value, depth, by_number)
 
     def symbol_text(self, symbol: Handle) -> str:
         name = self.store.symbol_name(symbol)
@@ -448,7 +425,7 @@ class _Printer:
             raise UnprintableValueError(f"symbol {name!r} has no notation as a value")
         return name
 
-    def emit_frame(self, frame: Handle, by_number: bool = False) -> str:
+    def emit_frame(self, frame: Handle, depth: int, by_number: bool) -> str:
         idx = frame.index
         name = self.names.get(idx)
         if idx in self.printed:
@@ -463,14 +440,14 @@ class _Printer:
             if role == self.store.id and isinstance(value, Handle):
                 # A symbol id binds this frame; a frame id is referenced by number.
                 pieces.append("=" + self.symbol_text(value) if value.is_symbol()
-                              else "id: " + self.emit_frame(value, by_number=True))
+                              else "id: " + self.emit(value, depth + 1, by_number=True))
             elif role == self.store.isa:
-                pieces.append(":" + self.emit(value))
+                pieces.append(":" + self.emit(value, depth + 1))
             elif role == self.store.is_:
-                pieces.append("+" + self.emit(value))
+                pieces.append("+" + self.emit(value, depth + 1))
             else:
                 if isinstance(role, Handle) and role.is_frame():
-                    role_text = self.emit_frame(role, by_number=True)
+                    role_text = self.emit(role, depth + 1, by_number=True)
                 elif role.index in self.role_texts:
                     role_text = self.role_texts[role.index]
                 else:
@@ -478,7 +455,7 @@ class _Printer:
                     if not is_bare_name(role_text):
                         role_text = json.dumps(role_text, ensure_ascii=False)
                     self.role_texts[role.index] = role_text
-                pieces.append(role_text + ": " + self.emit(value))
+                pieces.append(role_text + ": " + self.emit(value, depth + 1))
         return "{" + " ".join(pieces) + "}"
 
 
@@ -499,5 +476,5 @@ def print_with_labels(roots: list[Handle], store: Store,
         store.slots(root)  # validates ownership and liveness
     printer = _Printer(store, first_label)
     printer.count_refs(list(roots))
-    text = "\n".join(printer.emit_frame(root) for root in roots)
+    text = "\n".join(printer.emit(root, 0) for root in roots)
     return text, printer.next_number

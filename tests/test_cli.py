@@ -6,10 +6,11 @@ import pytest
 
 from framekit import cli
 from framekit.corpus import generate_corpus
-from framekit.document import tokenize
+from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, load_checkpoint,
                             save_checkpoint, train)
 from framekit.model.lexicon import Lexicon
+from framekit.store import Store
 from framekit.transitions import Action
 from support import edit_checkpoint_header
 
@@ -277,3 +278,67 @@ def test_a_symbol_value_that_names_a_frame_is_reported():
     store.add_slot(frame, store.intern("q"), store.intern("x"))
     with pytest.raises(cli.CliError, match="^document 0: symbol 'x' names a frame"):
         cli.format_corpus([doc])
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--in", "{bad}"],
+    ["train", "--in", "{bad}", "--out", "{out}", *TINY_HPARAMS],
+    ["train", "--in", "{corpus}", "--dev", "{bad}", "--out", "{out}", *TINY_HPARAMS],
+    ["parse", "--model", "{model}", "--in", "{bad}"],
+    ["eval", "--gold", "{corpus}", "--pred", "{bad}"],
+], ids=["oracle", "train-in", "train-dev", "parse", "eval"])
+def test_a_corpus_that_is_not_utf8_is_reported(tmp_path, capsys, argv):
+    corpus, model, bad = tmp_path / "train.txt", tmp_path / "model.ckpt", tmp_path / "bad.txt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    save_checkpoint(Parameters(config, build_lexicon(generate_corpus(3, 2), config)), str(model))
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = [arg.format(corpus=corpus, model=model, bad=bad, out=tmp_path / "out.ckpt")
+            for arg in argv]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: byte 0: not valid UTF-8\n"
+
+
+def test_a_byte_that_is_not_utf8_is_reported_at_its_file_offset(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("é".encode("utf-8") * 5000 + b"\xc3")  # past a text reader's chunk
+    with pytest.raises(cli.CliError) as error:
+        cli.read_corpus(str(path))
+    assert str(error.value) == f"{path}: byte 10000: not valid UTF-8"
+
+
+def chain_document(n_frames: int) -> Document:
+    """One-token mentions whose evoked frames link `next` in a chain: the
+    printer writes the whole chain inside the first mention."""
+    text = " ".join(["w"] * n_frames)
+    store = Store()
+    frames = [store.new_frame([(store.isa, store.intern("/t"))]) for _ in range(n_frames)]
+    for frame, successor in zip(frames, frames[1:]):
+        store.add_slot(frame, store.intern("next"), successor)
+    mentions = [Mention(index, 1, [frame]) for index, frame in enumerate(frames)]
+    return Document(text, tokenize(text), mentions, store)
+
+
+# The document frame is at depth 0 and the first mention at 1, so the
+# last frame of a chain of 198 is at depth 199 and its type at 200, the
+# deepest the reader accepts.
+DEEPEST_CHAIN = 198
+
+
+def test_the_deepest_chain_that_reads_back_is_written(tmp_path):
+    path = tmp_path / "chain.txt"
+    cli.write_corpus([chain_document(DEEPEST_CHAIN)], str(path))
+    (doc,) = cli.read_corpus(str(path))
+    next_role = doc.store.intern("next")
+    frame, length = doc.mentions[0].evoked[0], 1
+    while (frame := doc.store.get_role(frame, next_role)) is not None:
+        length += 1
+    assert length == DEEPEST_CHAIN
+
+
+@pytest.mark.parametrize("n_frames", [DEEPEST_CHAIN + 1, 1200])
+def test_a_chain_too_deep_to_read_back_is_refused(tmp_path, n_frames):
+    path = tmp_path / "chain.txt"
+    with pytest.raises(cli.CliError, match="^document 0: nesting deeper than 200 levels"):
+        cli.write_corpus([chain_document(n_frames)], str(path))
+    assert not path.exists()

@@ -2,7 +2,8 @@
 the evaluation of gold against its oracle replay, for three generated
 corpora of 200 documents, pinned by SHA-256.  A change to the store,
 the oracle, the printer or the evaluator that is meant to keep every
-output byte for byte must leave these digests as they are.
+output byte for byte must leave these digests as they are.  The written
+file must also read back into documents that write the same bytes.
 
 Training is pinned the same way: every parameter array after 40 steps,
 and the parse that model gives, in two configurations.  A change to the
@@ -47,6 +48,9 @@ def test_outputs_match_their_recorded_digests(tmp_path, seed):
            sha256(path.read_bytes()),
            sha256(evaluate_corpus(docs, replays).format_machine()))
     assert got == GOLDEN[seed]
+    again = tmp_path / "again.txt"
+    cli.write_corpus(cli.read_corpus(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 # lstm = hidden = 32, lr 0.005 and batch 8 are the benchmark's pipeline

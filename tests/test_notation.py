@@ -115,6 +115,62 @@ def test_duplicate_label():
     assert any("duplicate" in msg for _, msg in result.diagnostics)
 
 
+def _store_dump(store: Store) -> list:
+    """Each frame's slots in allocation order: a frame shows as ``@i``,
+    a symbol as its name, a string as its JSON text."""
+    def show(value):
+        if isinstance(value, list):
+            return [show(item) for item in value]
+        if isinstance(value, Handle):
+            return f"@{value.index}" if value.is_frame() else store.symbol_name(value)
+        return json.dumps(value) if isinstance(value, str) else value
+    return [[(show(role), show(value)) for role, value in store.slots(frame)]
+            for frame in store.frames()]
+
+
+# What the reader leaves in the store, well-formed or not, with the
+# top-level frame indices and the diagnostics: frames are allocated in
+# the order of their opening braces, labels and names bind in that order
+# (the first binding wins), and a slot whose reference does not resolve
+# holds nil.
+READ_STORES = [
+    ("forward-labels", "{a: {=#1 b: #2} =#2 c: [#1 {d: x} x]} {=x e: #1}",
+     [[("a", "@1"), ("c", ["@1", "@2", "@3"])], [("b", "@0")], [("d", "@3")],
+      [("id", "x"), ("e", "@1")]], [0, 3], []),
+    ("label-role", "{#1: 1} {=#1 :t}", [[("@1", 1)], [("isa", "t")]], [0, 1], []),
+    ("frame-role", "{{:r}: {+s}}", [[("@1", "@2")], [("isa", "r")], [("is", "s")]], [0], []),
+    ("nested-arrays", "{a: [[#3] {=#3}]}", [[("a", [["@1"], "@1"])], []], [0], []),
+    ("names-and-tops", "{=y id: z a: y} #3 y {=#3}",
+     [[("id", "y"), ("id", "z"), ("a", "@0")], []], [0, 1, 0, 1], []),
+    ("inner-label-taken", "{a: {=#1} =#1}", [[("a", "@1")], []], [],
+     [(5, "duplicate label #1")]),
+    ("name-and-label-taken", "{=b =#1}{=b =#1}", [[("id", "b")], []], [],
+     [(9, "symbol 'b' already names another frame"), (12, "duplicate label #1")]),
+    ("empty-json-key", '{"id": x "isa": y "": 1}', [], [],
+     [(18, "slot role must be a symbol or frame")]),
+    ("string-id", '{"id": "s" r: nil}', [[("id", '"s"'), ("r", None)]], [0], []),
+]
+
+
+@pytest.mark.parametrize("text,frames,top,diagnostics", [case[1:] for case in READ_STORES],
+                         ids=[case[0] for case in READ_STORES])
+def test_reader_fills_the_store_frame_by_frame(text, frames, top, diagnostics):
+    store = Store()
+    result = parse_notation(text, store)
+    assert _store_dump(store) == frames
+    assert [handle.index for handle in result.top] == top
+    assert sorted(result.diagnostics) == diagnostics
+
+
+def test_diagnostics_come_out_in_offset_order():
+    store = Store()
+    result = parse_notation("{x: #7 y: {z: #8}} {=#1} {=#1}", store)
+    assert result.diagnostics == [(4, "unresolved reference #7"),
+                                  (14, "unresolved reference #8"),
+                                  (26, "duplicate label #1")]
+    assert _store_dump(store) == [[("x", None), ("y", "@1")], [("z", None)], [], []]
+
+
 def test_parse_or_raise_raises():
     store = Store()
     with pytest.raises(NotationError):
@@ -230,6 +286,20 @@ def test_deep_nesting_reports_diagnostic():
     result = parse_notation("{a: " * 500 + "1" + "}" * 500, store)
     assert not result.ok
     assert any("deep" in msg for _, msg in result.diagnostics)
+
+
+@pytest.mark.parametrize("leaf,depth", [("1", 200), ("{}", 200), ("{=x}", 200),
+                                        ("[]", 200), ("{:t}", 199), ("[1]", 199)])
+def test_the_printer_refuses_exactly_what_nests_too_deep_to_read(leaf, depth):
+    """`leaf` is at `depth`, the deepest at which the reader accepts it;
+    one frame more around it is refused."""
+    text = "{a: " * depth + leaf + "}" * depth
+    store = Store()
+    (frame,) = parse_or_raise(text, store)
+    assert print_notation([frame], store) == text
+    outer = store.new_frame([(store.intern("a"), frame)])
+    with pytest.raises(UnprintableValueError, match="nesting deeper than 200 levels"):
+        print_notation([outer], store)
 
 
 # Every malformed input maps to an exact (byte offset, message) list.
