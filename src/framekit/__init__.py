@@ -9,7 +9,7 @@ graph-alignment evaluation.
 
 from .corpus import generate_corpus
 from .document import (Document, Mention, SchemaError, Token, doc_from_frame,
-                       doc_to_frame, frame_graph, tokenize)
+                       frame_graph, print_document, tokenize)
 from .evaluation import (EvalReport, MetricCounts, TokenMismatchError, align,
                          evaluate, evaluate_corpus)
 from .notation import (NotationError, ParseResult, parse_notation,

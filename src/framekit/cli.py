@@ -17,14 +17,14 @@ import sys
 from pathlib import Path
 
 from .corpus import generate_corpus
-from .document import (Document, SchemaError, doc_from_frame, doc_to_frame,
+from .document import (Document, SchemaError, doc_from_frame, print_document,
                        tokenize)
 from .evaluation import TokenMismatchError, evaluate, evaluate_corpus
 from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
                     parse_tokens, save_checkpoint, train)
 from .model.checkpoint import CheckpointError
 from .model.training import TrainingError, oracle_sequences
-from .notation import UnprintableValueError, parse_notation, print_with_labels
+from .notation import UnprintableValueError, parse_notation
 from .oracle import UnrepresentableDocumentError, action_stats, generate
 from .store import Store, StoreError
 from .transitions import sequence_to_text
@@ -57,7 +57,7 @@ def format_corpus(docs: list[Document]) -> str:
     label = 1
     for index, doc in enumerate(docs):
         try:
-            text, label = print_with_labels([doc_to_frame(doc)], doc.store, label)
+            text, label = print_document(doc, label)
         except UnprintableValueError as exc:
             raise CliError(f"document {index}: {exc}")
         blocks.append(text)
@@ -179,6 +179,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if bool(args.input) == bool(args.text is not None):
         raise CliError("exactly one of --in or --text is required")
     try:
+        (args.text or "").encode("utf-8")
+    except UnicodeEncodeError:
+        raise CliError("--text: not valid UTF-8") from None
+    try:
         params = load_checkpoint(args.model)
     except CheckpointError as exc:
         raise CliError(str(exc))
@@ -191,11 +195,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise CliError("checkpoint holds no averaged parameters")
     docs = [parse_tokens(params, text, tokens, use_ema=args.ema)
             for text, tokens in inputs]
-    body = format_corpus(docs)
     if args.out:
-        Path(args.out).write_text(body + "\n" if body else "", encoding="utf-8")
+        write_corpus(docs, args.out)
     else:
-        print(body)
+        print(format_corpus(docs))
     return 0
 
 

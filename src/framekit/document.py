@@ -9,6 +9,8 @@ slot per evoked frame.  One ``/s/document/frame`` slot per theme holds
 the graph frames that no mention evokes and no outgoing link from an
 evoked frame reaches (an embedded frame, which only links into the
 graph), so that printing the document frame prints the whole graph.
+`doc_from_frame` reads the schema from a store; `print_document` writes
+it straight from a `Document`'s fields, so writing allocates no frame.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .notation import Printer
 from .store import Handle, Store, Value
 
 DOCUMENT_TYPE = "/s/document"
@@ -149,37 +152,26 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def doc_to_frame(doc: Document) -> Handle:
-    """Serialize a document into its store as a schema frame."""
-    store = doc.store
-    isa = store.isa
-    token_frames = []
-    for token in doc.tokens:
-        token_frames.append(store.new_frame([
-            (store.intern(TOKEN_TEXT), token.text),
-            (store.intern(TOKEN_START), token.start),
-            (store.intern(TOKEN_LENGTH), token.length),
-        ]))
-    slots: list[tuple[Handle, Value]] = [
-        (isa, store.intern(DOCUMENT_TYPE)),
-        (store.intern(DOCUMENT_TEXT), doc.text),
-        (store.intern(DOCUMENT_TOKENS), token_frames),
-    ]
-    mention_role = store.intern(DOCUMENT_MENTION)
+def print_document(doc: Document, first_label: int = 1) -> tuple[str, int]:
+    """The notation of `doc` as its schema frame, printed from its fields
+    without allocating, and the next unused =#n label (labels are
+    file-scoped, so a corpus writer threads it across documents)."""
+    printer = Printer(doc.store, [f for m in doc.mentions for f in m.evoked] + doc.themes,
+                      first_label)
+    # Each value at the depth the reader meets it in the document frame.
+    emit, intern = printer.emit, doc.store.intern
+    pieces = [":" + emit(intern(DOCUMENT_TYPE), 1), f"{DOCUMENT_TEXT}: {emit(doc.text, 1)}"]
+    tokens = " ".join(f"{{{TOKEN_TEXT}: {emit(t.text, 3)} {TOKEN_START}: {emit(t.start, 3)} "
+                      f"{TOKEN_LENGTH}: {emit(t.length, 3)}}}" for t in doc.tokens)
+    pieces.append(f"{DOCUMENT_TOKENS}: [{tokens}]")
     for mention in doc.mentions:
-        phrase_slots: list[tuple[Handle, Value]] = [
-            (isa, store.intern(PHRASE_TYPE)),
-            (store.intern(PHRASE_BEGIN), mention.begin),
-        ]
+        phrase = [":" + emit(intern(PHRASE_TYPE), 2), f"{PHRASE_BEGIN}: {emit(mention.begin, 2)}"]
         if mention.length != 1:
-            phrase_slots.append((store.intern(PHRASE_LENGTH), mention.length))
-        evokes = store.intern(PHRASE_EVOKES)
-        for frame in mention.evoked:
-            phrase_slots.append((evokes, frame))
-        slots.append((mention_role, store.new_frame(phrase_slots)))
-    frame_role = store.intern(DOCUMENT_FRAME)
-    slots.extend((frame_role, frame) for frame in doc.themes)
-    return store.new_frame(slots)
+            phrase.append(f"{PHRASE_LENGTH}: {emit(mention.length, 2)}")
+        phrase += [f"{PHRASE_EVOKES}: {emit(frame, 2)}" for frame in mention.evoked]
+        pieces.append(f"{DOCUMENT_MENTION}: {{{' '.join(phrase)}}}")
+    pieces += [f"{DOCUMENT_FRAME}: {emit(frame, 1)}" for frame in doc.themes]
+    return "{" + " ".join(pieces) + "}", printer.next_number
 
 
 def _require(condition: bool, message: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ..transitions import parse_action
+from ..transitions import SHIFT, STOP, parse_action
 from .config import ModelConfig
 from .lexicon import Lexicon
 from .network import Parameters, parameter_shapes
@@ -158,6 +158,9 @@ def load_checkpoint(path: str) -> Parameters:
                           max_affix_len=tables["max_affix_len"])
         if len(lexicon.action_ids) != len(lexicon.actions):
             raise ValueError("lexicon actions repeat an action")
+        for kind in (SHIFT, STOP):  # decoding needs both
+            if all(action.kind != kind for action in lexicon.actions):
+                raise ValueError(f"lexicon actions lack {kind}")
         tensors = header["tensors"]
         has_ema = header["has_ema"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:

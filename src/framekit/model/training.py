@@ -110,6 +110,8 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         raise TrainingError("steps and checkpoint_every must be at least 1")
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
+    if Action.shift().to_text() not in lexicon.action_ids:
+        raise TrainingError("no oracle sequence has a SHIFT: the corpus has no tokens")
     try:
         params = Parameters(config, lexicon, seed)
     except (OSError, ValueError) as exc:  # reading word_vectors_path

@@ -32,6 +32,8 @@ print as JSON string keys.  Symbol values and ids have no quoted form,
 so the printer refuses one that is not bare, a float that is not
 finite, and nesting deeper than the reader accepts, with
 `UnprintableValueError`.  So the output re-parses to an isomorphic graph.
+`print_notation` prints store roots; `document.print_document` prints a
+document's schema frame through the same `Printer`.
 """
 from __future__ import annotations
 
@@ -356,8 +358,11 @@ def parse_or_raise(text: str, store: Store) -> list[Handle]:
 # --------------------------------------------------------------------------
 
 
-class _Printer:
-    def __init__(self, store: Store, first_label: int = 1):
+class Printer:
+    """Prints frames reachable from `roots`, labelling shared ones =#n
+    from `first_label` on; `next_number` is the next unused label."""
+
+    def __init__(self, store: Store, roots: list[Value], first_label: int = 1):
         self.store = store
         self.counts: dict[int, int] = {}
         self.names: dict[int, str] = {}
@@ -368,6 +373,7 @@ class _Printer:
         self.printed: set[int] = set()
         self.role_texts: dict[int, str] = {}  # symbol index -> role as printed
         self.next_number = first_label
+        self.count_refs(roots)
 
     def count_refs(self, roots: list[Handle]) -> None:
         stack = list(reversed(roots))
@@ -459,22 +465,11 @@ class _Printer:
         return "{" + " ".join(pieces) + "}"
 
 
-def print_notation(roots: list[Handle], store: Store, first_label: int = 1) -> str:
+def print_notation(roots: list[Handle], store: Store) -> str:
     """Print frames deterministically; shared frames get =#n labels."""
-    text, _ = print_with_labels(roots, store, first_label)
-    return text
-
-
-def print_with_labels(roots: list[Handle], store: Store,
-                      first_label: int = 1) -> tuple[str, int]:
-    """Like print_notation, also returning the next unused =#n label
-    (numeric labels are file-scoped, so multi-store corpus writers must
-    thread the counter across documents)."""
     for root in roots:
         if not isinstance(root, Handle) or root.kind != FRAME:
             raise StoreError(f"root {root!r} is not a frame handle")
         store.slots(root)  # validates ownership and liveness
-    printer = _Printer(store, first_label)
-    printer.count_refs(list(roots))
-    text = "\n".join(printer.emit(root, 0) for root in roots)
-    return text, printer.next_number
+    printer = Printer(store, roots)
+    return "\n".join(printer.emit(root, 0) for root in roots)

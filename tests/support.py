@@ -12,10 +12,13 @@ import struct
 from pathlib import Path
 from typing import Callable
 
-from framekit.document import Document, Mention, frame_graph, tokenize
+from framekit.document import (DOCUMENT_FRAME, DOCUMENT_MENTION, DOCUMENT_TEXT,
+                               DOCUMENT_TOKENS, DOCUMENT_TYPE, PHRASE_BEGIN, PHRASE_EVOKES,
+                               PHRASE_LENGTH, PHRASE_TYPE, TOKEN_LENGTH, TOKEN_START,
+                               TOKEN_TEXT, Document, Mention, frame_graph, tokenize)
 from framekit.evaluation import align
 from framekit.model.checkpoint import MAGIC
-from framekit.store import Handle, Slot, Store
+from framekit.store import Handle, Slot, Store, Value
 
 HIT_DOC_TEXT = """{
   :/s/document
@@ -208,12 +211,40 @@ def graphs_isomorphic(store_a: Store, roots_a: list[Handle],
     return backtrack(0)
 
 
+def reference_doc_to_frame(doc: Document) -> Handle:
+    """Build `doc`'s schema frame in its own store, the way documents
+    were once written: a reference for `print_document`, which prints
+    the same text without allocating.  Adds a document frame, a phrase
+    frame per mention and a frame per token on every call."""
+    store = doc.store
+    isa = store.isa
+    token_frames = [store.new_frame([(store.intern(TOKEN_TEXT), token.text),
+                                     (store.intern(TOKEN_START), token.start),
+                                     (store.intern(TOKEN_LENGTH), token.length)])
+                    for token in doc.tokens]
+    slots: list[tuple[Handle, Value]] = [
+        (isa, store.intern(DOCUMENT_TYPE)),
+        (store.intern(DOCUMENT_TEXT), doc.text),
+        (store.intern(DOCUMENT_TOKENS), token_frames),
+    ]
+    for mention in doc.mentions:
+        phrase_slots: list[tuple[Handle, Value]] = [
+            (isa, store.intern(PHRASE_TYPE)),
+            (store.intern(PHRASE_BEGIN), mention.begin),
+        ]
+        if mention.length != 1:
+            phrase_slots.append((store.intern(PHRASE_LENGTH), mention.length))
+        phrase_slots += [(store.intern(PHRASE_EVOKES), frame) for frame in mention.evoked]
+        slots.append((store.intern(DOCUMENT_MENTION), store.new_frame(phrase_slots)))
+    slots += [(store.intern(DOCUMENT_FRAME), frame) for frame in doc.themes]
+    return store.new_frame(slots)
+
+
 def documents_isomorphic(gold: Document, pred: Document) -> bool:
     """Document-level isomorphism via the store-level oracle applied to
-    serialized document frames."""
-    from framekit.document import doc_to_frame
-    a = doc_to_frame(gold)
-    b = doc_to_frame(pred)
+    the documents' schema frames."""
+    a = reference_doc_to_frame(gold)
+    b = reference_doc_to_frame(pred)
     return graphs_isomorphic(gold.store, [a], pred.store, [b])
 
 

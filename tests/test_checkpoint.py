@@ -68,7 +68,8 @@ def test_tensor_mismatch_raises(tmp_path):
         load_checkpoint(path)
 
     params.arrays["ff_w1"] = w1
-    params.lexicon.actions.pop()  # the output layer no longer fits
+    # Not SHIFT or STOP, which a header must list: the output layer no longer fits.
+    params.lexicon.actions.pop(0)
     save_checkpoint(params, path)
     with pytest.raises(CheckpointError, match="ff_w2"):
         load_checkpoint(path)

@@ -152,11 +152,52 @@ def test_parse_text(tmp_path, capsys):
     config = ModelConfig(lstm_dim=6, hidden_dim=5)
     corpus = generate_corpus(4, 2)
     save_checkpoint(Parameters(config, build_lexicon(corpus, config)), str(model))
-    parsed.write_text(run(capsys, "parse", "--model", model, "--text", "John hit the ball."),
-                      encoding="utf-8")
+    printed = run(capsys, "parse", "--model", model, "--text", "John hit the ball.")
+    run(capsys, "parse", "--model", model, "--text", "John hit the ball.", "--out", parsed)
+    assert parsed.read_bytes() == printed.encode("utf-8")
     (doc,) = cli.read_corpus(str(parsed))
     assert doc.text == "John hit the ball."
     assert doc.tokens == tokenize("John hit the ball.")
+
+
+def test_parse_reports_text_that_is_not_utf8(tmp_path, capsys):
+    """A byte that is not UTF-8 reaches argv as a lone surrogate."""
+    model = tmp_path / "model.ckpt"
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    save_checkpoint(Parameters(config, build_lexicon(generate_corpus(4, 2), config)), str(model))
+    assert cli.main(["parse", "--model", str(model), "--text", "John \udcff"]) == 1
+    assert capsys.readouterr() == ("", "error: --text: not valid UTF-8\n")
+
+
+NO_TOKENS = '{:/s/document /s/document/text: ""}\n{:/s/document /s/document/text: " "}\n'
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["train", "train-dev"])
+def test_train_refuses_a_corpus_without_tokens(tmp_path, capsys, dev):
+    corpus, model = tmp_path / "empty.txt", tmp_path / "model.ckpt"
+    corpus.write_text(NO_TOKENS, encoding="utf-8")
+    argv = ["train", "--in", corpus, "--out", model, "--steps", 1, *TINY_HPARAMS]
+    assert cli.main([str(arg) for arg in argv + (["--dev", corpus] if dev else [])]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no oracle sequence has a SHIFT: the corpus has no tokens\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("missing", ["SHIFT", "STOP"])
+def test_parse_refuses_a_checkpoint_without_shift_or_stop(tmp_path, capsys, missing):
+    model = tmp_path / "model.ckpt"
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    if missing == "SHIFT":  # what training on a corpus without tokens once saved
+        no_tokens = [Document("", [], [], Store())]
+        lexicon = Lexicon.build(no_tokens, [[Action.stop()]], config.max_affix_len)
+    else:
+        lexicon = build_lexicon(generate_corpus(4, 2), config)
+    save_checkpoint(Parameters(config, lexicon), str(model))
+    if missing == "STOP":
+        edit_checkpoint_header(model, lambda header: header["lexicon"]["actions"].remove("STOP"))
+    assert cli.main(["parse", "--model", str(model), "--text", "a b"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {model}: malformed header: lexicon actions lack {missing}\n")
 
 
 def test_grad_check(capsys):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,13 @@ from framekit import cli
 from framekit.cli import CliError, read_corpus, write_corpus
 from framekit.corpus import generate_corpus
 from framekit.document import (Document, Mention, SchemaError, doc_from_frame,
-                               doc_to_frame, frame_graph, tokenize)
+                               frame_graph, print_document, tokenize)
 from framekit.evaluation import METRICS, evaluate, evaluate_corpus
-from framekit.notation import parse_or_raise
+from framekit.notation import (Printer, UnprintableValueError, parse_or_raise,
+                               print_notation)
 from framekit.oracle import UnrepresentableDocumentError, generate
 from framekit.store import DanglingHandleError, Handle, Store
-from support import hit_document
+from support import documents_isomorphic, hit_document, reference_doc_to_frame
 
 GOLDEN_TOKEN_CASES = Path(__file__).parent / "data" / "tokenizer_cases.txt"
 
@@ -49,9 +51,15 @@ def test_tokenize_offsets_reslice(text):
         pos = token.start + token.length
 
 
+def reread(doc: Document) -> tuple[Handle, Store]:
+    """Print `doc` and read the text back into a fresh store."""
+    store = Store()
+    (top,) = parse_or_raise(print_document(doc)[0], store)
+    return top, store
+
+
 def test_worked_example_frame_structure(hit_doc):
-    handle = doc_to_frame(hit_doc)
-    store = hit_doc.store
+    handle, store = reread(hit_doc)
     token_array = store.get_role(handle, store.intern("/s/document/tokens"))
     assert len(token_array) == 4
     mention_role = store.intern("/s/document/mention")
@@ -61,19 +69,17 @@ def test_worked_example_frame_structure(hit_doc):
 
 
 def test_document_roundtrip(hit_doc):
-    handle = doc_to_frame(hit_doc)
-    back = doc_from_frame(handle, hit_doc.store)
+    back = doc_from_frame(*reread(hit_doc))
     assert back.text == hit_doc.text
     assert back.tokens == hit_doc.tokens
     assert [(m.begin, m.length) for m in back.mentions] == \
         [(m.begin, m.length) for m in hit_doc.mentions]
-    assert [m.evoked for m in back.mentions] == [m.evoked for m in hit_doc.mentions]
+    assert documents_isomorphic(hit_doc, back)
 
 
 def test_empty_document_roundtrip():
-    store = Store()
-    doc = Document("", [], [], store)
-    back = doc_from_frame(doc_to_frame(doc), store)
+    doc = Document("", [], [], Store())
+    back = doc_from_frame(*reread(doc))
     assert back.text == "" and back.tokens == [] and back.mentions == []
 
 
@@ -83,8 +89,103 @@ def test_multi_evoke_roundtrip():
     a = store.new_frame([(store.isa, store.intern("/t/a"))])
     b = store.new_frame([(store.isa, store.intern("/t/b"))])
     doc.mentions.append(Mention(0, 1, [a, b]))
-    back = doc_from_frame(doc_to_frame(doc), store)
-    assert back.mentions[0].evoked == [a, b]
+    back = doc_from_frame(*reread(doc))
+    assert [back.store.symbol_name(back.store.frame_type(frame))
+            for frame in back.mentions[0].evoked] == ["/t/a", "/t/b"]
+    assert documents_isomorphic(doc, back)
+
+
+def _shared_frames_document() -> Document:
+    """A frame evoked by two mentions, a named frame and a theme that
+    links into the graph."""
+    store = Store()
+    shared = store.new_frame([(store.isa, store.intern("/t/a"))])
+    named = store.new_frame([(store.isa, store.intern("/t/b")), (store.id, store.intern("/n/x")),
+                             (store.intern("/r/to"), shared)])
+    theme = store.new_frame([(store.isa, store.intern("/t/c")), (store.intern("/r/of"), named)])
+    store.add_slot(shared, store.intern("/r/back"), named)
+    mentions = [Mention(0, 2, [shared]), Mention(1, 1, [named, shared]), Mention(2, 1, [shared])]
+    return Document("a b c", tokenize("a b c"), mentions, store, [theme])
+
+
+def _schema_type_names_a_frame(name: str) -> Document:
+    doc = _shared_frames_document()
+    doc.store.new_frame([(doc.store.id, doc.store.intern(name))])
+    return doc
+
+
+def _chain(n_frames: int, evoked: bool) -> Document:
+    """A chain headed by a theme, whose k-th frame is at depth k, or by
+    an evoked frame, whose k-th frame is at depth k + 1."""
+    store = Store()
+    frames = [store.new_frame([(store.isa, store.intern("/t"))]) for _ in range(n_frames)]
+    for frame, successor in zip(frames, frames[1:]):
+        store.add_slot(frame, store.intern("next"), successor)
+    if evoked:
+        return Document("w", tokenize("w"), [Mention(0, 1, frames[:1])], store)
+    return Document("", [], [], store, frames[:1])
+
+
+HAND_BUILT = {
+    "shared": _shared_frames_document,
+    "phrase-type-names-a-frame": lambda: _schema_type_names_a_frame("/s/phrase"),
+    "document-type-names-a-frame": lambda: _schema_type_names_a_frame("/s/document"),
+    "deepest-theme-chain": lambda: _chain(199, evoked=False),
+    "theme-chain-too-deep": lambda: _chain(200, evoked=False),
+    "deepest-evoked-chain": lambda: _chain(198, evoked=True),
+    "evoked-chain-too-deep": lambda: _chain(199, evoked=True),
+    "worked-example": hit_document,
+}
+
+
+def _printed(print_it) -> tuple[str, object]:
+    try:
+        return "printed", print_it()
+    except UnprintableValueError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 11, 17])
+def test_print_document_prints_the_reference_frame(seed):
+    for doc in generate_corpus(seed, 100):
+        text = print_document(doc)[0]  # first: the reference allocates
+        assert text == print_notation([reference_doc_to_frame(doc)], doc.store)
+
+
+@pytest.mark.parametrize("label", [1, 7])
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_print_document_prints_the_reference_frame_by_hand(case, label):
+    """The same text, next label or refusal as the printer gives for the
+    reference frame."""
+    doc = HAND_BUILT[case]()
+    got = _printed(lambda: print_document(doc, label))
+    frame = reference_doc_to_frame(doc)
+    printer = Printer(doc.store, [frame], label)
+    assert got == _printed(lambda: (printer.emit(frame, 0), printer.next_number))
+
+
+def test_print_document_numbers_shared_frames_from_the_first_label():
+    text, next_label = print_document(_shared_frames_document(), 5)
+    assert re.findall(r"=#(\d+)", text) == ["5"]
+    assert next_label == 6
+    assert print_document(Document("", [], [], Store()), 5)[1] == 5
+
+
+def test_print_document_refuses_a_schema_type_that_names_a_frame():
+    with pytest.raises(UnprintableValueError, match="symbol '/s/phrase' names a frame"):
+        print_document(_schema_type_names_a_frame("/s/phrase"))
+
+
+def test_writing_a_document_allocates_no_frame(tmp_path):
+    doc = generate_corpus(1, 1)[0]
+    frames = doc.store.num_frames()
+    path = tmp_path / "doc.txt"
+    written = []
+    for _ in range(3):
+        write_corpus([doc], str(path))
+        written.append(path.read_bytes())
+        assert doc.store.num_frames() == frames
+    assert written[0] == written[1] == written[2]
 
 
 def test_phrase_length_defaults_to_one():
@@ -208,7 +309,7 @@ def test_a_theme_that_is_not_a_frame_is_reported(tmp_path, capsys):
 
 
 def test_frame_graph_excludes_schema_frames(hit_doc):
-    doc_to_frame(hit_doc)  # adds document/phrase/token frames to the store
+    # The store holds the document, phrase and token frames it was read from.
     frames = frame_graph(hit_doc)
     assert len(frames) == 3
     for frame in frames:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit.notation import (NotationError, UnprintableValueError, parse_notation,
-                               parse_or_raise, print_notation, print_with_labels)
+                               parse_or_raise, print_notation)
 from framekit.store import Handle, Store
 from support import HIT_DOC_TEXT, graphs_isomorphic, random_store_graph
 
@@ -253,7 +253,7 @@ def test_random_graph_roundtrips():
     rng = random.Random(99)
     for index in range(60):
         store, roots = random_store_graph(rng, ensure_cycle=index % 5 == 0)
-        text, _ = print_with_labels(roots, store)
+        text = print_notation(roots, store)
         other = Store()
         result = parse_notation(text, other)
         assert result.ok, (text, result.diagnostics)
