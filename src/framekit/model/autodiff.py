@@ -1,12 +1,15 @@
 """A minimal reverse-mode autodiff tape over whole-document nodes.
 
-The network's math lives in `network.py`, which computes a batch's
-loss and runs its backward explicitly; it hands the result here as one
-node per batch (a batch of one document gives a document's node).  This
-module only joins those nodes: `addn` sums them, `scale` divides by the
-batch's action count, and `backward` runs every node's backward closure
-in reverse topological order, with gradients accumulating into the
-`Tensor.grad` buffer of each parameter.
+Training, gradient checks and decoding run on plain arrays: the
+network's passes read the weights from a dict of arrays and add their
+gradients into another (`network.PlannedPass`).  Only
+`network.document_loss` builds a node here, one per document, for the
+benchmark's traced training (perfbench), which joins them: `addn` sums
+them, `scale` divides by the batch's action count, and `backward` runs
+every node's backward closure in reverse topological order, with
+gradients accumulating into the `Tensor.grad` buffer of each parameter
+(`Parameters.tensors`).  This module and `Parameters.tensors` go once
+that traced training runs on the arrays too (ROADMAP item 3).
 """
 
 from __future__ import annotations

@@ -55,6 +55,10 @@ class ModelConfig:
             raise ValueError("hidden_activation must be 'relu' or 'tanh'")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
+        if type(self.use_ema) is not bool:
+            raise ValueError("use_ema must be true or false")
+        if not (self.word_vectors_path is None or isinstance(self.word_vectors_path, str)):
+            raise ValueError("word_vectors_path must be a string")
 
     def apply_override(self, key: str, raw: str) -> None:
         """Set one field from a key=value command line override; a

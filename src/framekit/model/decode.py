@@ -24,8 +24,10 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
     only when no action with a number score can be."""
     config = params.config
     lexicon = params.lexicon
-    P = params.tensors(trainable=False, use_ema=use_ema)
-    run = ForwardPass(P, config, lexicon, text, tokens)
+    arrays = params.ema if use_ema else params.arrays
+    if arrays is None:
+        raise ValueError("no averaged parameters in this model")
+    run = ForwardPass(arrays, config, lexicon, text, tokens)
     actions = lexicon.actions
     nonshift_here = 0
 

@@ -23,11 +23,14 @@ runs one pass over a whole training batch:
   tokens runs while step t < n, reading token t left to right and
   token n - 1 - t right to left.  The decoder keeps every document's
   steps in one hidden pool, each document from its own row offset, and
-  its step t runs every document with more than t steps.  The backward
-  runs only dpre -> W1_hiddenᵀ·dpre and dz -> Whᵀ·dz in lockstep,
-  latest step first.  Rows are scatter-added through numpy's
-  one-dimensional `np.add.at` (`_add_rows`): the same sums in the same
-  order as the two-dimensional one, several times faster.
+  its step t runs every document with more than t steps.  The pass
+  gives the batch's loss, and its backward adds every weight's
+  gradient into one dict of arrays, `grads[name]`, zero-filled by the
+  caller.  The backward runs only dpre -> W1_hiddenᵀ·dpre and
+  dz -> Whᵀ·dz in lockstep, latest step first.  Rows are scatter-added
+  through numpy's one-dimensional `np.add.at` (`_add_rows`): the same
+  sums in the same order as the two-dimensional one, several times
+  faster.
 
 The pass is bit-identical to one document at a time, and scores a gold
 sequence exactly as decoding does.  Each per-row product (Wh·h, W1·x,
@@ -39,9 +42,10 @@ another length, and the input terms and the gradients passed down a
 layer would round differently, since numpy sends a one-row product to
 another BLAS routine than a many-row one.  Each weight gradient
 receives its documents' contributions in batch order, and the
-documents' losses are summed in batch order, as `autodiff.addn` sums
-them.  `train` plans each example once; `document_loss` and
-`grad_check` run the pass over a batch of one.
+documents' losses are summed in batch order.  `train` plans each
+example once; `grad_check` runs the pass over a batch of one.  Only
+`document_loss` wraps a pass as an autodiff node, for the benchmark's
+traced training, which sums and backpropagates one node per document.
 """
 
 from __future__ import annotations
@@ -135,26 +139,33 @@ class Parameters:
             self._load_word_vectors(cfg.word_vectors_path)
 
     def _load_word_vectors(self, path: str) -> None:
-        """Seed word embedding rows from a `word v1 .. vD` text file."""
+        """Seed word embedding rows from a UTF-8 `word v1 .. vD` text
+        file, skipping a word2vec `count dim` header on line 1.  Raises
+        ValueError("PATH: line N: ...") for a line that does not decode,
+        has another width, or gives a lexicon word a value that does not
+        parse or is not finite."""
         dim = self.config.word_dim
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                parts = line.split()
-                if len(parts) != dim + 1:
-                    continue
-                row = self.lexicon.words.get(parts[0])
-                if row is not None:
-                    vec = np.array([float(v) for v in parts[1:]])
-                    self.arrays["word_emb"][row] = vec.astype(self.arrays["word_emb"].dtype)
+        table = self.arrays["word_emb"]
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                try:
+                    parts = raw.decode("utf-8").split()
+                    if number == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                        continue
+                    if len(parts) != dim + 1:
+                        raise ValueError(f"{len(parts) - 1} values, expected {dim}")
+                    row = self.lexicon.words.get(parts[0])
+                    if row is not None:
+                        vec = np.array([float(v) for v in parts[1:]])
+                        if not np.all(np.isfinite(vec)):
+                            raise ValueError("a value is not finite")
+                        table[row] = vec.astype(table.dtype)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {number}: {exc}") from None
 
-    def tensors(self, trainable: bool, use_ema: bool = False) -> dict[str, Tensor]:
-        source = self.arrays
-        if use_ema:
-            if self.ema is None:
-                raise ValueError("no averaged parameters in this model")
-            source = self.ema
+    def tensors(self, trainable: bool) -> dict[str, Tensor]:
         return {name: Tensor(array, requires_grad=trainable)
-                for name, array in source.items()}
+                for name, array in self.arrays.items()}
 
     def start_ema(self) -> None:
         self.ema = {name: array.copy() for name, array in self.arrays.items()}
@@ -224,9 +235,9 @@ class Encoding:
     sequences longest first, so the ones running at step t are a
     prefix; each keeps its gates and cells for the backward."""
 
-    def __init__(self, P: dict[str, Tensor], token_rows: list[np.ndarray],
+    def __init__(self, arrays: dict[str, np.ndarray], token_rows: list[np.ndarray],
                  max_affix_len: int):
-        self.P = P
+        self.arrays = arrays
         rows = np.concatenate(token_rows)
         n, m = len(rows), max_affix_len
         self.ids: list[tuple[str, np.ndarray]] = []  # per table, (tokens, rows)
@@ -235,14 +246,14 @@ class Encoding:
                             ("hyphen_emb", 1), ("caps_emb", 1), ("punct_emb", 1),
                             ("quote_emb", 1), ("digit_emb", 1)):
             ids, rows = rows[:, :width], rows[:, width:]
-            table = P[name].data
+            table = arrays[name]
             self.ids.append((name, ids))
             columns.append(table[ids].reshape(n, width * table.shape[1]))
         self.inputs = inputs = np.concatenate(columns, axis=1)
-        self.weights = [tuple(P[f"lstm_{direction}_{part}"] for part in ("wx", "wh", "b"))
-                        for direction in ("fw", "bw")]
-        (wx_fw, wh_fw, b_fw), (wx_bw, wh_bw, b_bw) = self.weights
-        self.wh = wh = np.stack([wh_fw.data, wh_bw.data])
+        (wx_fw, wh_fw, b_fw), (wx_bw, wh_bw, b_bw) = (
+            [arrays[f"lstm_{direction}_{part}"] for part in ("wx", "wh", "b")]
+            for direction in ("fw", "bw"))
+        self.wh = wh = np.stack([wh_fw, wh_bw])
         L = wh.shape[2]
         lengths = [len(r) for r in token_rows]
         slots = np.argsort([-n for n in lengths], kind="stable").argsort()
@@ -254,8 +265,7 @@ class Encoding:
         z_in = np.zeros((T, B, 2, 4 * L), wh.dtype)
         for start, n, j in self.docs:
             x = inputs[start:start + n]
-            z_in[:n, j] = np.stack([x @ wx_fw.data.T + b_fw.data,
-                                    x[::-1] @ wx_bw.data.T + b_bw.data], axis=1)
+            z_in[:n, j] = np.stack([x @ wx_fw.T + b_fw, x[::-1] @ wx_bw.T + b_bw], axis=1)
         self.gates = gates = np.zeros_like(z_in)                  # i, f, o, g
         self.cells = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)    # row 0: c before t=0
         self.outputs = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)  # row 0: h before t=0
@@ -271,9 +281,9 @@ class Encoding:
             pool += [self.outputs[1:n + 1, j, 0], self.outputs[n:0:-1, j, 1]]
         self.pool = np.concatenate(pool)
 
-    def backward(self, d_pool: np.ndarray) -> None:
-        """Accumulate the gradients of the LSTM weights and embedding
-        tables for the gradient `d_pool` of the pool."""
+    def backward(self, d_pool: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        """Add to `grads` the gradients of the LSTM weights and
+        embedding tables for the gradient `d_pool` of the pool."""
         T, B, _, L = self.outputs[1:].shape
         d_outputs = np.zeros((T, B, 2, L), dtype=d_pool.dtype)
         for start, n, j in self.docs:
@@ -311,33 +321,32 @@ class Encoding:
         for start, n, j in self.docs:
             x = self.inputs[start:start + n]
             parts = []
-            for k, (wx, wh, bias) in enumerate(self.weights):
+            for k, direction in enumerate(("fw", "bw")):
                 dz_k = dz[:n, j, k]
-                wx.accumulate(dz_k.T @ (x if k == 0 else x[::-1]))
-                wh.accumulate(dz_k.T @ self.outputs[:n, j, k])
-                bias.accumulate(dz_k.sum(axis=0))
-                parts.append(dz_k @ wx.data)
+                grads[f"lstm_{direction}_wx"] += dz_k.T @ (x if k == 0 else x[::-1])
+                grads[f"lstm_{direction}_wh"] += dz_k.T @ self.outputs[:n, j, k]
+                grads[f"lstm_{direction}_b"] += dz_k.sum(axis=0)
+                parts.append(dz_k @ self.arrays[f"lstm_{direction}_wx"])
             d_inputs[start:start + n] = parts[0] + parts[1][::-1]
         offset = 0
         for name, ids in self.ids:
-            table = self.P[name]
-            dim = table.data.shape[1]
+            dim = grads[name].shape[1]
             width = ids.shape[1] * dim
             rows = d_inputs[:, offset:offset + width].reshape(-1, dim)
-            _add_rows(table.grad_buffer(), ids.reshape(-1), rows)
+            _add_rows(grads[name], ids.reshape(-1), rows)
             offset += width
 
 
-def encode_tokens(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
+def encode_tokens(arrays: dict[str, np.ndarray], config: ModelConfig, lexicon: Lexicon,
                   tokens: list[Token], rows: np.ndarray | None = None) -> Encoding:
     """The biLSTM pool of one token sequence; `rows`, when given, is
     the tokens' `token_table`."""
     if rows is None:
         rows = token_table(lexicon, tokens)
-    return Encoding(P, [rows], lexicon.max_affix_len)
+    return Encoding(arrays, [rows], lexicon.max_affix_len)
 
 
-def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarray,
+def decoder_steps(arrays: dict[str, np.ndarray], config: ModelConfig, lstm_pool: np.ndarray,
                   hidden: np.ndarray, first: int, groups, lstm_rows, hidden_rows,
                   link_steps: np.ndarray, link_ids) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's forward over a block of steps: one row per step of
@@ -352,14 +361,14 @@ def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarr
     row per step, and the logits; every per-row product is a stacked
     matrix-vector product, the same for a group of one row or of many."""
     lstm_end, link_start = _feature_bounds(config)
-    w1, b1 = P["ff_w1"].data, P["ff_b1"].data
+    w1, b1 = arrays["ff_w1"], arrays["ff_b1"]
     steps = len(lstm_rows)
     X = np.zeros((steps, w1.shape[1]), w1.dtype)
     X[:, :lstm_end] = lstm_pool[lstm_rows].reshape(steps, lstm_end)
     if link_steps.size:
         links = np.zeros((steps, w1.shape[1] - link_start), w1.dtype)
         _add_rows(links, link_steps,
-                  np.concatenate([P[name].data.take(ids, axis=0) for name, ids
+                  np.concatenate([arrays[name].take(ids, axis=0) for name, ids
                                   in zip(_LINK_TABLES, link_ids)], axis=1))
         X[:, link_start:] = links
     relu = config.hidden_activation == "relu"
@@ -369,7 +378,7 @@ def decoder_steps(P: dict[str, Tensor], config: ModelConfig, lstm_pool: np.ndarr
         pre = np.matmul(w1, X[rows, :, None])[:, :, 0] + b1
         hidden[first + 1:][rows] = np.maximum(pre, 0.0) if relu else np.tanh(pre)
     activations = hidden[first + 1:first + steps + 1, :, None]
-    return X, np.matmul(P["ff_w2"].data, activations)[:, :, 0] + P["ff_b2"].data
+    return X, np.matmul(arrays["ff_w2"], activations)[:, :, 0] + arrays["ff_b2"]
 
 
 class ForwardPass:
@@ -382,13 +391,13 @@ class ForwardPass:
     (`Encoding.pool`) and the hidden pool, which holds step s's hidden
     activation at row s + 1."""
 
-    def __init__(self, P: dict[str, Tensor], config: ModelConfig,
+    def __init__(self, arrays: dict[str, np.ndarray], config: ModelConfig,
                  lexicon: Lexicon, text: str, tokens: list[Token]):
-        self.P = P
+        self.arrays = arrays
         self.config = config
         self.lexicon = lexicon
         self.state = ParserState(text, tokens)
-        self.lstm_pool = encode_tokens(P, config, lexicon, tokens).pool
+        self.lstm_pool = encode_tokens(arrays, config, lexicon, tokens).pool
         self.hidden_pool = np.zeros((64, config.hidden_dim), self.lstm_pool.dtype)
 
     def step_logits(self) -> np.ndarray:
@@ -401,7 +410,7 @@ class ForwardPass:
             self.hidden_pool = np.concatenate([self.hidden_pool,
                                                np.zeros_like(self.hidden_pool)])
         link_ids = np.array(links, np.intp)
-        _, scores = decoder_steps(self.P, cfg, self.lstm_pool, self.hidden_pool,
+        _, scores = decoder_steps(self.arrays, cfg, self.lstm_pool, self.hidden_pool,
                                   state.step, [slice(0, 1)], [lstm], [hidden],
                                   np.zeros(link_ids.shape[1], np.intp), link_ids)
         return scores[0]
@@ -459,8 +468,10 @@ def plan_example(config: ModelConfig, lexicon: Lexicon, text: str,
 
 class PlannedPass:
     """Teacher forcing's numeric pass over a batch of plans: every
-    step's logits in `scores`, and the backward that `planned_loss`
-    runs.
+    step's logits in `scores`, the teacher-forced cross-entropy `loss`
+    (summed over each document's steps, then over the documents in
+    batch order), the number of actions and of correctly ranked ones,
+    and the `backward` of the loss.
 
     The documents share one LSTM pool (`Encoding`) and one hidden pool.
     Document b's steps are the rows `spans[b]` of the batch's steps, so
@@ -468,11 +479,11 @@ class PlannedPass:
     rows are shifted by those offsets.  The hidden recurrence runs in
     lockstep: at step t, every document with more than t steps."""
 
-    def __init__(self, P: dict[str, Tensor], config: ModelConfig,
+    def __init__(self, arrays: dict[str, np.ndarray], config: ModelConfig,
                  lexicon: Lexicon, plans: list[ExamplePlan]):
-        self.P = P
+        self.arrays = arrays
         self.config = config
-        self.encoding = encoding = Encoding(P, [plan.token_rows for plan in plans],
+        self.encoding = encoding = Encoding(arrays, [plan.token_rows for plan in plans],
                                             lexicon.max_affix_len)
         lengths = np.array([len(plan.targets) for plan in plans])
         bounds = np.concatenate([[0], np.cumsum(lengths)])
@@ -488,39 +499,51 @@ class PlannedPass:
         self.link_steps = np.concatenate([plan.link_steps + start for plan, start
                                           in zip(plans, bounds)])
         self.link_ids = np.concatenate([plan.link_ids for plan in plans], axis=1)
-        self.targets = np.concatenate([plan.targets for plan in plans])
+        self.targets = targets = np.concatenate([plan.targets for plan in plans])
         self.groups = [bounds[:-1][lengths > t] + t for t in range(lengths.max())]
         hidden = np.zeros((bounds[-1] + 1, config.hidden_dim), encoding.pool.dtype)
         self.inputs, self.scores = decoder_steps(
-            P, config, encoding.pool, hidden, 0, self.groups, self.lstm_rows,
+            arrays, config, encoding.pool, hidden, 0, self.groups, self.lstm_rows,
             self.hidden_rows, self.link_steps, self.link_ids)
         self.hidden = hidden[1:]
 
-    def backward(self, d_logits: np.ndarray) -> None:
-        """Accumulate parameter gradients given the gradient of every
-        step's logits, one row per step.
+        scores, steps = self.scores, np.arange(len(targets))
+        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+        self.probs = probs = exp / exp.sum(axis=1, keepdims=True)
+        losses = -np.log(np.maximum(probs[steps, targets], np.finfo(probs.dtype).tiny))
+        sums = [losses[start:end].sum() for start, end in self.spans]
+        self.loss = sum(sums[1:], sums[0])
+        self.actions = len(targets)
+        self.correct = int(np.sum(np.argmax(scores, axis=1) == targets))
+
+    def backward(self, grads: dict[str, np.ndarray], scale: float) -> None:
+        """Add to `grads`, one array per weight, the gradient of `scale`
+        times the loss.
 
         Each weight product that sums over one document's steps runs
         document by document, in batch order, so every weight gradient
         receives the same sums in the same order as from a batch of
         one document at a time."""
+        d_logits = self.probs.copy()
+        d_logits[np.arange(self.actions), self.targets] -= 1.0
         # The decoder's arrays are freed before the encoder's backward.
-        self.encoding.backward(self._decoder_backward(d_logits))
+        self.encoding.backward(self._decoder_backward(d_logits * scale, grads), grads)
 
-    def _decoder_backward(self, d_logits: np.ndarray) -> np.ndarray:
+    def _decoder_backward(self, d_logits: np.ndarray,
+                          grads: dict[str, np.ndarray]) -> np.ndarray:
         """The decoder's part of `backward`: the LSTM pool's gradient."""
-        P, cfg = self.P, self.config
+        arrays, cfg = self.arrays, self.config
         steps, H, L, D = len(d_logits), cfg.hidden_dim, cfg.lstm_dim, cfg.link_dim
         lstm_end, link_start = _feature_bounds(cfg)
-        w1 = P["ff_w1"].data
+        w1 = arrays["ff_w1"]
         w1_hidden = w1[:, lstm_end:link_start]
         hidden, spans = self.hidden, self.spans
         # Row 0 collects the gradient of the zero row, then is dropped.
         d_hidden = np.zeros((steps + 1, H), dtype=hidden.dtype)
         for start, end in spans:
-            P["ff_w2"].accumulate(d_logits[start:end].T @ hidden[start:end])
-            P["ff_b2"].accumulate(d_logits[start:end].sum(axis=0))
-            d_hidden[start + 1:end + 1] = d_logits[start:end] @ P["ff_w2"].data
+            grads["ff_w2"] += d_logits[start:end].T @ hidden[start:end]
+            grads["ff_b2"] += d_logits[start:end].sum(axis=0)
+            d_hidden[start + 1:end + 1] = d_logits[start:end] @ arrays["ff_w2"]
         if cfg.hidden_activation == "relu":
             d_act = (hidden > 0.0).astype(hidden.dtype)
         else:
@@ -537,51 +560,31 @@ class PlannedPass:
         d_lstm = np.empty((steps, lstm_end), dtype=hidden.dtype)
         d_links = np.empty((steps, w1.shape[1] - link_start), dtype=hidden.dtype)
         for start, end in spans:
-            P["ff_w1"].accumulate(d_pre[start:end].T @ self.inputs[start:end])
-            P["ff_b1"].accumulate(d_pre[start:end].sum(axis=0))
+            grads["ff_w1"] += d_pre[start:end].T @ self.inputs[start:end]
+            grads["ff_b1"] += d_pre[start:end].sum(axis=0)
             d_x = d_pre[start:end] @ w1
             d_lstm[start:end] = d_x[:, :lstm_end]
             d_links[start:end] = d_x[:, link_start:]
         if self.link_steps.size:
             d_links = d_links[self.link_steps]
             for k, (name, ids) in enumerate(zip(_LINK_TABLES, self.link_ids)):
-                _add_rows(P[name].grad_buffer(), ids, d_links[:, k * D:(k + 1) * D])
+                _add_rows(grads[name], ids, d_links[:, k * D:(k + 1) * D])
         d_pool = np.zeros_like(self.encoding.pool)
         _add_rows(d_pool, self.lstm_rows.reshape(-1), d_lstm.reshape(-1, L))
         return d_pool
 
 
-def planned_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
-                 plans: list[ExamplePlan]) -> tuple[Tensor, int, int]:
-    """Teacher-forced cross-entropy over a batch of planned examples.
-
-    Returns (the loss summed over each document's steps, then over the
-    documents in batch order, as `autodiff.addn` sums them, as one
-    autodiff node whose backward covers the whole batch; action count;
-    correctly ranked actions).
-    """
-    run = PlannedPass(P, config, lexicon, plans)
-    scores, targets = run.scores, run.targets
-    steps = np.arange(len(targets))
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    losses = -np.log(np.maximum(probs[steps, targets], np.finfo(probs.dtype).tiny))
-    correct = int(np.sum(np.argmax(scores, axis=1) == targets))
-    sums = [losses[start:end].sum() for start, end in run.spans]
-
-    def back(g: np.ndarray) -> None:
-        d_logits = probs.copy()
-        d_logits[steps, targets] -= 1.0
-        run.backward(d_logits * g)
-
-    loss = Tensor(np.asarray(sum(sums[1:], sums[0])), parents=P.values(), backward=back)
-    return loss, len(targets), correct
-
-
 def document_loss(P: dict[str, Tensor], config: ModelConfig, lexicon: Lexicon,
                   text: str, tokens: list[Token],
                   actions) -> tuple[Tensor, int, int]:
-    """`planned_loss` of one freshly planned example."""
-    return planned_loss(P, config, lexicon,
-                        [plan_example(config, lexicon, text, tokens, actions)])
+    """The `PlannedPass` of one freshly planned example as one autodiff
+    node, whose backward adds into the parameters' gradient buffers:
+    (loss, action count, correctly ranked actions)."""
+    run = PlannedPass({name: t.data for name, t in P.items()}, config, lexicon,
+                      [plan_example(config, lexicon, text, tokens, actions)])
+
+    def back(g: np.ndarray) -> None:
+        run.backward({name: t.grad_buffer() for name, t in P.items()}, g)
+
+    return (Tensor(np.asarray(run.loss), parents=P.values(), backward=back),
+            run.actions, run.correct)

@@ -13,10 +13,9 @@ import numpy as np
 from ..document import Document
 from ..oracle import generate
 from ..transitions import Action
-from . import autodiff as ad
 from .config import ModelConfig
 from .lexicon import Lexicon
-from .network import Parameters, plan_example, planned_loss
+from .network import Parameters, PlannedPass, plan_example
 
 
 class TrainingError(Exception):
@@ -114,10 +113,11 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         raise TrainingError("no oracle sequence has a SHIFT: the corpus has no tokens")
     try:
         params = Parameters(config, lexicon, seed)
-    except (OSError, ValueError) as exc:  # reading word_vectors_path
+    except OSError as exc:  # opening word_vectors_path
         raise TrainingError(f"word vectors {config.word_vectors_path}: "
-                            f"{getattr(exc, 'strerror', None) or exc}") from None
-    tensors = params.tensors(trainable=True)
+                            f"{exc.strerror or exc}") from None
+    except ValueError as exc:  # a line of it, which the message names
+        raise TrainingError(f"word vectors {exc}") from None
     adam = Adam(params.arrays, config)
     if config.use_ema:
         params.start_ema()
@@ -138,23 +138,20 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
                 rng.shuffle(order)
             batch.append(plans[order.pop()])
 
-        for tensor in tensors.values():
-            tensor.zero_grad()
-        loss, n_actions, n_correct = planned_loss(tensors, config, lexicon, batch)
-        total = ad.scale(loss, 1.0 / n_actions)
-        loss_value = float(total.data)
+        run = PlannedPass(params.arrays, config, lexicon, batch)
+        # The loss per action; its gradient takes the same 1/actions,
+        # in the loss's dtype.
+        scale = run.loss.dtype.type(1.0 / run.actions)
+        loss_value = float(run.loss * scale)
         if not math.isfinite(loss_value):
             raise TrainingError(f"non-finite loss at step {step}")
-        ad.backward(total)
-
-        grads = {name: (tensor.grad if tensor.grad is not None
-                        else np.zeros_like(tensor.data))
-                 for name, tensor in tensors.items()}
+        grads = {name: np.zeros_like(array) for name, array in params.arrays.items()}
+        run.backward(grads, scale)
         norm = adam.step(grads)
         if config.use_ema:
             params.update_ema(config.ema_decay)
 
-        window.append((loss_value, n_correct, n_actions, norm))
+        window.append((loss_value, run.correct, run.actions, norm))
         if step % checkpoint_every == 0 or step == steps:
             losses, correct, actions, norms = zip(*window)
             clipped = sum(n > config.gradient_clip_norm > 0 for n in norms)
@@ -194,17 +191,11 @@ def grad_check(params: Parameters, doc: Document,
     lexicon = params.lexicon
 
     plan = plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
-    tensors = params.tensors(trainable=True)
-    loss, count, _ = planned_loss(tensors, config, lexicon, [plan])
-    ad.backward(loss)
-    analytic = {name: (tensor.grad if tensor.grad is not None
-                       else np.zeros_like(tensor.data))
-                for name, tensor in tensors.items()}
+    analytic = {name: np.zeros_like(array) for name, array in params.arrays.items()}
+    PlannedPass(params.arrays, config, lexicon, [plan]).backward(analytic, 1.0)
 
     def loss_at() -> float:
-        frozen = params.tensors(trainable=False)
-        value, _, _ = planned_loss(frozen, config, lexicon, [plan])
-        return float(value.data)
+        return float(PlannedPass(params.arrays, config, lexicon, [plan]).loss)
 
     centre = loss_at()
     worst = 0.0

@@ -148,8 +148,13 @@ def _negate_ids(header):
      "lexicon actions repeat an action"),
     (lambda header: header["config"].update(lstm_dim=6.0),
      "lstm_dim must be an integer >= 1"),
+    (lambda header: header["config"].update(use_ema="no"),
+     "use_ema must be true or false"),
+    (lambda header: header["config"].update(word_vectors_path=5),
+     "word_vectors_path must be a string"),
 ], ids=["huge-word-id", "negative-word-ids", "string-role-id", "max-affix-len",
-        "table-not-object", "action-not-text", "repeated-action", "float-size"])
+        "table-not-object", "action-not-text", "repeated-action", "float-size",
+        "string-use-ema", "int-word-vectors-path"])
 def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
     path = tmp_path / "model.ckpt"
     save_checkpoint(trained(), str(path))

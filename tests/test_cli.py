@@ -8,7 +8,7 @@ from framekit import cli
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, load_checkpoint,
-                            save_checkpoint, train)
+                            parse_tokens, save_checkpoint, train)
 from framekit.model.lexicon import Lexicon
 from framekit.store import Store
 from framekit.transitions import Action
@@ -160,6 +160,33 @@ def test_parse_text(tmp_path, capsys):
     assert doc.tokens == tokenize("John hit the ball.")
 
 
+def test_train_and_parse_with_averaged_parameters(tmp_path, capsys):
+    corpus, model = tmp_path / "train.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 3, "--seed", 3)
+    run(capsys, "train", "--in", corpus, "--out", model, "--steps", 2, "--ema",
+        *TINY_HPARAMS)
+    params = load_checkpoint(str(model))
+    assert params.config.use_ema and list(params.ema) == list(params.arrays)
+    # Averages that decode differently from the trained arrays.
+    evoke = next(a for a in params.lexicon.actions if a.kind == "EVOKE")
+    params.ema["ff_b2"][params.lexicon.action_id(evoke)] = 5.0
+    save_checkpoint(params, str(model))
+
+    docs = [(d.text, list(d.tokens)) for d in cli.read_corpus(str(corpus))]
+    printed = run(capsys, "parse", "--model", model, "--in", corpus, "--ema")
+    assert printed == cli.format_corpus(
+        [parse_tokens(params, text, tokens, use_ema=True) for text, tokens in docs]) + "\n"
+    assert printed != run(capsys, "parse", "--model", model, "--in", corpus)
+
+
+def test_parse_ema_needs_averages(tmp_path, capsys):
+    model = tmp_path / "model.ckpt"
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    save_checkpoint(Parameters(config, build_lexicon(generate_corpus(4, 2), config)), str(model))
+    assert cli.main(["parse", "--model", str(model), "--text", "a b", "--ema"]) == 1
+    assert capsys.readouterr() == ("", "error: checkpoint holds no averaged parameters\n")
+
+
 def test_parse_reports_text_that_is_not_utf8(tmp_path, capsys):
     """A byte that is not UTF-8 reaches argv as a lone surrogate."""
     model = tmp_path / "model.ckpt"
@@ -249,6 +276,7 @@ def test_train_checks_its_other_outputs_before_its_first_step(tmp_path, capsys, 
     ["train", "--steps", "-1"],
     ["train", "--checkpoint-every", "0"],
     ["train", "--hparam", "use_ema=ture"],
+    ["train", "--hparam", "use_ema=2"],
     ["train", "--hparam", "word_vectors_path={missing}"],
     ["grad-check", "--configs", "0"],
     ["grad-check", "--threshold", "nan"],

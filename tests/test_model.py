@@ -18,10 +18,10 @@ from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_sha
                                     punct_shape, quote_shape)
 from framekit.model.network import (ExamplePlan, ForwardPass, PlannedPass,
                                     document_loss, encode_tokens, feature_dim,
-                                    plan_example, planned_loss)
+                                    plan_example)
 from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
-from framekit.transitions import STOP, Action, ParserState, SymbolName
+from framekit.transitions import EVOKE, STOP, Action, ParserState, SymbolName
 from support import hit_document
 
 
@@ -41,6 +41,17 @@ def setup(n_docs=3, corpus_seed=7, **kw):
     return corpus, config, sequences, lexicon, params
 
 
+def zero_grads(params):
+    """One zero-filled gradient array per weight, as `train` makes them."""
+    return {name: np.zeros_like(array) for name, array in params.arrays.items()}
+
+
+def planned_pass(params, text, tokens, actions):
+    """The pass over one freshly planned example."""
+    plan = plan_example(params.config, params.lexicon, text, list(tokens), actions)
+    return PlannedPass(params.arrays, params.config, params.lexicon, [plan])
+
+
 # -- encoder -----------------------------------------------------------------
 
 # The pool of one sequence of n tokens: the zero row, then n
@@ -48,7 +59,7 @@ def setup(n_docs=3, corpus_seed=7, **kw):
 
 def test_encode_empty_sentence():
     _, config, _, lexicon, params = setup()
-    encoding = encode_tokens(params.tensors(False), config, lexicon, [])
+    encoding = encode_tokens(params.arrays, config, lexicon, [])
     assert encoding.pool.shape == (1, config.lstm_dim)
 
 
@@ -57,13 +68,13 @@ def test_encode_zero_weights_zero_activations():
     for array in params.arrays.values():
         array[...] = 0.0
     tokens = tokenize("John hit")
-    encoding = encode_tokens(params.tensors(False), config, lexicon, tokens)
+    encoding = encode_tokens(params.arrays, config, lexicon, tokens)
     assert encoding.pool.shape == (5, config.lstm_dim) and np.all(encoding.pool == 0.0)
 
 
 def test_encode_shapes_single_token():
     _, config, _, lexicon, params = setup()
-    encoding = encode_tokens(params.tensors(False), config, lexicon, tokenize("word"))
+    encoding = encode_tokens(params.arrays, config, lexicon, tokenize("word"))
     assert encoding.pool.shape == (3, config.lstm_dim)
 
 
@@ -208,27 +219,24 @@ def test_document_loss_matches_reference(activation):
 
 def test_logits_shape_and_softmax():
     corpus, config, sequences, lexicon, params = setup()
-    run = ForwardPass(params.tensors(False), config, lexicon,
-                      corpus[0].text, corpus[0].tokens)
+    run = ForwardPass(params.arrays, config, lexicon, corpus[0].text, corpus[0].tokens)
     logits = run.step_logits()
     assert logits.shape == (lexicon.num_actions,)
     # The loss of a one-action sequence is -log softmax(logits)[target].
     action = sequences[0][0]
-    loss, count, _ = document_loss(params.tensors(False), config, lexicon,
-                                   corpus[0].text, corpus[0].tokens, [action])
+    run = planned_pass(params, corpus[0].text, corpus[0].tokens, [action])
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
-    assert count == 1
-    assert float(loss.data) == pytest.approx(-math.log(probs[lexicon.action_id(action)]),
-                                             rel=1e-5)
+    assert run.actions == 1
+    assert float(run.loss) == pytest.approx(-math.log(probs[lexicon.action_id(action)]),
+                                            rel=1e-5)
 
 
 def test_zero_parameters_uniform_logits():
     corpus, config, _, lexicon, params = setup()
     for array in params.arrays.values():
         array[...] = 0.0
-    run = ForwardPass(params.tensors(False), config, lexicon,
-                      corpus[0].text, corpus[0].tokens)
+    run = ForwardPass(params.arrays, config, lexicon, corpus[0].text, corpus[0].tokens)
     logits = run.step_logits()
     assert np.all(logits == logits[0])
     assert int(np.argmax(logits)) == 0  # ties break toward the lowest index
@@ -253,7 +261,7 @@ def test_planned_logits_equal_step_logits(activation, dtype):
                             config.max_affix_len)
     params = Parameters(config, lexicon, seed=1)
     live_output_layer(params)
-    P = params.tensors(False)
+    P = params.arrays
     plans, all_stepped = [], []
     for text, tokens, actions in examples:
         plans.append(plan_example(config, lexicon, text, tokens, actions))
@@ -285,11 +293,11 @@ def test_visits_through_one_plan_are_identical():
     before = {name: array.copy() for name, array in plan_arrays(plan).items()}
     visits = []
     for _ in range(2):
-        tensors = params.tensors(True)
-        loss, _, _ = planned_loss(tensors, config, lexicon, [plan])
-        ad.backward(loss)
-        visits.append((loss.data.tobytes(),
-                       {name: t.grad.tobytes() for name, t in tensors.items()}))
+        grads = zero_grads(params)
+        run = PlannedPass(params.arrays, config, lexicon, [plan])
+        run.backward(grads, 1.0)
+        visits.append((run.loss.tobytes(),
+                       {name: g.tobytes() for name, g in grads.items()}))
     assert visits[0] == visits[1]
     for name, array in plan_arrays(plan).items():
         assert not array.flags.writeable, name
@@ -326,12 +334,11 @@ def test_plan_size_is_linear_in_steps():
 
 def test_initial_loss_is_log_vocab():
     corpus, config, sequences, lexicon, params = setup(n_docs=4)
-    tensors = params.tensors(False)
     total = count = 0
     for doc, seq in zip(corpus, sequences):
-        loss, n, _ = document_loss(tensors, config, lexicon, doc.text, doc.tokens, seq)
-        total += float(loss.data)
-        count += n
+        run = planned_pass(params, doc.text, doc.tokens, seq)
+        total += float(run.loss)
+        count += run.actions
     assert total / count == pytest.approx(math.log(lexicon.num_actions), abs=1e-4)
 
 
@@ -368,8 +375,11 @@ def lockstep_corpus():
 
 
 def assert_train_equals_its_pieces(corpus, config, seed, steps):
-    # train() is document_loss per document, then addn, scale, backward
-    # and Adam.step, over shuffled passes from random.Random(seed).
+    # train() is plan_example once per example, then per step the pass
+    # and its backward into one zero-filled gradient dict, then
+    # Adam.step, over shuffled passes from random.Random(seed).  Here
+    # each document runs its own pass, in batch order, so the lockstep
+    # batch must give the same sums as one document at a time.
     reported = []
     trained = train(corpus, config, seed=seed, steps=steps, checkpoint_every=1,
                     on_checkpoint=lambda p, c: reported.append(c.loss))
@@ -377,8 +387,9 @@ def assert_train_equals_its_pieces(corpus, config, seed, steps):
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
     params = Parameters(config, lexicon, seed)
-    tensors = params.tensors(trainable=True)
     adam = Adam(params.arrays, config)
+    plans = [plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
+             for doc, actions in zip(corpus, sequences)]
     rng = random.Random(seed)
     order = []
     losses = []
@@ -389,21 +400,15 @@ def assert_train_equals_its_pieces(corpus, config, seed, steps):
                 order = list(range(len(corpus)))
                 rng.shuffle(order)
             batch.append(order.pop())
-        for tensor in tensors.values():
-            tensor.zero_grad()
-        doc_losses = []
-        n_actions = 0
-        for index in batch:
-            doc = corpus[index]
-            loss, count, _ = document_loss(tensors, config, lexicon, doc.text,
-                                           list(doc.tokens), sequences[index])
-            doc_losses.append(loss)
-            n_actions += count
-        total = ad.scale(ad.addn(doc_losses), 1.0 / n_actions)
-        losses.append(float(total.data))
-        ad.backward(total)
-        adam.step({name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                   for name, t in tensors.items()})
+        runs = [PlannedPass(params.arrays, config, lexicon, [plans[index]])
+                for index in batch]
+        total = sum((run.loss for run in runs[1:]), runs[0].loss)
+        scale = total.dtype.type(1.0 / sum(run.actions for run in runs))
+        losses.append(float(total * scale))
+        grads = zero_grads(params)
+        for run in runs:
+            run.backward(grads, scale)
+        adam.step(grads)
 
     assert losses == reported
     for name, array in trained.arrays.items():
@@ -427,6 +432,57 @@ def test_train_equals_its_pieces_on_mixed_lengths(batch_size, activation):
     config = ModelConfig(lstm_dim=32, hidden_dim=32, batch_size=batch_size,
                          hidden_activation=activation)
     assert_train_equals_its_pieces(corpus, config, seed=2, steps=9)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tape_adapter_equals_the_direct_pass(dtype):
+    # The benchmark's traced training runs document_loss per document,
+    # then addn, scale and backward on the tape; train runs one pass over
+    # the batch and its backward into a dict.  Both must give the same
+    # loss and gradients, bit for bit.
+    corpus = lockstep_corpus()
+    config = ModelConfig(lstm_dim=32, hidden_dim=32, dtype=dtype)
+    sequences = oracle_sequences(corpus)
+    params = Parameters(config, build_lexicon(corpus, config, sequences), seed=2)
+    live_output_layer(params)
+    lexicon = params.lexicon
+
+    tensors = params.tensors(trainable=True)
+    nodes, n_actions = [], 0
+    for doc, actions in zip(corpus, sequences):
+        loss, count, _ = document_loss(tensors, config, lexicon, doc.text,
+                                       list(doc.tokens), actions)
+        nodes.append(loss)
+        n_actions += count
+    total = ad.scale(ad.addn(nodes), 1.0 / n_actions)
+    ad.backward(total)
+
+    plans = [plan_example(config, lexicon, doc.text, list(doc.tokens), actions)
+             for doc, actions in zip(corpus, sequences)]
+    run = PlannedPass(params.arrays, config, lexicon, plans)
+    assert run.actions == n_actions
+    scale = run.loss.dtype.type(1.0 / run.actions)
+    grads = zero_grads(params)
+    run.backward(grads, scale)
+
+    assert (run.loss * scale).tobytes() == total.data.tobytes()
+    for name, tensor in tensors.items():
+        assert tensor.grad.tobytes() == grads[name].tobytes(), name
+
+
+def test_training_and_decoding_build_no_autodiff_node(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the autodiff tape was used")
+
+    monkeypatch.setattr(ad, "backward", refuse)
+    monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+    corpus = generate_corpus(7, 3)
+    config = tiny_config(use_ema=True, dtype="float64")
+    params = train(corpus, config, seed=1, steps=2, checkpoint_every=2)
+    live_output_layer(params)
+    assert grad_check(params, corpus[0]).error < 1e-4
+    for use_ema in (False, True):
+        parse_tokens(params, corpus[0].text, list(corpus[0].tokens), use_ema=use_ema)
 
 
 def test_training_leaves_no_reference_cycles():
@@ -548,6 +604,46 @@ def test_ema_parameters_track_training():
                for n in params.arrays)
 
 
+def test_ema_after_two_steps_is_the_decayed_mean():
+    corpus = generate_corpus(7, 4)
+    d = 0.7
+    config = tiny_config(use_ema=True, ema_decay=d)
+    w0 = Parameters(config, build_lexicon(corpus, config), seed=1).arrays
+    w = []
+    params = train(corpus, config, seed=1, steps=2, checkpoint_every=1,
+                   on_checkpoint=lambda p, c: w.append(
+                       {name: array.copy() for name, array in p.arrays.items()}))
+    w1, w2 = w
+    for name, average in params.ema.items():
+        expected = d * (d * w0[name] + (1 - d) * w1[name]) + (1 - d) * w2[name]
+        assert average.tobytes() == expected.tobytes(), name
+
+
+def prefer_an_evoke(arrays, lexicon):
+    """Bias the output layer toward an EVOKE, so that decoding with
+    `arrays` evokes frames where the initial zero layer only shifts."""
+    evoke = next(a for a in lexicon.actions if a.kind == EVOKE)
+    arrays["ff_b2"][lexicon.action_id(evoke)] = 5.0
+
+
+def test_decoding_with_averages_reads_the_averaged_arrays():
+    corpus = generate_corpus(7, 4)
+    config = tiny_config()
+    params = Parameters(config, build_lexicon(corpus, config), seed=1)
+    params.start_ema()
+    prefer_an_evoke(params.ema, params.lexicon)
+    averaged = Parameters(config, params.lexicon)
+    averaged.arrays = params.ema
+    for doc in corpus:
+        text, tokens = doc.text, list(doc.tokens)
+        got = cli.format_corpus([parse_tokens(params, text, tokens, use_ema=True)])
+        assert got == cli.format_corpus([parse_tokens(averaged, text, tokens)])
+        assert got != cli.format_corpus([parse_tokens(params, text, tokens)])
+    params.ema = None
+    with pytest.raises(ValueError, match="no averaged parameters"):
+        parse_tokens(params, corpus[0].text, list(corpus[0].tokens), use_ema=True)
+
+
 def test_word_vector_hook(tmp_path):
     corpus = generate_corpus(7, 2)
     word = corpus[0].tokens[0].text
@@ -562,6 +658,39 @@ def test_word_vector_hook(tmp_path):
     assert np.allclose(row, np.arange(config.word_dim, dtype=row.dtype))
 
 
+def test_word_vectors_skip_a_word2vec_header(tmp_path):
+    corpus = generate_corpus(7, 2)
+    word = corpus[0].tokens[0].text
+    config = tiny_config()
+    vector = " ".join(str(float(i)) for i in range(config.word_dim))
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"2 {config.word_dim}\n{word} {vector}\nunknownword {vector}\n")
+    config.word_vectors_path = str(path)
+    lexicon = build_lexicon(corpus, config)
+    row = Parameters(config, lexicon, seed=1).arrays["word_emb"][lexicon.word_id(word)]
+    assert np.allclose(row, np.arange(config.word_dim, dtype=row.dtype))
+
+
+@pytest.mark.parametrize("second_line, problem", [
+    ("unknownword 1.0 2.0", "line 2: 2 values, expected 4"),
+    ("{word} 1.0 2.0 3.0 4.0 5.0", "line 2: 5 values, expected 4"),
+    ("{word} 1.0 nan 3.0 4.0", "line 2: a value is not finite"),
+    ("{word} 1.0 inf 3.0 4.0", "line 2: a value is not finite"),
+], ids=["narrow", "wide", "nan", "inf"])
+def test_malformed_word_vectors_are_reported_with_their_line(tmp_path, capsys,
+                                                            second_line, problem):
+    corpus = generate_corpus(7, 2)
+    word = corpus[0].tokens[0].text
+    config = tiny_config()
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"{word} 0.0 1.0 2.0 3.0\n{second_line.format(word=word)}\n")
+    config.word_vectors_path = str(path)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {problem}")):
+        Parameters(config, build_lexicon(corpus, config), seed=1)
+    with pytest.raises(TrainingError, match="^" + re.escape(f"word vectors {path}: {problem}")):
+        train(corpus, config, steps=1)
+
+
 # -- gradient checks -----------------------------------------------------------
 
 def test_grad_check_zero_loss_single_action():
@@ -571,13 +700,11 @@ def test_grad_check_zero_loss_single_action():
     lexicon = build_lexicon([doc], config)
     assert lexicon.num_actions == 1  # STOP only
     params = Parameters(config, lexicon, seed=2)
-    tensors = params.tensors(True)
-    loss, _, _ = document_loss(tensors, config, lexicon, doc.text, doc.tokens,
-                               [Action.stop()])
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
-    ad.backward(loss)
-    norm = sum(float(np.sum(t.grad ** 2)) for t in tensors.values()
-               if t.grad is not None)
+    run = planned_pass(params, doc.text, doc.tokens, [Action.stop()])
+    assert float(run.loss) == pytest.approx(0.0, abs=1e-12)
+    grads = zero_grads(params)
+    run.backward(grads, 1.0)
+    norm = sum(float(np.sum(g ** 2)) for g in grads.values())
     assert norm == pytest.approx(0.0, abs=1e-18)
 
 
@@ -589,12 +716,9 @@ def live_output_layer(params, seed=0):
 
 
 def assert_every_gradient_live(params, doc, actions):
-    tensors = params.tensors(True)
-    loss, _, _ = document_loss(tensors, params.config, params.lexicon,
-                               doc.text, list(doc.tokens), actions)
-    ad.backward(loss)
-    dead = [name for name, t in tensors.items()
-            if t.grad is None or not np.any(t.grad)]
+    grads = zero_grads(params)
+    planned_pass(params, doc.text, doc.tokens, actions).backward(grads, 1.0)
+    dead = [name for name, g in grads.items() if not np.any(g)]
     assert dead == []
 
 
@@ -687,6 +811,12 @@ def test_config_validation():
         config.apply_override("nonsense", "1")
     with pytest.raises(ValueError, match="unknown model option 'dropout'"):
         config.apply_override("dropout", "0")
+    for bad in [dict(use_ema="no"), dict(use_ema=1), dict(use_ema=None),
+                dict(word_vectors_path=5), dict(word_vectors_path=b"v.txt")]:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
+    config.apply_override("word_vectors_path", "v.txt")
+    assert config.word_vectors_path == "v.txt"
 
 
 def test_rejected_override_leaves_the_field_unchanged():
