@@ -25,7 +25,7 @@ from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
 from .model.checkpoint import CheckpointError
 from .model.training import TrainingError, oracle_sequences
 from .notation import UnprintableValueError, parse_notation
-from .oracle import UnrepresentableDocumentError, action_stats, generate
+from .oracle import UnrepresentableDocumentError, action_stats
 from .store import Store, StoreError
 from .transitions import sequence_to_text
 
@@ -86,12 +86,10 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     docs = read_corpus(args.input)
-    sequences = []
-    for index, doc in enumerate(docs):
-        try:
-            sequences.append(generate(doc))
-        except UnrepresentableDocumentError as exc:
-            raise CliError(f"document {index}: {exc}")
+    try:
+        sequences = oracle_sequences(docs)
+    except UnrepresentableDocumentError as exc:
+        raise CliError(str(exc))
     output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
         Path(args.out).write_text(output + "\n" if output else "", encoding="utf-8")

@@ -260,11 +260,15 @@ def _total(slots_of, frames: list[Handle]) -> int:
 
 
 def evaluate_corpus(gold: list[Document], pred: list[Document]) -> EvalReport:
-    """Micro-averaged report: counts are summed before deriving P/R/F1."""
+    """Micro-averaged report: counts are summed before deriving P/R/F1.
+    A `TokenMismatchError` names the document by its index."""
     if len(gold) != len(pred):
         raise ValueError(f"corpus length mismatch: {len(gold)} gold vs "
                          f"{len(pred)} predicted documents")
     report = EvalReport()
-    for g, p in zip(gold, pred):
-        report = report + evaluate(g, p)
+    for index, (g, p) in enumerate(zip(gold, pred)):
+        try:
+            report = report + evaluate(g, p)
+        except TokenMismatchError as exc:
+            raise TokenMismatchError(f"document {index}: {exc}") from None
     return report

@@ -4,15 +4,15 @@ decoder, teacher-forced training, and greedy decoding."""
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig
 from .decode import parse_tokens
-from .features import StepFeatures, extract_features
 from .lexicon import Lexicon
-from .network import Parameters, document_loss, encode_tokens, feature_dim
+from .network import (Parameters, document_loss, encode_tokens, extract_features,
+                      feature_dim)
 from .training import (Adam, Checkpoint, TrainingError, build_lexicon, grad_check,
                     oracle_sequences, train)
 
 __all__ = [
     "Adam", "Checkpoint", "Lexicon", "ModelConfig", "Parameters",
-    "StepFeatures", "TrainingError", "build_lexicon", "document_loss",
+    "TrainingError", "build_lexicon", "document_loss",
     "encode_tokens", "extract_features", "feature_dim", "grad_check",
     "load_checkpoint", "oracle_sequences", "parse_tokens",
     "save_checkpoint", "train",

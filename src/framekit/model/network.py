@@ -5,11 +5,16 @@ activations recur into later steps through the attention and history
 features.
 
 Everything runs on numpy arrays.  A decoder step's feature vector
-gathers rows of two pools, the LSTM outputs (`Encoding`) and the hidden
-activations of the steps so far (`ForwardPass`), plus the summed
-embeddings of its role links.  One function, `decoder_steps`, is the
-decoder's forward: it gathers the LSTM and link features of a block of
-steps at once and runs only the hidden recurrence step by step.
+gathers rows of two pools, whose row 0 is the zero vector that an
+absent feature reads: the LSTM pool (`Encoding.pool`), which holds
+token i of n at row i + 1 left to right and n + i + 1 right to left,
+and the hidden pool, which holds step s's activation at row s + 1; it
+adds the summed embeddings of its role links.  One function,
+`extract_features`, reads a parser state's features straight as those
+rows and link ids, for planning and decoding alike.  One function,
+`decoder_steps`, is the decoder's forward: it gathers the LSTM and link
+features of a block of steps at once and runs only the hidden
+recurrence step by step.
 Greedy decoding (`ForwardPass.step_logits`) calls it for one step at a
 time, since its next state depends on its prediction.  Teacher forcing
 runs one pass over a whole training batch:
@@ -55,10 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..document import Token
+from ..store import Handle
 from ..transitions import ParserState
 from .autodiff import Tensor
 from .config import ModelConfig
-from .features import StepFeatures, extract_features
 from .lexicon import (CAPS_SHAPES, DIGIT_SHAPES, HYPHEN_SHAPES, Lexicon,
                       PUNCT_SHAPES, QUOTE_SHAPES)
 
@@ -104,6 +109,10 @@ def parameter_shapes(config: ModelConfig, lexicon: Lexicon) -> dict[str, tuple[i
     return shapes
 
 
+class WordVectorError(ValueError):
+    """A line of a word vector file that does not load."""
+
+
 class Parameters:
     """All weight arrays plus the vocabulary they were built against."""
 
@@ -141,7 +150,7 @@ class Parameters:
     def _load_word_vectors(self, path: str) -> None:
         """Seed word embedding rows from a UTF-8 `word v1 .. vD` text
         file, skipping a word2vec `count dim` header on line 1.  Raises
-        ValueError("PATH: line N: ...") for a line that does not decode,
+        WordVectorError("PATH: line N: ...") for a line that does not decode,
         has another width, or gives a lexicon word a value that does not
         parse or is not finite."""
         dim = self.config.word_dim
@@ -161,7 +170,7 @@ class Parameters:
                             raise ValueError("a value is not finite")
                         table[row] = vec.astype(table.dtype)
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {number}: {exc}") from None
+                    raise WordVectorError(f"{path}: line {number}: {exc}") from None
 
     def tensors(self, trainable: bool) -> dict[str, Tensor]:
         return {name: Tensor(array, requires_grad=trainable)
@@ -189,18 +198,45 @@ def _feature_bounds(config: ModelConfig) -> tuple[int, int]:
     return lstm_end, lstm_end + (2 * config.k_attention + config.k_history) * config.hidden_dim
 
 
-def _step_rows(feats: StepFeatures, num_tokens: int, step: int):
-    """One step's features as rows of the pools that `ForwardPass`
-    describes (0 where a feature is absent), and its link ids, one list
-    per link table."""
-    fw = [i + 1 if i is not None and 0 <= i < num_tokens else 0
-          for i in [feats.cursor_token] + feats.att_end_token]
-    bw = [row + num_tokens if row else 0 for row in fw]
-    lstm = fw[:1] + bw[:1] + fw[1:] + bw[1:]
-    hidden = [s + 1 if s is not None and 0 <= s < step else 0
-              for s in feats.att_created + feats.att_focused + feats.history]
-    links = (feats.triples, feats.source_roles, feats.role_targets, feats.source_targets)
-    return lstm, hidden, links
+def extract_features(state: ParserState, lexicon: Lexicon, k_attention: int,
+                     k_history: int) -> tuple[list[int], list[int], tuple[list[int], ...]]:
+    """One decoder step's features as pool rows: the LSTM rows of the
+    cursor token and of the last token of each top-k frame's latest
+    evoking phrase (none after EMBED or ELABORATE), all left to right,
+    then all right to left; the hidden rows of the steps that created
+    and last fronted each top-k frame, then of the previous k_history
+    steps.  Per link table (`_LINK_TABLES`), the (source, role, target)
+    ids of the role links between top-k frames, or their back-offs."""
+    n, k = state.num_tokens, k_attention
+    attention = state.attention[:k]
+    absent = [0] * (k - len(attention))
+    fw = [state.cursor + 1 if state.cursor < n else 0]
+    for frame in attention:
+        span = state.phrase_of(frame)  # a phrase lies inside the tokens
+        fw.append(span[0] + span[1] if span is not None else 0)
+    fw += absent
+    bw = [row + n if row else 0 for row in fw]
+    # Every buffer frame was created and fronted before this step.
+    hidden = ([state.created_step[frame] + 1 for frame in attention] + absent
+              + [state.focused_step[frame] + 1 for frame in attention] + absent
+              + [max(state.step - j, 0) for j in range(k_history)])
+
+    positions = {frame: i for i, frame in enumerate(attention)}
+    num_roles = lexicon.num_roles
+    links = ([], [], [], [])
+    triples, source_roles, role_targets, source_targets = links
+    for s_pos, frame in enumerate(attention):
+        for slot in state.store.slots(frame):
+            t_pos = positions.get(slot.value) if isinstance(slot.value, Handle) else None
+            if t_pos is None:
+                continue
+            role_id = (lexicon.role_id(state.store.symbol_name(slot.role))
+                       if slot.role.is_symbol() else 0)
+            triples.append((s_pos * num_roles + role_id) * k + t_pos)
+            source_roles.append(s_pos * num_roles + role_id)
+            role_targets.append(role_id * k + t_pos)
+            source_targets.append(s_pos * k + t_pos)
+    return fw[:1] + bw[:1] + fw[1:] + bw[1:], hidden, links
 
 
 def _add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -337,20 +373,17 @@ class Encoding:
             offset += width
 
 
-def encode_tokens(arrays: dict[str, np.ndarray], config: ModelConfig, lexicon: Lexicon,
-                  tokens: list[Token], rows: np.ndarray | None = None) -> Encoding:
-    """The biLSTM pool of one token sequence; `rows`, when given, is
-    the tokens' `token_table`."""
-    if rows is None:
-        rows = token_table(lexicon, tokens)
-    return Encoding(arrays, [rows], lexicon.max_affix_len)
+def encode_tokens(arrays: dict[str, np.ndarray], lexicon: Lexicon,
+                  tokens: list[Token]) -> Encoding:
+    """The biLSTM pool of one token sequence."""
+    return Encoding(arrays, [token_table(lexicon, tokens)], lexicon.max_affix_len)
 
 
 def decoder_steps(arrays: dict[str, np.ndarray], config: ModelConfig, lstm_pool: np.ndarray,
                   hidden: np.ndarray, first: int, groups, lstm_rows, hidden_rows,
                   link_steps: np.ndarray, link_ids) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's forward over a block of steps: one row per step of
-    pool rows (`_step_rows`), and the links of all steps with the step
+    pool rows (`extract_features`), and the links of all steps with the step
     row each belongs to.
 
     Every step's LSTM and link features are gathered at once.  Only the
@@ -383,13 +416,7 @@ def decoder_steps(arrays: dict[str, np.ndarray], config: ModelConfig, lstm_pool:
 
 class ForwardPass:
     """Greedy decoding's forward state for one document: the parser
-    state, the token encodings, and the hidden activations of the steps
-    so far.
-
-    A step's feature vector gathers rows of two pools whose row 0 is
-    the zero vector that absent features read: the LSTM pool
-    (`Encoding.pool`) and the hidden pool, which holds step s's hidden
-    activation at row s + 1."""
+    state, its LSTM pool, and the hidden pool of the steps so far."""
 
     def __init__(self, arrays: dict[str, np.ndarray], config: ModelConfig,
                  lexicon: Lexicon, text: str, tokens: list[Token]):
@@ -397,15 +424,15 @@ class ForwardPass:
         self.config = config
         self.lexicon = lexicon
         self.state = ParserState(text, tokens)
-        self.lstm_pool = encode_tokens(arrays, config, lexicon, tokens).pool
+        self.lstm_pool = encode_tokens(arrays, lexicon, tokens).pool
         self.hidden_pool = np.zeros((64, config.hidden_dim), self.lstm_pool.dtype)
 
     def step_logits(self) -> np.ndarray:
         """Score every action in the current state; records the hidden
         activation so later steps can attend to it."""
         cfg, state = self.config, self.state
-        feats = extract_features(state, self.lexicon, cfg.k_attention, cfg.k_history)
-        lstm, hidden, links = _step_rows(feats, state.num_tokens, state.step)
+        lstm, hidden, links = extract_features(state, self.lexicon, cfg.k_attention,
+                                               cfg.k_history)
         if state.step + 1 == len(self.hidden_pool):
             self.hidden_pool = np.concatenate([self.hidden_pool,
                                                np.zeros_like(self.hidden_pool)])
@@ -420,9 +447,9 @@ class ForwardPass:
 class ExamplePlan:
     """One training example reduced to what teacher forcing reads that
     no weight update changes, in read-only arrays: the tokens' table
-    rows, then per step the pool rows of its features (`ForwardPass`)
-    and its target action id.  The links of all steps are listed
-    together, with the step each belongs to.
+    rows, then per step the pool rows of its features
+    (`extract_features`) and its target action id.  The links of all
+    steps are listed together, with the step each belongs to.
 
     Size is linear in the steps: one int per feature."""
 
@@ -438,13 +465,12 @@ def plan_example(config: ModelConfig, lexicon: Lexicon, text: str,
                  tokens: list[Token], actions) -> ExamplePlan:
     """Replay `actions` once and record every step's features."""
     state = ParserState(text, tokens)
-    n = state.num_tokens
     lstm_rows, hidden_rows, targets = [], [], []
     link_steps: list[int] = []
     link_ids: list[list[int]] = [[] for _ in _LINK_TABLES]
     for step, action in enumerate(actions):
-        feats = extract_features(state, lexicon, config.k_attention, config.k_history)
-        lstm, hidden, links = _step_rows(feats, n, step)
+        lstm, hidden, links = extract_features(state, lexicon, config.k_attention,
+                                               config.k_history)
         lstm_rows.append(lstm)
         hidden_rows.append(hidden)
         for log, ids in zip(link_ids, links):

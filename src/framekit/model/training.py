@@ -11,11 +11,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ..document import Document
-from ..oracle import generate
+from ..oracle import UnrepresentableDocumentError, generate
 from ..transitions import Action
 from .config import ModelConfig
 from .lexicon import Lexicon
-from .network import Parameters, PlannedPass, plan_example
+from .network import Parameters, PlannedPass, WordVectorError, plan_example
 
 
 class TrainingError(Exception):
@@ -83,7 +83,15 @@ class Checkpoint:
 
 
 def oracle_sequences(corpus: list[Document]) -> list[list[Action]]:
-    return [generate(doc) for doc in corpus]
+    """Each document's oracle sequence; a document the oracle cannot
+    represent is named by its index."""
+    sequences = []
+    for index, doc in enumerate(corpus):
+        try:
+            sequences.append(generate(doc))
+        except UnrepresentableDocumentError as exc:
+            raise UnrepresentableDocumentError(f"document {index}: {exc}") from None
+    return sequences
 
 
 def build_lexicon(corpus: list[Document], config: ModelConfig,
@@ -116,8 +124,10 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
     except OSError as exc:  # opening word_vectors_path
         raise TrainingError(f"word vectors {config.word_vectors_path}: "
                             f"{exc.strerror or exc}") from None
-    except ValueError as exc:  # a line of it, which the message names
+    except WordVectorError as exc:  # a line of it, which the message names
         raise TrainingError(f"word vectors {exc}") from None
+    except ValueError as exc:  # a shape numpy refuses, before allocating it
+        raise TrainingError(f"cannot allocate the parameters: {exc}") from None
     adam = Adam(params.arrays, config)
     if config.use_ema:
         params.start_ema()

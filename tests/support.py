@@ -1,7 +1,8 @@
 """Shared test utilities: the worked-example document, an exact
 backtracking graph-isomorphism oracle, a brute-force metric counter,
-seeded random generators for stores, documents, and perturbations, and
-a checkpoint header editor."""
+seeded random generators for stores, documents, and perturbations, a
+checkpoint header editor, and a reference of the decoder's step
+features."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import json
 import random
 import string
 import struct
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 from framekit.document import (DOCUMENT_FRAME, DOCUMENT_MENTION, DOCUMENT_TEXT,
                                DOCUMENT_TOKENS, DOCUMENT_TYPE, PHRASE_BEGIN, PHRASE_EVOKES,
@@ -18,7 +20,9 @@ from framekit.document import (DOCUMENT_FRAME, DOCUMENT_MENTION, DOCUMENT_TEXT,
                                TOKEN_TEXT, Document, Mention, frame_graph, tokenize)
 from framekit.evaluation import align
 from framekit.model.checkpoint import MAGIC
+from framekit.model.lexicon import Lexicon
 from framekit.store import Handle, Slot, Store, Value
+from framekit.transitions import ParserState
 
 HIT_DOC_TEXT = """{
   :/s/document
@@ -626,3 +630,89 @@ def edit_checkpoint_header(path: Path, edit: Callable[[dict], None]) -> None:
     raw = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<IQ", version, len(raw)) + raw
                      + data[start + header_len:])
+
+
+# -- decoder step features, spelled out ------------------------------------
+
+@dataclass
+class StepFeatures:
+    """One decoder step's features as tokens, steps and link ids, with
+    None where a feature is absent."""
+    cursor_token: Optional[int]
+    att_end_token: list[Optional[int]]
+    att_created: list[Optional[int]]
+    att_focused: list[Optional[int]]
+    history: list[Optional[int]]
+    triples: list[int]
+    source_roles: list[int]
+    role_targets: list[int]
+    source_targets: list[int]
+
+
+def reference_step_features(state: ParserState, lexicon: Lexicon,
+                            k_attention: int, k_history: int) -> StepFeatures:
+    """For the top-k attention frames: the last token of the most recent
+    evoking phrase (absent for frames created by EMBED/ELABORATE), and
+    the steps that created and last fronted them.  The previous k steps
+    form the history feature.  Role links between top-k frames become
+    (source, role, target) triple ids with (source, role), (role,
+    target) and (source, target) back-offs."""
+    k = k_attention
+    attention = state.attention[:k]
+
+    att_end: list[Optional[int]] = []
+    att_created: list[Optional[int]] = []
+    att_focused: list[Optional[int]] = []
+    for frame in attention:
+        span = state.phrase_of(frame)
+        att_end.append(span[0] + span[1] - 1 if span is not None else None)
+        att_created.append(state.created_step.get(frame))
+        att_focused.append(state.focused_step.get(frame))
+    padding = k - len(attention)
+    att_end.extend([None] * padding)
+    att_created.extend([None] * padding)
+    att_focused.extend([None] * padding)
+
+    history = [state.step - 1 - j if state.step - 1 - j >= 0 else None
+               for j in range(k_history)]
+
+    positions = {frame: i for i, frame in enumerate(attention)}
+    num_roles = lexicon.num_roles
+    triples: list[int] = []
+    source_roles: list[int] = []
+    role_targets: list[int] = []
+    source_targets: list[int] = []
+    for s_pos, frame in enumerate(attention):
+        for slot in state.store.slots(frame):
+            value = slot.value
+            if not (isinstance(value, Handle) and value.is_frame()):
+                continue
+            t_pos = positions.get(value)
+            if t_pos is None:
+                continue
+            role_id = (lexicon.role_id(state.store.symbol_name(slot.role))
+                       if slot.role.is_symbol() else 0)
+            triples.append((s_pos * num_roles + role_id) * k + t_pos)
+            source_roles.append(s_pos * num_roles + role_id)
+            role_targets.append(role_id * k + t_pos)
+            source_targets.append(s_pos * k + t_pos)
+
+    cursor = state.cursor if state.cursor < state.num_tokens else None
+    return StepFeatures(cursor, att_end, att_created, att_focused, history,
+                        triples, source_roles, role_targets, source_targets)
+
+
+def reference_step_rows(feats: StepFeatures, num_tokens: int, step: int):
+    """`feats` as rows of the decoder's pools (0 where a feature is
+    absent or out of range): the LSTM rows of the cursor and attention
+    tokens, left-to-right then right-to-left, the hidden rows of the
+    created, focused and history steps, and the link ids, one list per
+    link table."""
+    fw = [i + 1 if i is not None and 0 <= i < num_tokens else 0
+          for i in [feats.cursor_token] + feats.att_end_token]
+    bw = [row + num_tokens if row else 0 for row in fw]
+    lstm = fw[:1] + bw[:1] + fw[1:] + bw[1:]
+    hidden = [s + 1 if s is not None and 0 <= s < step else 0
+              for s in feats.att_created + feats.att_focused + feats.history]
+    links = (feats.triples, feats.source_roles, feats.role_targets, feats.source_targets)
+    return lstm, hidden, links

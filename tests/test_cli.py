@@ -278,6 +278,8 @@ def test_train_checks_its_other_outputs_before_its_first_step(tmp_path, capsys, 
     ["train", "--hparam", "use_ema=ture"],
     ["train", "--hparam", "use_ema=2"],
     ["train", "--hparam", "word_vectors_path={missing}"],
+    # numpy refuses the shapes before it allocates anything.
+    ["train", "--hparam", "k_attention=100000000000"],
     ["grad-check", "--configs", "0"],
     ["grad-check", "--threshold", "nan"],
     ["grad-check", "--threshold", "0"],
@@ -295,6 +297,9 @@ def test_bad_arguments_are_reported(tmp_path, capsys, argv):
     assert not model.exists()
     if "word_vectors_path" in " ".join(argv):
         assert str(tmp_path / "missing.vec") in err
+    if "k_attention" in " ".join(argv):
+        assert err.startswith("error: cannot allocate the parameters: ")
+        assert "word vectors" not in err
     if "--threshold" in argv[1]:
         assert err == "error: --threshold must be > 0\n"
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from framekit import cli
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
 from framekit.evaluation import (EvalReport, MetricCounts, METRICS,
@@ -150,11 +151,19 @@ def test_second_isa_is_a_label(monkeypatch):
     assert not oracle.roundtrip_check(gold)
 
 
-def test_token_mismatch_rejected(hit_doc):
+def test_token_mismatch_rejected(hit_doc, tmp_path, capsys):
     store = Store()
     other = Document("John hit a wall", tokenize("John hit a wall"), [], store)
     with pytest.raises(TokenMismatchError):
         evaluate(hit_doc, other)
+    message = "document 1: gold and predicted token sequences differ"
+    with pytest.raises(TokenMismatchError, match=f"^{message}$"):
+        evaluate_corpus([hit_doc, hit_doc], [hit_doc, other])
+    gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+    cli.write_corpus([hit_doc, hit_doc], str(gold))
+    cli.write_corpus([hit_doc, other], str(pred))
+    assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_counts_match_brute_force_on_perturbed_pairs():

@@ -13,16 +13,16 @@ from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, grad_check,
                             parse_tokens, train)
 from framekit.model import autodiff as ad
-from framekit.model.features import extract_features
 from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_shape,
                                     punct_shape, quote_shape)
 from framekit.model.network import (ExamplePlan, ForwardPass, PlannedPass,
-                                    document_loss, encode_tokens, feature_dim,
-                                    plan_example)
+                                    document_loss, encode_tokens, extract_features,
+                                    feature_dim, plan_example)
 from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
 from framekit.transitions import EVOKE, STOP, Action, ParserState, SymbolName
-from support import hit_document
+from support import (hit_document, random_document, reference_step_features,
+                     reference_step_rows)
 
 
 def tiny_config(**kw):
@@ -59,7 +59,7 @@ def planned_pass(params, text, tokens, actions):
 
 def test_encode_empty_sentence():
     _, config, _, lexicon, params = setup()
-    encoding = encode_tokens(params.arrays, config, lexicon, [])
+    encoding = encode_tokens(params.arrays, lexicon, [])
     assert encoding.pool.shape == (1, config.lstm_dim)
 
 
@@ -68,27 +68,39 @@ def test_encode_zero_weights_zero_activations():
     for array in params.arrays.values():
         array[...] = 0.0
     tokens = tokenize("John hit")
-    encoding = encode_tokens(params.arrays, config, lexicon, tokens)
+    encoding = encode_tokens(params.arrays, lexicon, tokens)
     assert encoding.pool.shape == (5, config.lstm_dim) and np.all(encoding.pool == 0.0)
 
 
 def test_encode_shapes_single_token():
     _, config, _, lexicon, params = setup()
-    encoding = encode_tokens(params.arrays, config, lexicon, tokenize("word"))
+    encoding = encode_tokens(params.arrays, lexicon, tokenize("word"))
     assert encoding.pool.shape == (3, config.lstm_dim)
 
 
 # -- features ----------------------------------------------------------------
 
+# A step's rows, in `extract_features` order: the LSTM pool rows of the
+# cursor token (left-to-right, right-to-left), then of the attention
+# frames' last phrase tokens (all left-to-right, then all right-to-left);
+# the hidden pool rows of the attention frames' created steps, their
+# focused steps, then the history.  Of n tokens, token i's rows are
+# i + 1 and n + i + 1; step s's row is s + 1; row 0 is an absent feature.
+
 def test_features_fresh_state():
     _, config, _, lexicon, _ = setup()
     state = ParserState("a b", tokenize("a b"))
-    feats = extract_features(state, lexicon, config.k_attention, config.k_history)
+    feats = reference_step_features(state, lexicon, config.k_attention, config.k_history)
     assert feats.cursor_token == 0
     assert feats.att_end_token == [None] * config.k_attention
     assert feats.att_created == [None] * config.k_attention
     assert feats.history == [None] * config.k_history
     assert feats.triples == [] and feats.source_roles == []
+    lstm, hidden, links = extract_features(state, lexicon, config.k_attention,
+                                           config.k_history)
+    assert lstm == [1, 3] + [0] * 2 * config.k_attention  # cursor at token 0 of 2
+    assert hidden == [0] * (2 * config.k_attention + config.k_history)
+    assert links == ([], [], [], [])
 
 
 def test_features_after_worked_example_prefix():
@@ -100,7 +112,7 @@ def test_features_after_worked_example_prefix():
     state.apply(Action.shift())
     state.apply(Action.evoke("/pb/hit-01", 1))
     state.apply(Action.connect(0, "/pb/arg0", 1))
-    feats = extract_features(state, lexicon, config.k_attention, config.k_history)
+    feats = reference_step_features(state, lexicon, config.k_attention, config.k_history)
     num_roles = lexicon.num_roles
     arg0 = lexicon.role_id("/pb/arg0")
     expected_triple = (0 * num_roles + arg0) * config.k_attention + 1
@@ -114,14 +126,25 @@ def test_features_after_worked_example_prefix():
     assert feats.att_created[:2] == [2, 0]
     assert feats.att_focused[:2] == [3, 0]
     assert feats.history == [3, 2, 1, 0, None]
+    lstm, hidden, links = extract_features(state, lexicon, config.k_attention,
+                                           config.k_history)
+    assert links == ([expected_triple], [0 * num_roles + arg0],
+                     [arg0 * config.k_attention + 1], [0 * config.k_attention + 1])
+    # Of 4 tokens: the cursor at token 1, hit's phrase ends at token 1,
+    # person's at token 0.
+    assert lstm == [2, 6] + [2, 1, 0, 0, 0] + [6, 5, 0, 0, 0]
+    # Created at steps 2 and 0, focused at 3 and 0, history steps 3..0.
+    assert hidden == [3, 1, 0, 0, 0] + [4, 1, 0, 0, 0] + [4, 3, 2, 1, 0]
 
 
 def test_attention_feature_uses_phrase_last_token():
     _, config, _, lexicon, _ = setup()
     state = ParserState("New York won", tokenize("New York won"))
     state.apply(Action.evoke("/t/loc", 2))
-    feats = extract_features(state, lexicon, config.k_attention, config.k_history)
+    feats = reference_step_features(state, lexicon, config.k_attention, config.k_history)
     assert feats.att_end_token[0] == 1
+    lstm, _, _ = extract_features(state, lexicon, config.k_attention, config.k_history)
+    assert lstm == [1, 4] + [2, 0, 0] + [5, 0, 0]  # token 1 of 3
 
 
 def test_embedded_frame_has_no_phrase_feature():
@@ -129,9 +152,35 @@ def test_embedded_frame_has_no_phrase_feature():
     state = ParserState("a", tokenize("a"))
     state.apply(Action.evoke("/t/x", 1))
     state.apply(Action.embed(0, "/r/of", "/t/wrap"))
-    feats = extract_features(state, lexicon, config.k_attention, config.k_history)
+    feats = reference_step_features(state, lexicon, config.k_attention, config.k_history)
     assert feats.att_end_token[0] is None  # wrapper frame, never evoked
     assert feats.att_end_token[1] == 0
+    lstm, _, _ = extract_features(state, lexicon, config.k_attention, config.k_history)
+    assert lstm == [1, 2] + [0, 1, 0] + [0, 2, 0]  # the wrapper reads row 0
+
+
+@pytest.mark.parametrize("k_attention, k_history", [(1, 1), (3, 2), (5, 5)])
+def test_features_equal_the_reference_rows_at_every_step(k_attention, k_history):
+    """`extract_features` reads the parser state's invariants where the
+    reference checks bounds: the same rows and link ids at every step of
+    the oracle replays of generated, long and random documents."""
+    rng = random.Random(5)
+    docs = generate_corpus(11, 100) + [random_document(rng) for _ in range(300)]
+    examples = [(doc.text, list(doc.tokens), actions)
+                for doc, actions in zip(docs, oracle_sequences(docs))]
+    examples.append(long_document(20, 7))
+    lexicon = Lexicon.build([], [actions for _, _, actions in examples], 4)
+    steps = 0
+    for text, tokens, actions in examples:
+        state = ParserState(text, tokens)
+        for action in actions:
+            expected = reference_step_rows(
+                reference_step_features(state, lexicon, k_attention, k_history),
+                state.num_tokens, state.step)
+            assert extract_features(state, lexicon, k_attention, k_history) == expected
+            state.apply(action)
+            steps += 1
+    assert steps > 4000
 
 
 # -- step logits ---------------------------------------------------------------
@@ -177,7 +226,7 @@ def reference_document_loss(params, doc, actions):
     hidden = []
     total = 0.0
     for action in actions:
-        feats = extract_features(state, lex, cfg.k_attention, cfg.k_history)
+        feats = reference_step_features(state, lex, cfg.k_attention, cfg.k_history)
 
         def token(enc, i):
             return enc[i] if i is not None else np.zeros(L)

@@ -110,12 +110,15 @@ def test_span_evoking_two_frames_of_one_type(tmp_path, capsys):
     a = store.new_frame([(store.isa, alpha)])
     b = store.new_frame([(store.isa, alpha)])
     doc.mentions = [Mention(0, 1, [a]), Mention(1, 1, [a, b]), Mention(4, 1, [b])]
-    with pytest.raises(UnrepresentableDocumentError):
+    with pytest.raises(UnrepresentableDocumentError) as error:
         generate(doc)
-    path = tmp_path / "doc.txt"
+    path, model = tmp_path / "doc.txt", tmp_path / "model.ckpt"
     write_corpus([doc], str(path))
     assert cli.main(["oracle", "--in", str(path)]) == 1
-    assert "error: document 0:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: document 0: {error.value}\n"
+    assert cli.main(["train", "--in", str(path), "--out", str(model), "--steps", "1"]) == 1
+    assert capsys.readouterr().err == f"error: document 0: {error.value}\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("value", ["a b", "nil", "12", "é", math.inf, math.nan])
