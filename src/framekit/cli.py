@@ -85,11 +85,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    docs = read_corpus(args.input)
-    try:
-        sequences = oracle_sequences(docs)
-    except UnrepresentableDocumentError as exc:
-        raise CliError(str(exc))
+    sequences = oracle_sequences(read_corpus(args.input))
     output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
         Path(args.out).write_text(output + "\n" if output else "", encoding="utf-8")
@@ -151,13 +147,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(line)
         metric_lines.append(line)
 
-    try:
-        params = train(corpus, config, seed=args.seed, steps=args.steps,
-                       checkpoint_every=args.checkpoint_every,
-                       on_checkpoint=on_checkpoint)
-    except (TrainingError, UnrepresentableDocumentError) as exc:
-        raise CliError(str(exc))
-
+    params = train(corpus, config, seed=args.seed, steps=args.steps,
+                   checkpoint_every=args.checkpoint_every, on_checkpoint=on_checkpoint)
     save_checkpoint(params, args.out)
     if best["step"] is not None:
         print(f"best checkpoint: step={best['step']} "
@@ -180,10 +171,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         (args.text or "").encode("utf-8")
     except UnicodeEncodeError:
         raise CliError("--text: not valid UTF-8") from None
-    try:
-        params = load_checkpoint(args.model)
-    except CheckpointError as exc:
-        raise CliError(str(exc))
+    params = load_checkpoint(args.model)
     if args.text is not None:
         inputs = [(args.text, tokenize(args.text))]
     else:
@@ -208,10 +196,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred = read_corpus(args.pred)
     if len(gold) != len(pred):
         raise CliError(f"corpus length mismatch: {len(gold)} gold vs {len(pred)} predicted")
-    try:
-        report = evaluate_corpus(gold, pred)
-    except TokenMismatchError as exc:
-        raise CliError(str(exc))
+    report = evaluate_corpus(gold, pred)
     print(report.format_table())
     print(report.format_machine())
     if args.metrics_out:
@@ -323,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError) as exc:
+    except (CliError, OSError, CheckpointError, TrainingError,
+            UnrepresentableDocumentError, TokenMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,16 @@
 """Parameter checkpoints: one binary file.  A versioned JSON header holds
 the model configuration, the lexicon (word, affix and role tables,
-`max_affix_len`, the action inventory) and the name, shape, dtype and
-offset of every tensor; the row-major tensor bytes follow.  Loading
-checks the tensors against those `Parameters(config, lexicon)` would
-allocate.  Save/load round-trips are bit-exact."""
+`max_affix_len`, the action inventory), `has_ema` and the tensor table;
+the row-major tensor bytes follow.  `tensor_table` derives the table
+from `parameter_shapes`: saving writes it, and loading checks the
+header's table against it in one comparison.  A file is written beside
+its path, then renamed over it, so a failed write leaves the old file
+whole.  Save/load round-trips are bit-exact."""
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 
@@ -27,30 +30,44 @@ class CheckpointError(Exception):
     pass
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def tensor_table(config: ModelConfig, lexicon: Lexicon, has_ema: bool) -> list[dict]:
+    """The name, shape, dtype, payload offset and byte count of every
+    tensor, in file order: `parameter_shapes`, then their `ema/` copies."""
+    shapes = parameter_shapes(config, lexicon)
+    names = list(shapes) + ([f"ema/{name}" for name in shapes] if has_ema else [])
+    dtype = np.dtype(config.dtype)
+    table, offset = [], 0
+    for name in names:
+        shape = shapes[name.removeprefix("ema/")]
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        table.append({"name": name, "shape": list(shape), "dtype": str(dtype),
+                      "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return table
+
+
 def save_checkpoint(params: Parameters, path: str) -> None:
-    """Write the header and the tensors of `params` to one file."""
-    tensor_meta = []
-    blobs = []
-    offset = 0
-    sections = [("", params.arrays)]
-    if params.ema is not None:
-        sections.append(("ema/", params.ema))
-    for prefix, arrays in sections:
-        for name, array in arrays.items():
-            data = np.ascontiguousarray(array)
-            raw = data.tobytes()
-            tensor_meta.append({
-                "name": prefix + name,
-                "shape": list(data.shape),
-                "dtype": str(data.dtype),
-                "offset": offset,
-                "nbytes": len(raw),
-            })
-            blobs.append(raw)
-            offset += len(raw)
+    """Write the header and the tensors of `params` to one file; raises
+    CheckpointError, and leaves `path` as it was, unless the arrays of
+    `params` are those the table calls for, in its shapes and dtype."""
+    table = tensor_table(params.config, params.lexicon, params.ema is not None)
+    arrays = {**params.arrays, **{f"ema/{n}": a for n, a in (params.ema or {}).items()}}
+    for meta in table:
+        array = arrays.get(meta["name"])
+        if array is None or array.shape != tuple(meta["shape"]) or array.dtype != meta["dtype"]:
+            found = "missing" if array is None else f"{array.dtype} {array.shape}"
+            raise CheckpointError(f"{path}: tensor {meta['name']} is {found}, expected "
+                                  f"{meta['dtype']} {tuple(meta['shape'])}")
+    extra = sorted(set(arrays).difference(meta["name"] for meta in table))
+    if extra:
+        raise CheckpointError(f"{path}: tensor {extra[0]} is not in the table")
 
     lexicon = params.lexicon
-    header = {
+    header = _dumps({
         "config": asdict(params.config),
         "lexicon": {
             "words": lexicon.words, "prefixes": lexicon.prefixes,
@@ -58,49 +75,24 @@ def save_checkpoint(params: Parameters, path: str) -> None:
             "max_affix_len": lexicon.max_affix_len,
             "actions": [action.to_text() for action in lexicon.actions],
         },
-        "tensors": tensor_meta,
+        "tensors": table,
         "has_ema": params.ema is not None,
-    }
-    header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False,
-                              separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_PREAMBLE.pack(VERSION, len(header_bytes)))
-        handle.write(header_bytes)
-        for raw in blobs:
-            handle.write(raw)
+    }).encode("utf-8")
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.write(MAGIC + _PREAMBLE.pack(VERSION, len(header)) + header)
+            for meta in table:
+                handle.write(arrays[meta["name"]].tobytes())
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_dtype(value) -> bool:
-    if not isinstance(value, str):
-        return False
-    try:
-        np.dtype(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _tensor_entry_problem(meta) -> str | None:
-    """What is wrong with one entry of a header's tensor table, if
-    anything: it needs a string name, a list of ints for the shape, a
-    known dtype and an int offset >= 0."""
-    if not isinstance(meta, dict):
-        return "not an object"
-    if not isinstance(meta.get("name"), str):
-        return "name is not a string"
-    shape = meta.get("shape")
-    if not (isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape)):
-        return "shape is not a list of non-negative ints"
-    if not _is_dtype(meta.get("dtype")):
-        return f"unknown dtype {meta.get('dtype')!r}"
-    if not (_is_int(meta.get("offset")) and meta["offset"] >= 0):
-        return "offset is not an int >= 0"
-    return None
 
 
 def _table_problem(table) -> str | None:
@@ -116,9 +108,9 @@ def _table_problem(table) -> str | None:
 
 def load_checkpoint(path: str) -> Parameters:
     """Read a checkpoint; raises CheckpointError on a file that cannot
-    be read, is not a checkpoint, is truncated, has a malformed lexicon
-    or tensor table, or holds tensors its configuration and lexicon do
-    not call for."""
+    be read, is not a checkpoint, is truncated, has a malformed lexicon,
+    or has a tensor table other than the one its configuration and
+    lexicon call for."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -162,37 +154,33 @@ def load_checkpoint(path: str) -> Parameters:
             if all(action.kind != kind for action in lexicon.actions):
                 raise ValueError(f"lexicon actions lack {kind}")
         tensors = header["tensors"]
+        if not isinstance(tensors, list):
+            raise ValueError("tensors is not a list")
         has_ema = header["has_ema"]
+        if not isinstance(has_ema, bool):
+            raise ValueError(f"has_ema {has_ema!r} is not true or false")
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
-    if not isinstance(tensors, list):
-        raise CheckpointError(f"{path}: malformed header: tensors is not a list")
-    for index, meta in enumerate(tensors):
-        problem = _tensor_entry_problem(meta)
-        if problem:
-            raise CheckpointError(f"{path}: malformed header: tensor {index}: {problem}")
 
-    expected = parameter_shapes(config, lexicon)
-    names = list(expected) + ([f"ema/{n}" for n in expected] if has_ema else [])
-    if [meta["name"] for meta in tensors] != names:
-        raise CheckpointError(f"{path}: tensor names differ from those the "
-                              f"configuration and lexicon call for")
+    table = tensor_table(config, lexicon, has_ema)
+    found = [_dumps(meta) for meta in tensors] + ["nothing"]
+    expected = [_dumps(meta) for meta in table] + ["nothing"]
+    if found != expected:
+        index = next(i for i, (got, want) in enumerate(zip(found, expected)) if got != want)
+        name = table[index]["name"] if index < len(table) else "not in the table"
+        raise CheckpointError(f"{path}: malformed header: tensor {index} ({name}): "
+                              f"{found[index]} is not {expected[index]}")
     params = Parameters.__new__(Parameters)
     params.config = config
     params.lexicon = lexicon
     params.arrays = {}
     params.ema = {} if has_ema else None
-    dtype = np.dtype(config.dtype)
-    for meta in tensors:
-        name = meta["name"]
-        shape = expected[name.removeprefix("ema/")]
-        if tuple(meta["shape"]) != shape or np.dtype(meta["dtype"]) != dtype:
-            raise CheckpointError(f"{path}: tensor {name} is {meta['dtype']} "
-                                  f"{tuple(meta['shape'])}, expected {dtype} {shape}")
-        end = meta["offset"] + int(np.prod(shape)) * dtype.itemsize
-        if end > len(payload):
+    for meta in table:
+        name, offset = meta["name"], meta["offset"]
+        if offset + meta["nbytes"] > len(payload):
             raise CheckpointError(f"{path}: truncated at tensor {name}")
-        array = np.frombuffer(payload[meta["offset"]:end], dtype=dtype).reshape(shape).copy()
+        array = np.frombuffer(payload[offset:offset + meta["nbytes"]], dtype=meta["dtype"])
+        array = array.reshape(meta["shape"]).copy()
         if name.startswith("ema/"):
             params.ema[name.removeprefix("ema/")] = array
         else:

@@ -73,13 +73,21 @@ def lexical_input_dim(config: ModelConfig) -> int:
             + 5 * config.shape_dim)
 
 
+# Role-link tables, summed over a step's links, in feature-vector order.
+_LINK_TABLES = ("triple_emb", "source_role_emb", "role_target_emb",
+                "source_target_emb")
+
+
+def _feature_bounds(config: ModelConfig) -> tuple[int, int]:
+    """Where the feature vector's LSTM part ends and its link part (one
+    `link_dim` sum per link table) starts; the hidden activations lie
+    between.  `extract_features` lists each part's rows in order."""
+    lstm_end = 2 * (1 + config.k_attention) * config.lstm_dim
+    return lstm_end, lstm_end + (2 * config.k_attention + config.k_history) * config.hidden_dim
+
+
 def feature_dim(config: ModelConfig) -> int:
-    k, h = config.k_attention, config.hidden_dim
-    return (2 * config.lstm_dim                  # current token, both LSTMs
-            + 2 * k * config.lstm_dim            # attention phrase activations
-            + 2 * k * h                          # created / focused activations
-            + config.k_history * h               # previous step activations
-            + 4 * config.link_dim)               # role triples and back-offs
+    return _feature_bounds(config)[1] + len(_LINK_TABLES) * config.link_dim
 
 
 def parameter_shapes(config: ModelConfig, lexicon: Lexicon) -> dict[str, tuple[int, ...]]:
@@ -184,18 +192,6 @@ class Parameters:
         for name, shadow in self.ema.items():
             shadow *= decay
             shadow += (1.0 - decay) * self.arrays[name]
-
-
-# Role-link tables, summed over a step's links, in feature-vector order.
-_LINK_TABLES = ("triple_emb", "source_role_emb", "role_target_emb",
-                "source_target_emb")
-
-
-def _feature_bounds(config: ModelConfig) -> tuple[int, int]:
-    """Where the feature vector's LSTM part ends and its link part
-    starts; the hidden activations lie between."""
-    lstm_end = 2 * (1 + config.k_attention) * config.lstm_dim
-    return lstm_end, lstm_end + (2 * config.k_attention + config.k_history) * config.hidden_dim
 
 
 def extract_features(state: ParserState, lexicon: Lexicon, k_attention: int,

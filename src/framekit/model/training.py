@@ -79,7 +79,6 @@ class Checkpoint:
     accuracy: float
     grad_norm: float
     clip_rate: float
-    dev_slot_f1: Optional[float] = None
 
 
 def oracle_sequences(corpus: list[Document]) -> list[list[Action]]:

@@ -58,7 +58,7 @@ class _Generator:
         self.state = ParserState(doc.text, doc.tokens)
         self.replay_of: dict[Handle, Handle] = {}
         self.evocation_order: dict[Handle, int] = {}
-        self.emitted_slots: set[tuple[Handle, int]] = set()
+        self.connected_slots: set[tuple[Handle, int]] = set()
         self.actions: list[Action] = []
         self.incoming = incoming_links(self.store, self.frames)
 
@@ -134,51 +134,42 @@ class _Generator:
         pending = []
         for frame, order in sorted(self.evocation_order.items(), key=lambda kv: kv[1]):
             for i, slot in enumerate(self.store.slots(frame)):
-                if (frame, i) in self.emitted_slots:
+                if (frame, i) in self.connected_slots:
                     continue
                 value = slot.value
                 if isinstance(value, Handle) and value.is_frame() \
                         and value in self.replay_of and value in self.evoked:
                     pending.append((order, i, frame, slot.role, value))
         for _, i, frame, role, value in sorted(pending, key=lambda p: (p[0], p[1])):
-            self.emitted_slots.add((frame, i))
+            self.connected_slots.add((frame, i))
             self._emit(Action.connect(self._index(frame),
                                       self.store.symbol_name(role),
                                       self._index(value)))
 
     def _emit_assigns(self, frame: Handle) -> None:
-        for i, role, value in semantic_slots(self.store, frame):
-            if (frame, i) in self.emitted_slots:
-                continue
+        for _, role, value in semantic_slots(self.store, frame):
             if isinstance(value, Handle) and value.is_frame():
                 continue  # link slot, handled by connect/creation emission
-            self.emitted_slots.add((frame, i))
             self._emit(Action.assign(self._index(frame), role,
                                      _constant_of(self.store, value)))
 
     def _emit_creations(self, frame: Handle) -> None:
         """EMBED/ELABORATE the non-evoked neighbors of a just-evoked frame."""
         store = self.store
-        for i, slot in enumerate(store.slots(frame)):
+        for slot in store.slots(frame):
             value = slot.value
-            if (frame, i) in self.emitted_slots:
-                continue
             if not (isinstance(value, Handle) and value.is_frame()):
                 continue
             if value in self.evoked or value in self.replay_of:
                 continue
-            self.emitted_slots.add((frame, i))
             self._emit(Action.elaborate(self._index(frame),
                                         store.symbol_name(slot.role),
                                         type_name(store, value)))
             self.replay_of[value] = self.state.attention[0]
             self._emit_assigns(value)
-        for source, i, role in self.incoming.get(frame, ()):
+        for source, _, role in self.incoming.get(frame, ()):
             if source in self.evoked or source in self.replay_of:
                 continue
-            if (source, i) in self.emitted_slots:
-                continue
-            self.emitted_slots.add((source, i))
             self._emit(Action.embed(self._index(frame), role, type_name(store, source)))
             self.replay_of[source] = self.state.attention[0]
             self._emit_assigns(source)

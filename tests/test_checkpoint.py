@@ -1,15 +1,21 @@
+import builtins
 import dataclasses
+import errno
+import json
 import re
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from framekit.corpus import generate_corpus
-from framekit.model import ModelConfig, load_checkpoint, save_checkpoint, train
-from framekit.model.checkpoint import MAGIC, CheckpointError
+from framekit.model import ModelConfig, checkpoint, load_checkpoint, save_checkpoint, train
+from framekit.model.checkpoint import MAGIC, CheckpointError, tensor_table
 from support import edit_checkpoint_header
+
+V2_EMA_CHECKPOINT = Path(__file__).parent / "data" / "ema_checkpoint_v2.ckpt"
 
 
 def trained(**kw):
@@ -59,26 +65,80 @@ def test_truncation_raises(tmp_path):
 
 
 def test_tensor_mismatch_raises(tmp_path):
-    path = str(tmp_path / "model.ckpt")
+    """`save_checkpoint` refuses arrays the table does not call for and
+    leaves the file it would have replaced as it was."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    before = path.read_bytes()
+
+    def refused(params, name):
+        with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: tensor {name} is ")):
+            save_checkpoint(params, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     params = trained()
     w1 = params.arrays["ff_w1"]
     params.arrays["ff_w1"] = w1[:, :-1]
-    save_checkpoint(params, path)
-    with pytest.raises(CheckpointError, match="ff_w1"):
-        load_checkpoint(path)
+    refused(params, "ff_w1")
 
     params.arrays["ff_w1"] = w1
-    # Not SHIFT or STOP, which a header must list: the output layer no longer fits.
+    # Not SHIFT or STOP: the output layer no longer fits.
     params.lexicon.actions.pop(0)
-    save_checkpoint(params, path)
-    with pytest.raises(CheckpointError, match="ff_w2"):
-        load_checkpoint(path)
+    refused(params, "ff_w2")
 
     params = trained()
     del params.ema["ff_b2"]
-    save_checkpoint(params, path)
-    with pytest.raises(CheckpointError, match="names"):
-        load_checkpoint(path)
+    refused(params, "ema/ff_b2")
+
+    params = trained()
+    params.arrays["extra_w"] = np.zeros(2, dtype=np.float32)
+    refused(params, "extra_w")
+
+
+class _DiskFullAfterOneWrite:
+    """A file whose first write lands and whose next one finds the disk full."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(data)
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained(), str(path))
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", raising=False,
+                        value=lambda file, mode: _DiskFullAfterOneWrite(builtins.open(file, mode)))
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(trained(), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_a_file_in_the_version_2_layout_loads_bit_exactly(tmp_path):
+    """`ema_checkpoint_v2.ckpt` was written by the saver that preceded
+    `tensor_table`, from `trained()`: it loads to the same arrays, and
+    writing them again gives the same bytes."""
+    loaded = load_checkpoint(str(V2_EMA_CHECKPOINT))
+    params = trained()
+    assert asdict(loaded.config) == asdict(params.config)
+    assert_same_arrays(loaded.arrays, params.arrays)
+    assert_same_arrays(loaded.ema, params.ema)
+    path = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, str(path))
+    assert path.read_bytes() == V2_EMA_CHECKPOINT.read_bytes()
 
 
 def test_other_versions_rejected(tmp_path):
@@ -103,21 +163,60 @@ def _drop_entry_field(field):
     return edit
 
 
-@pytest.mark.parametrize("edit, problem", [
-    (_set_entry("dtype", "nonsense"), "tensor 1: unknown dtype 'nonsense'"),
-    (_drop_entry_field("offset"), "tensor 1: offset"),
-    (_set_entry("shape", 5), "tensor 1: shape"),
-    (lambda header: header["tensors"].__setitem__(1, [1, 2]), "tensor 1: not an object"),
-    (lambda header: header.update(tensors=3), "tensors is not a list"),
-    (_set_entry("offset", 1.5), "tensor 1: offset"),
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("edit", [
+    _set_entry("dtype", "nonsense"),
+    _drop_entry_field("offset"),
+    _set_entry("shape", 5),
+    lambda header: header["tensors"].__setitem__(1, [1, 2]),
+    lambda header: header.update(tensors=3),
+    _set_entry("offset", 1.5),
 ], ids=["dtype", "missing-offset", "int-shape", "entry-not-object", "table-not-list",
         "float-offset"])
-def test_malformed_tensor_table_raises(tmp_path, edit, problem):
+def test_malformed_tensor_table_raises(tmp_path, edit):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(trained(), str(path))
+    params = trained()
+    save_checkpoint(params, str(path))
     edit_checkpoint_header(path, edit)
+    table = tensor_table(params.config, params.lexicon, True)
+    edited = {"tensors": [dict(meta) for meta in table]}
+    edit(edited)
+    if isinstance(edited["tensors"], list):
+        problem = (f"tensor 1 (prefix_emb): {_canonical(edited['tensors'][1])} "
+                   f"is not {_canonical(table[1])}")
+    else:
+        problem = "tensors is not a list"
     with pytest.raises(CheckpointError,
-                       match="^" + re.escape(f"{path}: malformed header: {problem}")):
+                       match="^" + re.escape(f"{path}: malformed header: {problem}") + "$"):
+        load_checkpoint(str(path))
+
+
+def test_has_ema_must_be_a_boolean_that_the_table_follows(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params = trained()
+    save_checkpoint(params, str(path))
+    edit_checkpoint_header(path, lambda header: header.update(has_ema=1))
+    with pytest.raises(CheckpointError, match="^" + re.escape(
+            f"{path}: malformed header: has_ema 1 is not true or false")):
+        load_checkpoint(str(path))
+
+    edit_checkpoint_header(path, lambda header: header.update(has_ema=False))
+    first_copy = tensor_table(params.config, params.lexicon, True)[len(params.arrays)]
+    assert first_copy["name"] == "ema/word_emb"
+    with pytest.raises(CheckpointError, match="^" + re.escape(
+            f"{path}: malformed header: tensor {len(params.arrays)} (not in the table): "
+            f"{_canonical(first_copy)} is not nothing")):
+        load_checkpoint(str(path))
+
+    params.ema = None
+    save_checkpoint(params, str(path))
+    edit_checkpoint_header(path, lambda header: header.update(has_ema=True))
+    with pytest.raises(CheckpointError, match="^" + re.escape(
+            f"{path}: malformed header: tensor {len(params.arrays)} (ema/word_emb): "
+            f"nothing is not {_canonical(first_copy)}")):
         load_checkpoint(str(path))
 
 

@@ -6,9 +6,10 @@ output byte for byte must leave these digests as they are.  The written
 file must also read back into documents that write the same bytes.
 
 Training is pinned the same way: every parameter array after 40 steps,
-and the parse that model gives, in two configurations.  A change to the
-network or the optimiser that is meant to be bit-identical must leave
-those digests as they are too."""
+the parse that model gives and the checkpoint file `save_checkpoint`
+writes of it, in two configurations.  A change to the network, the
+optimiser or the checkpoint writer that is meant to be bit-identical
+must leave those digests as they are too."""
 
 import hashlib
 
@@ -17,7 +18,7 @@ import pytest
 from framekit import cli, oracle
 from framekit.corpus import generate_corpus
 from framekit.evaluation import evaluate_corpus
-from framekit.model import ModelConfig, parse_tokens, train
+from framekit.model import ModelConfig, parse_tokens, save_checkpoint, train
 from framekit.transitions import sequence_to_text
 
 GOLDEN = {
@@ -60,16 +61,18 @@ PIPELINE = dict(lstm_dim=32, hidden_dim=32, learning_rate=0.005, batch_size=8)
 TRAINED = {
     "float32-relu": (dict(PIPELINE),
                      "ee34193f6ff15a823e70fce03a8f94df07d0fc2d403ef9dcf7caaeb73df4f69f",
-                     "ab48ebf4aa1eea6c3e39814df4b3966578e9adfc51990a5085da5ed5c6804e85"),
+                     "ab48ebf4aa1eea6c3e39814df4b3966578e9adfc51990a5085da5ed5c6804e85",
+                     "3a4c53827c3ae29c3012b34cff99214e8c3a6e08ec1794faec00876fa6ec5990"),
     "float64-tanh": (dict(PIPELINE, hidden_activation="tanh", dtype="float64"),
                      "400fa4618e7527c689bfee51dc205a4e01b90cdd866db0fd9741c22abc79d770",
-                     "27c43dd6bf17e4dd558983c284c51b0efcddfa5278e2f6a02646b0cb8822c6ad"),
+                     "27c43dd6bf17e4dd558983c284c51b0efcddfa5278e2f6a02646b0cb8822c6ad",
+                     "a34441d17b994238d0f70915fe88d5a3be808ed58add2fd433679e5309081a66"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRAINED))
-def test_training_matches_its_recorded_digests(name):
-    options, params_digest, parse_digest = TRAINED[name]
+def test_training_matches_its_recorded_digests(tmp_path, name):
+    options, params_digest, parse_digest, checkpoint_digest = TRAINED[name]
     params = train(generate_corpus(11, 60), ModelConfig(**options), seed=1, steps=40,
                    checkpoint_every=40)
     digest = hashlib.sha256()
@@ -78,5 +81,7 @@ def test_training_matches_its_recorded_digests(name):
                       + array.tobytes())
     preds = [parse_tokens(params, doc.text, list(doc.tokens))
              for doc in generate_corpus(12, 20)]
-    assert (digest.hexdigest(), sha256(cli.format_corpus(preds))) == (params_digest,
-                                                                      parse_digest)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    assert (digest.hexdigest(), sha256(cli.format_corpus(preds)), sha256(path.read_bytes())) \
+        == (params_digest, parse_digest, checkpoint_digest)
