@@ -14,8 +14,8 @@ from .evaluation import (EvalReport, MetricCounts, TokenMismatchError, align,
                          evaluate, evaluate_corpus)
 from .notation import (NotationError, ParseResult, parse_notation,
                        parse_or_raise, print_notation)
-from .oracle import (ActionStats, UnrepresentableDocumentError, action_stats,
-                     generate, replay, roundtrip_check)
+from .oracle import (UnrepresentableDocumentError, action_table, generate, replay,
+                     roundtrip_check)
 from .store import (DanglingHandleError, DuplicateIdError, ForeignHandleError,
                     Handle, Slot, Store, StoreError, Value)
 from .transitions import (Action, InvalidActionError, ParserState, SymbolName,

@@ -25,7 +25,7 @@ from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
 from .model.checkpoint import CheckpointError
 from .model.training import TrainingError, oracle_sequences
 from .notation import UnprintableValueError, parse_notation
-from .oracle import UnrepresentableDocumentError, action_stats
+from .oracle import UnrepresentableDocumentError, action_table
 from .store import Store, StoreError
 from .transitions import sequence_to_text
 
@@ -92,7 +92,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     else:
         if output:
             print(output)
-    print(action_stats(sequences).format_table())
+    print(action_table(sequences))
     return 0
 
 

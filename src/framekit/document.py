@@ -291,15 +291,14 @@ def semantic_slots(store: Store, frame: Handle) -> Iterator[tuple[int, str, Valu
 
 
 def incoming_links(store: Store, frames: list[Handle]
-                   ) -> dict[Handle, list[tuple[Handle, int, str]]]:
-    """target -> [(source, slot index, role name)] over the semantic
-    slots of `frames` whose value is a frame, in frame order, then slot
-    order."""
-    index: dict[Handle, list[tuple[Handle, int, str]]] = {}
+                   ) -> dict[Handle, list[tuple[str, Handle]]]:
+    """target -> [(role name, source)] over the semantic slots of
+    `frames` whose value is a frame, in frame order, then slot order."""
+    index: dict[Handle, list[tuple[str, Handle]]] = {}
     for source in frames:
-        for slot, role, value in semantic_slots(store, source):
+        for _, role, value in semantic_slots(store, source):
             if isinstance(value, Handle) and value.is_frame():
-                index.setdefault(value, []).append((source, slot, role))
+                index.setdefault(value, []).append((role, source))
     return index
 
 

@@ -121,8 +121,7 @@ class _Graph:
         self.store = doc.store
         self.spans = spans_to_frames(doc)
         self.frames = frame_graph(doc)
-        self.incoming = {target: [(role, source) for source, _, role in entries]
-                         for target, entries in incoming_links(self.store, self.frames).items()}
+        self.incoming = incoming_links(self.store, self.frames)
         self._split: dict[Handle, tuple[list, list]] = {}
 
     def links(self, frame: Handle) -> list[tuple[str, Handle]]:

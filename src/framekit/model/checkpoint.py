@@ -108,9 +108,9 @@ def _table_problem(table) -> str | None:
 
 def load_checkpoint(path: str) -> Parameters:
     """Read a checkpoint; raises CheckpointError on a file that cannot
-    be read, is not a checkpoint, is truncated, has a malformed lexicon,
-    or has a tensor table other than the one its configuration and
-    lexicon call for."""
+    be read, is not a checkpoint, is truncated or too long, has a
+    malformed lexicon, or has a tensor table other than the one its
+    configuration and lexicon call for."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -170,6 +170,10 @@ def load_checkpoint(path: str) -> Parameters:
         name = table[index]["name"] if index < len(table) else "not in the table"
         raise CheckpointError(f"{path}: malformed header: tensor {index} ({name}): "
                               f"{found[index]} is not {expected[index]}")
+    extent = table[-1]["offset"] + table[-1]["nbytes"]
+    if len(payload) != extent:
+        raise CheckpointError(f"{path}: {len(payload)} payload bytes, "
+                              f"the tensor table calls for {extent}")
     params = Parameters.__new__(Parameters)
     params.config = config
     params.lexicon = lexicon
@@ -177,8 +181,6 @@ def load_checkpoint(path: str) -> Parameters:
     params.ema = {} if has_ema else None
     for meta in table:
         name, offset = meta["name"], meta["offset"]
-        if offset + meta["nbytes"] > len(payload):
-            raise CheckpointError(f"{path}: truncated at tensor {name}")
         array = np.frombuffer(payload[offset:offset + meta["nbytes"]], dtype=meta["dtype"])
         array = array.reshape(meta["shape"]).copy()
         if name.startswith("ema/"):

@@ -14,7 +14,7 @@ simulated attention buffer at emission time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 from .document import (Document, frame_graph, incoming_links, semantic_slots,
                        type_name)
@@ -52,9 +52,7 @@ class _Generator:
         self.doc = doc
         self.store = doc.store
         self.frames = frame_graph(doc)
-        self.evoked: set[Handle] = set()
-        for mention in doc.mentions:
-            self.evoked.update(mention.evoked)
+        self.evoked = {frame for mention in doc.mentions for frame in mention.evoked}
         self.state = ParserState(doc.text, doc.tokens)
         self.replay_of: dict[Handle, Handle] = {}
         self.evocation_order: dict[Handle, int] = {}
@@ -94,7 +92,7 @@ class _Generator:
                     if slot.value not in self.evoked:
                         raise UnrepresentableDocumentError(
                             "non-evoked frame links to another non-evoked frame")
-            for source, _, _ in self.incoming.get(frame, ()):
+            for _, source in self.incoming.get(frame, ()):
                 edges += 1
                 if source not in self.evoked:
                     raise UnrepresentableDocumentError(
@@ -167,7 +165,7 @@ class _Generator:
                                         type_name(store, value)))
             self.replay_of[value] = self.state.attention[0]
             self._emit_assigns(value)
-        for source, _, role in self.incoming.get(frame, ()):
+        for role, source in self.incoming.get(frame, ()):
             if source in self.evoked or source in self.replay_of:
                 continue
             self._emit(Action.embed(self._index(frame), role, type_name(store, source)))
@@ -197,39 +195,15 @@ def roundtrip_check(doc: Document) -> bool:
                               report.role, report.label))
 
 
-@dataclass
-class ActionStats:
-    """Raw and unique-argument counts per action kind."""
-
-    raw: dict[str, int]
-    unique: dict[str, set[str]]
-
-    def rows(self) -> list[tuple[str, int, int]]:
-        return [(kind, len(self.unique.get(kind, ())), self.raw.get(kind, 0))
-                for kind in ACTION_KINDS]
-
-    @property
-    def total_raw(self) -> int:
-        return sum(self.raw.values())
-
-    @property
-    def total_unique(self) -> int:
-        return sum(len(v) for v in self.unique.values())
-
-    def format_table(self) -> str:
-        lines = [f"{'Action Type':<12} {'# Unique Args':>14} {'Raw Count':>12}"]
-        for kind, uniq, raw in self.rows():
-            lines.append(f"{kind:<12} {uniq:>14,} {raw:>12,}")
-        lines.append(f"{'Total':<12} {self.total_unique:>14,} {self.total_raw:>12,}")
-        return "\n".join(lines)
-
-
-def action_stats(sequences: list[list[Action]]) -> ActionStats:
-    """Tally action sequences, such as the oracle's for a corpus."""
-    raw: dict[str, int] = {}
-    unique: dict[str, set[str]] = {}
+def action_table(sequences: list[list[Action]]) -> str:
+    """The table of action sequences, such as the oracle's for a corpus:
+    per kind, the number of distinct action texts and of actions, then
+    the totals."""
+    texts = {kind: Counter() for kind in ACTION_KINDS}
     for sequence in sequences:
         for action in sequence:
-            raw[action.kind] = raw.get(action.kind, 0) + 1
-            unique.setdefault(action.kind, set()).add(action.to_text())
-    return ActionStats(raw, unique)
+            texts[action.kind][action.to_text()] += 1
+    rows = [(kind, len(counts), counts.total()) for kind, counts in texts.items()]
+    rows.append(("Total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
+    return "\n".join([f"{'Action Type':<12} {'# Unique Args':>14} {'Raw Count':>12}"]
+                     + [f"{kind:<12} {unique:>14,} {raw:>12,}" for kind, unique, raw in rows])

@@ -204,7 +204,6 @@ class ParserState:
         self.mentions: list[Mention] = []
         self.themes: list[Handle] = []  # frames EMBED created
         self._mention_by_span: dict[tuple[int, int], Mention] = {}
-        self._evoked_types: set[tuple[int, int, str]] = set()
         self._last_phrase: dict[Handle, tuple[int, int]] = {}
 
     # -- queries ---------------------------------------------------------
@@ -220,7 +219,7 @@ class ParserState:
     def is_valid(self, action: Action) -> bool:
         """Whether `action`, with the fields `ARGUMENTS` lists set, is valid
         now: `source` and `target` address the buffer, a `length` fits the
-        tokens left, and EVOKE repeats no type on a span."""
+        tokens left, and EVOKE repeats no type in its span's mention."""
         kind = action.kind
         if self.done:
             return kind == STOP
@@ -238,8 +237,11 @@ class ParserState:
             return False
         if "length" in fields and not 0 < action.length <= self.num_tokens - self.cursor:
             return False
-        return kind != EVOKE or \
-            (self.cursor, action.length, action.type) not in self._evoked_types
+        if kind != EVOKE:
+            return True
+        mention = self._mention_by_span.get((self.cursor, action.length))
+        return mention is None or all(type_name(self.store, frame) != action.type
+                                      for frame in mention.evoked)
 
     # -- mutation ----------------------------------------------------------
 
@@ -258,7 +260,7 @@ class ParserState:
         elif kind == STOP:
             self.done = True
         elif kind == REFER:
-            self._evoke(target, action.length, type_name(store, target))
+            self._evoke(target, action.length)
             self._front(target)
         elif kind in (CONNECT, ASSIGN):
             # A slot on the source, which comes to the front.
@@ -276,7 +278,7 @@ class ParserState:
             self.attention.insert(0, frame)
             self.created_step[frame] = self.focused_step[frame] = self.step
             if kind == EVOKE:
-                self._evoke(frame, action.length, action.type)
+                self._evoke(frame, action.length)
             elif kind == EMBED:
                 self.themes.append(frame)
             else:
@@ -284,7 +286,7 @@ class ParserState:
         self.step += 1
         return self
 
-    def _evoke(self, frame: Handle, length: int, name: Optional[str]) -> None:
+    def _evoke(self, frame: Handle, length: int) -> None:
         span = (self.cursor, length)
         mention = self._mention_by_span.get(span)
         if mention is None:
@@ -295,8 +297,6 @@ class ParserState:
             mention.evoked.append(frame)
         self._last_phrase[frame] = span
         self.focused_step[frame] = self.step
-        if name is not None:
-            self._evoked_types.add((self.cursor, length, name))
 
     def _front(self, frame: Handle) -> None:
         self.attention.remove(frame)

@@ -58,10 +58,15 @@ def test_truncation_raises(tmp_path):
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC) + 4)
     payload = len(MAGIC) + 12 + header_len
     for size in (0, 3, 10, len(MAGIC) + 12 + header_len // 2, payload,
-                 payload + 1, len(data) - 1):
-        path.write_bytes(data[:size])
+                 payload + 1, len(data) - 1, len(data) + 1, len(data) + 700):
+        path.write_bytes((data + bytes(700))[:size])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+    extent = len(data) - payload
+    path.write_bytes(data + bytes(700))
+    with pytest.raises(CheckpointError, match="^" + re.escape(
+            f"{path}: {extent + 700} payload bytes, the tensor table calls for {extent}")):
+        load_checkpoint(str(path))
 
 
 def test_tensor_mismatch_raises(tmp_path):

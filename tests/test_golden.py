@@ -1,9 +1,12 @@
-"""Golden outputs: the oracle sequences, the written notation file and
-the evaluation of gold against its oracle replay, for three generated
-corpora of 200 documents, pinned by SHA-256.  A change to the store,
-the oracle, the printer or the evaluator that is meant to keep every
-output byte for byte must leave these digests as they are.  The written
-file must also read back into documents that write the same bytes.
+"""Golden outputs: the oracle sequences, the written notation file, the
+evaluation of gold against its oracle replay and the table `framekit
+oracle` prints, for three generated corpora of 200 documents, pinned by
+SHA-256.  A change to the store, the oracle, the printer or the
+evaluator that is meant to keep every output byte for byte must leave
+these digests as they are.  The written file must also read back into
+documents that write the same bytes.  The generated corpora hold no
+REFER, so the oracle sequences of random documents, which re-evoke
+frames, are pinned too.
 
 Training is pinned the same way: every parameter array after 40 steps,
 the parse that model gives and the checkpoint file `save_checkpoint`
@@ -12,6 +15,7 @@ optimiser or the checkpoint writer that is meant to be bit-identical
 must leave those digests as they are too."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -19,18 +23,22 @@ from framekit import cli, oracle
 from framekit.corpus import generate_corpus
 from framekit.evaluation import evaluate_corpus
 from framekit.model import ModelConfig, parse_tokens, save_checkpoint, train
-from framekit.transitions import sequence_to_text
+from framekit.transitions import REFER, sequence_to_text
+from support import random_document
 
 GOLDEN = {
     1: ("892df9b0de9435a4f46f112485b2c761b7c03215f662e39a4b5c33ea4f805435",
         "f8ca85e99fb3543692b0d7bed3d93baa04d044e4f5bfae25e46cc8379fed9c22",
-        "dc4aa2fdb23cb44090bae50d64077bb252319af0b13a514f190e13cc7572ee85"),
+        "dc4aa2fdb23cb44090bae50d64077bb252319af0b13a514f190e13cc7572ee85",
+        "1160d432ee0d333e91b83268b24760e6f6d3ce1236aa327e489613049034baa2"),
     11: ("795168a35fff629bd2faa6a7de95b962061bd6d8268c2de77ae48fb3dc8f7659",
          "2dfcfac638e1c430d0793762f61bf93e7513fc0e8c1ddc33de2ae6002510d82d",
-         "d01a5d05481f54863cccaf29e2dd2afc455f627c2f9c49572901f3f11d125ba9"),
+         "d01a5d05481f54863cccaf29e2dd2afc455f627c2f9c49572901f3f11d125ba9",
+         "b90a459220d391d85c3ec9264bba9ebbb4eedda63c0c84196635fc98f917a032"),
     17: ("4e3500a5aef833a663cd53e3b1e56ce5b8ac841968d80e44daa045a4d7c19233",
          "bf0ad8e4cca01c8dbd1835d99d1a99e629a4dbd5ed7fe32f868422ad1fee556d",
-         "5f2642a8a7df217608f90eaae7aa6640420760da854f31247cd0b33cda6ea200"),
+         "5f2642a8a7df217608f90eaae7aa6640420760da854f31247cd0b33cda6ea200",
+         "553745a4c9a57ac2c491a096ab2a521dbd0152d7b9914323cecb609d24123729"),
 }
 
 
@@ -47,11 +55,24 @@ def test_outputs_match_their_recorded_digests(tmp_path, seed):
     replays = [oracle.replay(doc, sequence) for doc, sequence in zip(docs, sequences)]
     got = (sha256("\n\n".join(sequence_to_text(s) for s in sequences)),
            sha256(path.read_bytes()),
-           sha256(evaluate_corpus(docs, replays).format_machine()))
+           sha256(evaluate_corpus(docs, replays).format_machine()),
+           sha256(oracle.action_table(sequences)))
     assert got == GOLDEN[seed]
     again = tmp_path / "again.txt"
     cli.write_corpus(cli.read_corpus(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+# 2,000 random documents from one random.Random(2021): 21,394 actions,
+# 732 of them REFER.
+RANDOM_SEQUENCES = "2ff7967cbb0b0784d7853c57fc8aea97df303984c60f85a655d698e50982e2ca"
+
+
+def test_random_document_sequences_match_their_recorded_digest():
+    rng = random.Random(2021)
+    sequences = [oracle.generate(random_document(rng)) for _ in range(2000)]
+    assert sum(action.kind == REFER for sequence in sequences for action in sequence) == 732
+    assert sha256("\n\n".join(sequence_to_text(s) for s in sequences)) == RANDOM_SEQUENCES
 
 
 # lstm = hidden = 32, lr 0.005 and batch 8 are the benchmark's pipeline

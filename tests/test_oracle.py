@@ -7,10 +7,10 @@ from framekit import cli
 from framekit.cli import write_corpus
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
-from framekit.oracle import (UnrepresentableDocumentError, action_stats,
+from framekit.oracle import (UnrepresentableDocumentError, action_table,
                              generate, replay, roundtrip_check)
 from framekit.store import Store
-from framekit.transitions import run_sequence, sequence_to_text
+from framekit.transitions import ACTION_KINDS, run_sequence, sequence_to_text
 from support import HIT_SEQUENCE, random_document
 
 
@@ -158,42 +158,49 @@ def test_fuzz_documents_roundtrip():
         assert roundtrip_check(doc)
 
 
+def table_rows(table: str) -> dict[str, tuple[int, int]]:
+    """kind (or Total) -> (distinct texts, actions) read from an
+    `action_table`."""
+    rows = {}
+    for line in table.splitlines()[1:]:
+        kind, unique, raw = line.split()
+        rows[kind] = (int(unique.replace(",", "")), int(raw.replace(",", "")))
+    return rows
+
+
 def test_stats_counts():
-    store = Store()
     docs = [Document("a b c", tokenize("a b c"), [], Store()),
             Document("x y z w", tokenize("x y z w"), [], Store())]
-    stats = action_stats([generate(d) for d in docs])
-    assert stats.raw["SHIFT"] == 7
-    assert stats.raw["STOP"] == 2
-    assert len(stats.unique["SHIFT"]) == 1
-    assert len(stats.unique["STOP"]) == 1
+    rows = table_rows(action_table([generate(d) for d in docs]))
+    assert rows["SHIFT"] == (1, 7)
+    assert rows["STOP"] == (1, 2)
+    assert rows["Total"] == (2, 9)
 
 
 def test_stats_shift_equals_tokens_stop_equals_docs():
     docs = generate_corpus(41, 80)
-    stats = action_stats([generate(d) for d in docs])
-    assert stats.raw["SHIFT"] == sum(len(d.tokens) for d in docs)
-    assert stats.raw["STOP"] == len(docs)
+    rows = table_rows(action_table([generate(d) for d in docs]))
+    assert rows["SHIFT"][1] == sum(len(d.tokens) for d in docs)
+    assert rows["STOP"][1] == len(docs)
 
 
 def test_stats_match_independent_recount():
     docs = generate_corpus(1, 100)
-    stats = action_stats([generate(d) for d in docs])
+    rows = table_rows(action_table([generate(d) for d in docs]))
     raw: dict[str, int] = {}
     unique: dict[str, set] = {}
     for doc in docs:
         for action in generate(doc):
             raw[action.kind] = raw.get(action.kind, 0) + 1
             unique.setdefault(action.kind, set()).add(action.to_text())
-    for kind, uniq, count in stats.rows():
-        assert raw.get(kind, 0) == count
-        assert len(unique.get(kind, ())) == uniq
-    assert stats.total_raw == sum(raw.values())
+    for kind in ACTION_KINDS:
+        assert rows[kind] == (len(unique.get(kind, ())), raw.get(kind, 0))
+    assert rows["Total"] == (sum(map(len, unique.values())), sum(raw.values()))
 
 
 def test_stats_table_layout():
     docs = generate_corpus(1, 10)
-    table = action_stats([generate(d) for d in docs]).format_table()
+    table = action_table([generate(d) for d in docs])
     lines = table.splitlines()
     assert lines[0].split() == ["Action", "Type", "#", "Unique", "Args", "Raw", "Count"]
     assert lines[1].startswith("SHIFT")

@@ -54,6 +54,12 @@ def test_evoke_rejects_span_type_duplicates():
     assert not state.is_valid(Action.evoke("/t/x", 1))
     assert state.is_valid(Action.evoke("/t/y", 1))
     assert state.is_valid(Action.evoke("/t/x", 2))
+    # REFER records the type of the frame it puts on a span.
+    state.apply(Action.shift())
+    assert state.is_valid(Action.evoke("/t/x", 1))
+    state.apply(Action.refer(0, 1))
+    assert not state.is_valid(Action.evoke("/t/x", 1))
+    assert state.is_valid(Action.evoke("/t/z", 1))
 
 
 def test_evoke_must_fit_input():
