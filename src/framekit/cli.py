@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import generate_corpus
 from .document import (Document, SchemaError, doc_from_frame, print_document,
                        tokenize)
-from .evaluation import TokenMismatchError, evaluate, evaluate_corpus
+from .evaluation import TokenMismatchError, evaluate_corpus
 from .model import (ModelConfig, Parameters, grad_check, load_checkpoint,
                     parse_tokens, save_checkpoint, train)
 from .model.checkpoint import CheckpointError
@@ -69,12 +69,23 @@ def write_corpus(docs: list[Document], path: str) -> None:
     Path(path).write_text(body + "\n" if body else "", encoding="utf-8")
 
 
+def _check_writable(path: str) -> None:
+    """Report now, not after the work that fills it, an output path whose
+    directory is missing or read-only, or that names a directory."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise CliError(f"{path}: no such directory: {directory}")
+    if Path(path).is_dir() or not os.access(directory, os.W_OK):
+        raise CliError(f"{path}: cannot be written")
+
+
 # -- gen-corpus --------------------------------------------------------------
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     if args.n_docs < 0:
         raise CliError("--n-docs must be non-negative")
+    _check_writable(args.out)
     docs = generate_corpus(args.seed, args.n_docs)
     write_corpus(docs, args.out)
     print(f"wrote {len(docs)} documents to {args.out}")
@@ -85,6 +96,8 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_writable(args.out)
     sequences = oracle_sequences(read_corpus(args.input))
     output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
@@ -108,16 +121,6 @@ def _apply_overrides(config: ModelConfig, overrides: list[str]) -> None:
             config.apply_override(key, value)
         except ValueError as exc:
             raise CliError(f"--hparam {exc}")
-
-
-def _check_writable(path: str) -> None:
-    """Report now, not after the work that fills it, an output path whose
-    directory is missing or read-only, or that names a directory."""
-    directory = Path(path).parent
-    if not directory.is_dir():
-        raise CliError(f"{path}: no such directory: {directory}")
-    if Path(path).is_dir() or not os.access(directory, os.W_OK):
-        raise CliError(f"{path}: cannot be written")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -171,6 +174,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
         (args.text or "").encode("utf-8")
     except UnicodeEncodeError:
         raise CliError("--text: not valid UTF-8") from None
+    if args.out:
+        _check_writable(args.out)
     params = load_checkpoint(args.model)
     if args.text is not None:
         inputs = [(args.text, tokenize(args.text))]
@@ -192,11 +197,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = read_corpus(args.gold)
-    pred = read_corpus(args.pred)
-    if len(gold) != len(pred):
-        raise CliError(f"corpus length mismatch: {len(gold)} gold vs {len(pred)} predicted")
-    report = evaluate_corpus(gold, pred)
+    if args.metrics_out:
+        _check_writable(args.metrics_out)
+    report = evaluate_corpus(read_corpus(args.gold), read_corpus(args.pred))
     print(report.format_table())
     print(report.format_machine())
     if args.metrics_out:

@@ -15,6 +15,7 @@ it straight from a `Document`'s fields, so writing allocates no frame.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -40,6 +41,9 @@ PHRASE_EVOKES = "/s/phrase/evokes"
 STRUCTURAL_TYPES = frozenset([DOCUMENT_TYPE, PHRASE_TYPE])
 
 _PUNCT = frozenset(string.punctuation)
+# A run of characters that are neither whitespace nor ASCII punctuation,
+# or one punctuation character.
+_TOKEN = re.compile(r"[^\s%s]+|[%s]" % ((re.escape(string.punctuation),) * 2))
 
 
 class SchemaError(Exception):
@@ -126,29 +130,13 @@ def tokenize(text: str) -> list[Token]:
     """Split text on whitespace, with each ASCII punctuation character
     forming its own token; offsets are byte offsets into UTF-8."""
     tokens: list[Token] = []
-    word_chars: list[str] = []
-    word_start = 0
-    byte_pos = 0
-
-    def flush() -> None:
-        if word_chars:
-            text_piece = "".join(word_chars)
-            tokens.append(Token(text_piece, word_start, len(text_piece.encode("utf-8"))))
-            word_chars.clear()
-
-    for ch in text:
-        width = len(ch.encode("utf-8"))
-        if ch.isspace():
-            flush()
-        elif ch in _PUNCT:
-            flush()
-            tokens.append(Token(ch, byte_pos, width))
-        else:
-            if not word_chars:
-                word_start = byte_pos
-            word_chars.append(ch)
+    byte_pos = char_pos = 0
+    for match in _TOKEN.finditer(text):
+        byte_pos += len(text[char_pos:match.start()].encode("utf-8"))
+        width = len(match.group().encode("utf-8"))
+        tokens.append(Token(match.group(), byte_pos, width))
         byte_pos += width
-    flush()
+        char_pos = match.end()
     return tokens
 
 

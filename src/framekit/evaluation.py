@@ -1,5 +1,7 @@
 """Graph-alignment scoring of predicted against gold documents.
 
+Only the frames of `document.frame_graph` are aligned and counted; a
+span keeps only its graph frames, though every span counts for Span.
 Spans are matched on exact (begin, length).  Evoked frames of matched
 spans are aligned greedily in mention order, and the alignment is
 extended to a fixpoint over outgoing role links: whenever both sides of
@@ -24,8 +26,9 @@ from .store import Handle, Store
 METRICS = ("Span", "Frame", "Type", "Role", "Label", "Slot", "Combined")
 
 
-class TokenMismatchError(Exception):
-    """Gold and predicted documents are over different token sequences."""
+class TokenMismatchError(ValueError):
+    """Gold and predicted corpora differ in length, or a document pair is
+    over different token sequences."""
 
 
 @dataclass
@@ -113,35 +116,31 @@ def _check_tokens(gold: Document, pred: Document) -> None:
 
 
 class _Graph:
-    """One document as scoring sees it, built once: its spans, its frame
-    graph, and each frame's semantic slots split into links (role,
-    target) and labels (role, constant key)."""
+    """One document as scoring sees it, built in one pass over its frame
+    graph: each span's graph frames, and per graph frame its type, its
+    links (role, target in the graph) and its labels (role, constant
+    key)."""
 
     def __init__(self, doc: Document):
-        self.store = doc.store
-        self.spans = spans_to_frames(doc)
+        store = doc.store
         self.frames = frame_graph(doc)
-        self.incoming = incoming_links(self.store, self.frames)
-        self._split: dict[Handle, tuple[list, list]] = {}
-
-    def links(self, frame: Handle) -> list[tuple[str, Handle]]:
-        return self.split(frame)[0]
-
-    def labels(self, frame: Handle) -> list[tuple[str, tuple]]:
-        return self.split(frame)[1]
-
-    def split(self, frame: Handle) -> tuple[list, list]:
-        if frame not in self._split:
-            links, labels = [], []
-            for _, role, value in semantic_slots(self.store, frame):
-                if isinstance(value, Handle) and value.is_frame():
+        graph = set(self.frames)
+        self.spans = {span: [f for f in frames if f in graph]
+                      for span, frames in spans_to_frames(doc).items()}
+        self.incoming = incoming_links(store, self.frames)
+        self.types: dict[Handle, Optional[str]] = {}
+        self.links: dict[Handle, list[tuple[str, Handle]]] = {}
+        self.labels: dict[Handle, list[tuple[str, tuple]]] = {}
+        for frame in self.frames:
+            self.types[frame] = type_name(store, frame)
+            links, labels = self.links[frame], self.labels[frame] = [], []
+            for _, role, value in semantic_slots(store, frame):
+                if isinstance(value, Handle) and value.is_frame() and value in graph:
                     links.append((role, value))
                 else:
-                    key = _constant_key(self.store, value)
+                    key = _constant_key(store, value)
                     if key is not None:
                         labels.append((role, key))
-            self._split[frame] = (links, labels)
-        return self._split[frame]
 
 
 def align(gold: Document, pred: Document,
@@ -170,8 +169,8 @@ def align(gold: Document, pred: Document,
         for g in list(mapping):
             p = mapping[g]
             pairs = [
-                (_grouped(g_graph.links(g), mapping.keys()),
-                 _grouped(p_graph.links(p), taken)),
+                (_grouped(g_graph.links[g], mapping.keys()),
+                 _grouped(p_graph.links[p], taken)),
                 (_grouped(g_graph.incoming.get(g, ()), mapping.keys()),
                  _grouped(p_graph.incoming.get(p, ()), taken)),
             ]
@@ -225,45 +224,35 @@ def evaluate(gold: Document, pred: Document) -> EvalReport:
     frame = MetricCounts(len(mapping), len(p_graph.frames),
                          len(mapping), len(g_graph.frames))
 
-    type_matched = 0
-    for g, p in mapping.items():
-        g_type = type_name(gold.store, g)
-        if g_type is not None and g_type == type_name(pred.store, p):
-            type_matched += 1
+    type_matched = sum(1 for g, p in mapping.items()
+                       if g_graph.types[g] is not None
+                       and g_graph.types[g] == p_graph.types[p])
     type_counts = MetricCounts(
-        type_matched, _typed(pred.store, p_graph.frames),
-        type_matched, _typed(gold.store, g_graph.frames))
+        type_matched, sum(t is not None for t in p_graph.types.values()),
+        type_matched, sum(t is not None for t in g_graph.types.values()))
 
     role_matched = 0
     label_matched = 0
     aligned_pred = set(mapping.values())
     for g, p in mapping.items():
-        gold_links = Counter((role, mapping[t]) for role, t in g_graph.links(g) if t in mapping)
-        pred_links = Counter((role, t) for role, t in p_graph.links(p) if t in aligned_pred)
+        gold_links = Counter((role, mapping[t]) for role, t in g_graph.links[g] if t in mapping)
+        pred_links = Counter((role, t) for role, t in p_graph.links[p] if t in aligned_pred)
         role_matched += sum((gold_links & pred_links).values())
-        label_matched += sum((Counter(g_graph.labels(g)) & Counter(p_graph.labels(p))).values())
+        label_matched += sum((Counter(g_graph.labels[g]) & Counter(p_graph.labels[p])).values())
 
-    role = MetricCounts(role_matched, _total(p_graph.links, p_graph.frames),
-                        role_matched, _total(g_graph.links, g_graph.frames))
-    label = MetricCounts(label_matched, _total(p_graph.labels, p_graph.frames),
-                         label_matched, _total(g_graph.labels, g_graph.frames))
+    role = MetricCounts(role_matched, sum(map(len, p_graph.links.values())),
+                        role_matched, sum(map(len, g_graph.links.values())))
+    label = MetricCounts(label_matched, sum(map(len, p_graph.labels.values())),
+                         label_matched, sum(map(len, g_graph.labels.values())))
     return EvalReport(span, frame, type_counts, role, label)
-
-
-def _typed(store: Store, frames: list[Handle]) -> int:
-    return sum(1 for f in frames if type_name(store, f) is not None)
-
-
-def _total(slots_of, frames: list[Handle]) -> int:
-    return sum(len(slots_of(f)) for f in frames)
 
 
 def evaluate_corpus(gold: list[Document], pred: list[Document]) -> EvalReport:
     """Micro-averaged report: counts are summed before deriving P/R/F1.
     A `TokenMismatchError` names the document by its index."""
     if len(gold) != len(pred):
-        raise ValueError(f"corpus length mismatch: {len(gold)} gold vs "
-                         f"{len(pred)} predicted documents")
+        raise TokenMismatchError(f"corpus length mismatch: {len(gold)} gold vs "
+                                 f"{len(pred)} predicted documents")
     report = EvalReport()
     for index, (g, p) in enumerate(zip(gold, pred)):
         try:

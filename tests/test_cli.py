@@ -250,7 +250,16 @@ def test_an_unwritable_output_path_is_reported(tmp_path, capsys, argv):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
-    assert "step=" not in out  # train reports it before its first step
+    assert out == ""  # each command checks its output path before its work
+
+
+def test_eval_reports_a_corpus_length_mismatch(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+    run(capsys, "gen-corpus", "--out", gold, "--n-docs", 2, "--seed", 3)
+    cli.write_corpus(cli.read_corpus(str(gold))[:1], str(pred))
+    assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr() == \
+        ("", "error: corpus length mismatch: 2 gold vs 1 predicted documents\n")
 
 
 @pytest.mark.parametrize("output", ["best", "metrics-out"])

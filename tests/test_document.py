@@ -31,6 +31,14 @@ def test_tokenize_empty():
     assert tokenize("") == []
 
 
+@pytest.mark.parametrize("space", ["\x1c", "\x85", "\xa0", "\u2003", "\u3000"],
+                         ids=lambda space: f"U+{ord(space):04X}")
+def test_tokenize_splits_on_non_ascii_whitespace(space):
+    tokens = tokenize(f"a{space}b")
+    assert [t.text for t in tokens] == ["a", "b"]
+    assert [t.start for t in tokens] == [0, 1 + len(space.encode("utf-8"))]
+
+
 def test_tokenize_golden_table():
     for line in GOLDEN_TOKEN_CASES.read_text(encoding="utf-8").splitlines():
         if not line or line.startswith("#"):

@@ -151,6 +151,62 @@ def test_second_isa_is_a_label(monkeypatch):
     assert not oracle.roundtrip_check(gold)
 
 
+def phrase_typed_document() -> Document:
+    """"John hit": "John" evokes a /saft/person frame and a frame typed
+    /s/phrase, which `frame_graph` leaves out; "hit" evokes a /pb/hit-01
+    frame linking to both."""
+    store = Store()
+    person = store.new_frame([(store.isa, store.intern("/saft/person"))])
+    phrase = store.new_frame([(store.isa, store.intern("/s/phrase"))])
+    hit = store.new_frame([(store.isa, store.intern("/pb/hit-01")),
+                           (store.intern("/pb/arg0"), person),
+                           (store.intern("/pb/arg1"), phrase)])
+    mentions = [Mention(0, 1, [person, phrase]), Mention(1, 1, [hit])]
+    return Document("John hit", tokenize("John hit"), mentions, store)
+
+
+def test_frames_outside_the_graph_are_neither_aligned_nor_counted(tmp_path, capsys):
+    from framekit import oracle
+
+    doc = phrase_typed_document()
+    report = evaluate(doc, doc)
+    assert_identity(report)
+    assert (report.frame.total_gold, report.role.total_gold) == (2, 1)
+    assert len(align(doc, doc)) == 2
+    assert oracle.roundtrip_check(doc)
+
+    path = tmp_path / "doc.txt"
+    cli.write_corpus([doc], str(path))
+    assert cli.main(["eval", "--gold", str(path), "--pred", str(path)]) == 0
+    fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
+                  if "=" in line)
+    for name in METRICS:
+        key = name.lower()
+        for side in ("pred", "gold"):
+            assert int(fields[f"{key}.matched_{side}"]) <= int(fields[f"{key}.total_{side}"])
+    for key in ("frame", "type", "slot", "combined"):
+        assert fields[f"{key}.f1"] == "100.00", key
+
+
+@pytest.mark.parametrize("gold_value, pred_value", [
+    ([1, "x"], [1, "x"]),
+    ([1, "x"], ["x", 1]),
+    ([[1, "x"], [2.5]], [[1, "x"], [2.5]]),
+    ([[1, "x"], [2.5]], [[1, "x"], [2.5, None]]),
+], ids=["flat-equal", "flat-different", "nested-equal", "nested-different"])
+def test_array_valued_labels_match_only_when_equal(gold_value, pred_value):
+    def build(value):
+        store = Store()
+        frame = store.new_frame([(store.isa, store.intern("/t/a")),
+                                 (store.intern("/r/list"), value)])
+        return Document("a", tokenize("a"), [Mention(0, 1, [frame])], store)
+
+    report = evaluate(build(gold_value), build(pred_value))
+    matched = int(gold_value == pred_value)
+    assert (report.label.matched_pred, report.label.total_pred,
+            report.label.matched_gold, report.label.total_gold) == (matched, 1, matched, 1)
+
+
 def test_token_mismatch_rejected(hit_doc, tmp_path, capsys):
     store = Store()
     other = Document("John hit a wall", tokenize("John hit a wall"), [], store)
@@ -247,8 +303,10 @@ def test_empty_corpus_defined_zero():
 
 def test_length_mismatch():
     docs = generate_corpus(3, 2)
-    with pytest.raises(ValueError):
+    message = "^corpus length mismatch: 2 gold vs 1 predicted documents$"
+    with pytest.raises(TokenMismatchError, match=message) as info:
         evaluate_corpus(docs, docs[:1])
+    assert isinstance(info.value, ValueError)
 
 
 def test_zero_over_zero_is_zero():
