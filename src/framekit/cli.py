@@ -177,13 +177,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if args.out:
         _check_writable(args.out)
     params = load_checkpoint(args.model)
+    if args.ema and params.ema is None:
+        raise CliError("checkpoint holds no averaged parameters")
     if args.text is not None:
         inputs = [(args.text, tokenize(args.text))]
     else:
         inputs = [(d.text, list(d.tokens)) for d in read_corpus(args.input)]
-
-    if args.ema and params.ema is None:
-        raise CliError("checkpoint holds no averaged parameters")
     docs = [parse_tokens(params, text, tokens, use_ema=args.ema)
             for text, tokens in inputs]
     if args.out:

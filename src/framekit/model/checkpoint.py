@@ -16,6 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..notation import UnprintableValueError
 from ..transitions import SHIFT, STOP, parse_action
 from .config import ModelConfig
 from .lexicon import Lexicon
@@ -159,7 +160,7 @@ def load_checkpoint(path: str) -> Parameters:
         has_ema = header["has_ema"]
         if not isinstance(has_ema, bool):
             raise ValueError(f"has_ema {has_ema!r} is not true or false")
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError, UnprintableValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
 
     table = tensor_table(config, lexicon, has_ema)

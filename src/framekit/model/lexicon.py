@@ -4,22 +4,20 @@ and the action inventory that defines the logit layer.
 Id 0 is reserved in every table for out-of-vocabulary / absent values.
 Word shape features (hyphenation, capitalization, punctuation, quotes,
 digits) are closed categorical sets and need no vocabulary.
+`Lexicon.input_tables` lists the embedding tables a token is read
+through, in input-vector order; the weight shapes, the token rows and
+the encoder all read that one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..document import _PUNCT, Document
 from ..transitions import Action
 
 RESERVED = 0
-
-HYPHEN_SHAPES = 2
-CAPS_SHAPES = 4
-PUNCT_SHAPES = 3
-QUOTE_SHAPES = 2
-DIGIT_SHAPES = 3
 
 _QUOTES = set("\"'`")
 
@@ -57,12 +55,21 @@ def digit_shape(word: str) -> int:
     return 2 if all(flags) else 1
 
 
-def _affixes(word: str, max_len: int, suffix: bool) -> list[str]:
-    out = []
-    for n in range(1, max_len + 1):
-        if len(word) >= n:
-            out.append(word[-n:] if suffix else word[:n])
-    return out
+def _affixes(word: str, max_len: int, suffix: bool) -> list[str | None]:
+    """The word's affixes of 1 .. max_len characters; None, which no
+    vocabulary holds, where the word is shorter."""
+    return [None if n > len(word) else word[-n:] if suffix else word[:n]
+            for n in range(1, max_len + 1)]
+
+
+class InputTable(NamedTuple):
+    """An embedding table each token is read through."""
+
+    name: str                         # the weight's name
+    rows: int
+    per_token: int                    # row ids a token reads
+    read: Callable[[str], list[int]]  # a word's row ids
+    dim: str                          # the `ModelConfig` field of its width
 
 
 @dataclass
@@ -82,14 +89,9 @@ class Lexicon:
     @classmethod
     def build(cls, corpus: list[Document], sequences: list[list[Action]],
               max_affix_len: int) -> "Lexicon":
-        words: set[str] = set()
-        prefixes: set[str] = set()
-        suffixes: set[str] = set()
-        for doc in corpus:
-            for token in doc.tokens:
-                words.add(token.text)
-                prefixes.update(_affixes(token.text, max_affix_len, suffix=False))
-                suffixes.update(_affixes(token.text, max_affix_len, suffix=True))
+        words = {token.text for doc in corpus for token in doc.tokens}
+        prefixes = {a for w in words for a in _affixes(w, max_affix_len, False)} - {None}
+        suffixes = {a for w in words for a in _affixes(w, max_affix_len, True)} - {None}
         roles: set[str] = set()
         actions: dict[str, Action] = {}
         for sequence in sequences:
@@ -109,18 +111,6 @@ class Lexicon:
     # -- sizes -----------------------------------------------------------
 
     @property
-    def num_words(self) -> int:
-        return len(self.words) + 1
-
-    @property
-    def num_prefixes(self) -> int:
-        return len(self.prefixes) + 1
-
-    @property
-    def num_suffixes(self) -> int:
-        return len(self.suffixes) + 1
-
-    @property
     def num_roles(self) -> int:
         return len(self.roles) + 1
 
@@ -133,18 +123,32 @@ class Lexicon:
     def word_id(self, word: str) -> int:
         return self.words.get(word, RESERVED)
 
-    def token_rows(self, word: str) -> tuple[int, ...]:
-        """Row ids of a token's lexical features, in input-vector order:
-        the word, `max_affix_len` prefixes and suffixes (RESERVED where
-        the word is shorter), then the hyphen, caps, punct, quote and
-        digit shapes."""
+    def input_tables(self) -> list[InputTable]:
+        """The tables of a token's lexical features, in input-vector order,
+        the order initialisation draws their weights in: the word, its
+        `max_affix_len` prefixes and suffixes, then the hyphen, caps,
+        punct, quote and digit shapes, a row per category."""
         m = self.max_affix_len
-        pad = [RESERVED] * (m - min(m, len(word)))
-        return (self.word_id(word),
-                *[self.prefixes.get(p, RESERVED) for p in _affixes(word, m, False)], *pad,
-                *[self.suffixes.get(s, RESERVED) for s in _affixes(word, m, True)], *pad,
-                hyphen_shape(word), caps_shape(word), punct_shape(word),
-                quote_shape(word), digit_shape(word))
+
+        def affixes(table: dict[str, int], suffix: bool) -> Callable[[str], list[int]]:
+            return lambda w: [table.get(a, RESERVED) for a in _affixes(w, m, suffix)]
+
+        shapes = (("hyphen_emb", hyphen_shape, 2), ("caps_emb", caps_shape, 4),
+                  ("punct_emb", punct_shape, 3), ("quote_emb", quote_shape, 2),
+                  ("digit_emb", digit_shape, 3))
+        return [InputTable("word_emb", len(self.words) + 1, 1, lambda w: [self.word_id(w)],
+                           "word_dim"),
+                InputTable("prefix_emb", len(self.prefixes) + 1, m,
+                           affixes(self.prefixes, False), "affix_dim"),
+                InputTable("suffix_emb", len(self.suffixes) + 1, m,
+                           affixes(self.suffixes, True), "affix_dim"),
+                *(InputTable(name, categories, 1, lambda w, f=feature: [f(w)], "shape_dim")
+                  for name, feature, categories in shapes)]
+
+    def token_rows(self, words: list[str]) -> list[list[int]]:
+        """Each word's row ids, table by table in `input_tables` order."""
+        reads = [table.read for table in self.input_tables()]
+        return [[i for read in reads for i in read(w)] for w in words]
 
     def role_id(self, role: str) -> int:
         return self.roles.get(role, RESERVED)

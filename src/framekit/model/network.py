@@ -2,7 +2,8 @@
 training and decoding: a bidirectional LSTM over lexical token
 embeddings feeding a single-hidden-layer feed-forward unit whose own
 activations recur into later steps through the attention and history
-features.
+features.  A token's input is its rows of the embedding tables that
+`Lexicon.input_tables` lists, in that order.
 
 Everything runs on numpy arrays.  A decoder step's feature vector
 gathers rows of two pools, whose row 0 is the zero vector that an
@@ -64,13 +65,7 @@ from ..store import Handle
 from ..transitions import ParserState
 from .autodiff import Tensor
 from .config import ModelConfig
-from .lexicon import (CAPS_SHAPES, DIGIT_SHAPES, HYPHEN_SHAPES, Lexicon,
-                      PUNCT_SHAPES, QUOTE_SHAPES)
-
-
-def lexical_input_dim(config: ModelConfig) -> int:
-    return (config.word_dim + 2 * config.max_affix_len * config.affix_dim
-            + 5 * config.shape_dim)
+from .lexicon import InputTable, Lexicon
 
 
 # Role-link tables, summed over a step's links, in feature-vector order.
@@ -93,22 +88,12 @@ def feature_dim(config: ModelConfig) -> int:
 def parameter_shapes(config: ModelConfig, lexicon: Lexicon) -> dict[str, tuple[int, ...]]:
     """Name and shape of every weight array, in allocation order."""
     k, runs, link = config.k_attention, lexicon.num_roles, config.link_dim
-    in_dim, L = lexical_input_dim(config), config.lstm_dim
-    F, H, A = feature_dim(config), config.hidden_dim, lexicon.num_actions
-    shapes = {
-        "word_emb": (lexicon.num_words, config.word_dim),
-        "prefix_emb": (lexicon.num_prefixes, config.affix_dim),
-        "suffix_emb": (lexicon.num_suffixes, config.affix_dim),
-        "hyphen_emb": (HYPHEN_SHAPES, config.shape_dim),
-        "caps_emb": (CAPS_SHAPES, config.shape_dim),
-        "punct_emb": (PUNCT_SHAPES, config.shape_dim),
-        "quote_emb": (QUOTE_SHAPES, config.shape_dim),
-        "digit_emb": (DIGIT_SHAPES, config.shape_dim),
-        "triple_emb": (k * runs * k, link),
-        "source_role_emb": (k * runs, link),
-        "role_target_emb": (runs * k, link),
-        "source_target_emb": (k * k, link),
-    }
+    F, H, A, L = feature_dim(config), config.hidden_dim, lexicon.num_actions, config.lstm_dim
+    tables = lexicon.input_tables()
+    in_dim = sum(t.per_token * getattr(config, t.dim) for t in tables)
+    shapes = {t.name: (t.rows, getattr(config, t.dim)) for t in tables}
+    shapes.update(triple_emb=(k * runs * k, link), source_role_emb=(k * runs, link),
+                  role_target_emb=(runs * k, link), source_target_emb=(k * k, link))
     for direction in ("fw", "bw"):
         shapes[f"lstm_{direction}_wx"] = (4 * L, in_dim)
         shapes[f"lstm_{direction}_wh"] = (4 * L, L)
@@ -246,10 +231,10 @@ def _add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
 
 
 def token_table(lexicon: Lexicon, tokens: list[Token]) -> np.ndarray:
-    """Each token's embedding-table rows (`Lexicon.token_rows`), one
-    row per token."""
-    return np.array([lexicon.token_rows(t.text) for t in tokens],
-                    dtype=np.intp).reshape(len(tokens), 6 + 2 * lexicon.max_affix_len)
+    """Each token's row ids (`Lexicon.token_rows`), one row per token."""
+    width = sum(table.per_token for table in lexicon.input_tables())
+    return np.array(lexicon.token_rows([t.text for t in tokens]),
+                    dtype=np.intp).reshape(len(tokens), width)
 
 
 class Encoding:
@@ -268,19 +253,17 @@ class Encoding:
     prefix; each keeps its gates and cells for the backward."""
 
     def __init__(self, arrays: dict[str, np.ndarray], token_rows: list[np.ndarray],
-                 max_affix_len: int):
+                 tables: list[InputTable]):
         self.arrays = arrays
         rows = np.concatenate(token_rows)
-        n, m = len(rows), max_affix_len
+        n = len(rows)
         self.ids: list[tuple[str, np.ndarray]] = []  # per table, (tokens, rows)
         columns = []
-        for name, width in (("word_emb", 1), ("prefix_emb", m), ("suffix_emb", m),
-                            ("hyphen_emb", 1), ("caps_emb", 1), ("punct_emb", 1),
-                            ("quote_emb", 1), ("digit_emb", 1)):
-            ids, rows = rows[:, :width], rows[:, width:]
-            table = arrays[name]
-            self.ids.append((name, ids))
-            columns.append(table[ids].reshape(n, width * table.shape[1]))
+        for table in tables:
+            ids, rows = rows[:, :table.per_token], rows[:, table.per_token:]
+            weights = arrays[table.name]
+            self.ids.append((table.name, ids))
+            columns.append(weights[ids].reshape(n, table.per_token * weights.shape[1]))
         self.inputs = inputs = np.concatenate(columns, axis=1)
         (wx_fw, wh_fw, b_fw), (wx_bw, wh_bw, b_bw) = (
             [arrays[f"lstm_{direction}_{part}"] for part in ("wx", "wh", "b")]
@@ -372,7 +355,7 @@ class Encoding:
 def encode_tokens(arrays: dict[str, np.ndarray], lexicon: Lexicon,
                   tokens: list[Token]) -> Encoding:
     """The biLSTM pool of one token sequence."""
-    return Encoding(arrays, [token_table(lexicon, tokens)], lexicon.max_affix_len)
+    return Encoding(arrays, [token_table(lexicon, tokens)], lexicon.input_tables())
 
 
 def decoder_steps(arrays: dict[str, np.ndarray], config: ModelConfig, lstm_pool: np.ndarray,
@@ -449,7 +432,7 @@ class ExamplePlan:
 
     Size is linear in the steps: one int per feature."""
 
-    token_rows: np.ndarray   # (tokens, 6 + 2 * max_affix_len)
+    token_rows: np.ndarray   # (tokens, ids per token of `Lexicon.input_tables`)
     lstm_rows: np.ndarray    # (steps, 2 + 2k)
     hidden_rows: np.ndarray  # (steps, 2k + k_history)
     link_steps: np.ndarray   # (links,)
@@ -506,7 +489,7 @@ class PlannedPass:
         self.arrays = arrays
         self.config = config
         self.encoding = encoding = Encoding(arrays, [plan.token_rows for plan in plans],
-                                            lexicon.max_affix_len)
+                                            lexicon.input_tables())
         lengths = np.array([len(plan.targets) for plan in plans])
         bounds = np.concatenate([[0], np.cumsum(lengths)])
         self.spans = list(zip(bounds[:-1], bounds[1:]))

@@ -27,11 +27,12 @@ whose diagnostics carry (byte offset, message) pairs, sorted by offset.
 The printer is deterministic and labels a frame if and only if it is
 referenced at least twice (or cyclically) or carries a named id.  A
 name is bare if `_SYMBOL` matches it and it is not ``nil`` or ``null``
-(`is_bare_name`, which action texts share).  Roles that are not bare
-print as JSON string keys.  Symbol values and ids have no quoted form,
-so the printer refuses one that is not bare, a float that is not
-finite, and nesting deeper than the reader accepts, with
-`UnprintableValueError`.  So the output re-parses to an isomorphic graph.
+(`is_bare_name`); roles that are not bare print as JSON string keys
+(`name_text`, which action texts share).  Symbol values and ids have no
+quoted form, so the printer refuses one that is not bare, a string or
+name with no UTF-8 form, an int past the interpreter's digit limit, a
+float that is not finite, and nesting deeper than the reader accepts,
+with `UnprintableValueError`.  So the output re-parses to an isomorphic graph.
 `print_notation` prints store roots; `document.print_document` prints a
 document's schema frame through the same `Printer`.
 """
@@ -66,6 +67,7 @@ _TOKEN = re.compile(r"""[ \t\r\n,]*(?:
 _SURROGATE = re.compile(r"\\ud[89ab]..\\ud[c-f]|\\(u)d[89a-f]|\\.|([\ud800-\udfff])",
                         re.IGNORECASE | re.DOTALL)
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+_NO_UTF8 = re.compile("[\ud800-\udfff]")  # a surrogate code point
 
 
 def is_bare_name(name: str) -> bool:
@@ -76,6 +78,18 @@ def is_bare_name(name: str) -> bool:
 
 class UnprintableValueError(StoreError):
     """A value the notation has no text for."""
+
+
+def quoted(text: str) -> str:
+    """`text` as a JSON string; refused if it has no UTF-8 form."""
+    if not text.isascii() and _NO_UTF8.search(text):
+        raise UnprintableValueError(f"string {text!r} has no UTF-8 form")
+    return json.dumps(text, ensure_ascii=False)
+
+
+def name_text(name: str) -> str:
+    """A name bare where it reads back bare, else quoted."""
+    return name if is_bare_name(name) else quoted(name)
 
 
 class NotationError(Exception):
@@ -412,9 +426,12 @@ class Printer:
         if isinstance(value, float) and not math.isfinite(value):
             raise UnprintableValueError(f"float value {value!r} has no notation")
         if isinstance(value, (int, float)):
-            return repr(value)
+            try:
+                return repr(value)
+            except ValueError:  # an int past the interpreter's digit limit
+                raise UnprintableValueError("int past the digit limit has no notation") from None
         if isinstance(value, str):
-            return json.dumps(value, ensure_ascii=False)
+            return quoted(value)
         if isinstance(value, list):
             return "[" + " ".join(self.emit(item, depth + 1) for item in value) + "]"
         if value.is_symbol():
@@ -457,9 +474,7 @@ class Printer:
                 elif role.index in self.role_texts:
                     role_text = self.role_texts[role.index]
                 else:
-                    role_text = self.store.symbol_name(role)
-                    if not is_bare_name(role_text):
-                        role_text = json.dumps(role_text, ensure_ascii=False)
+                    role_text = name_text(self.store.symbol_name(role))
                     self.role_texts[role.index] = role_text
                 pieces.append(role_text + ": " + self.emit(value, depth + 1))
         return "{" + " ".join(pieces) + "}"

@@ -8,12 +8,13 @@ only feature extraction truncates it.
 
 An action's text is its kind, then the fields `ARGUMENTS` lists for it,
 in order: ``CONNECT(source, role, target)``.  Indices and lengths print
-as integers.  A type or role prints bare where the notation's
-bare-symbol rule (`notation.is_bare_name`) covers it, else as a JSON
-string: ``CONNECT(0, "arg0, agent", 1)``.  An ASSIGN value prints as a
-JSON string, a number, or a bare `SymbolName`.  `parse_action` reads
-with one pattern per kind, built from the same table; it also reads the
-bare names outside the rule, such as ``a b``, that older checkpoints hold.
+as integers.  A type or role prints as a notation role does
+(`notation.name_text`): bare if it reads back bare, else as a JSON
+string, ``CONNECT(0, "arg0, agent", 1)``, and not at all without a UTF-8
+form.  An ASSIGN value prints as a JSON string, a number, or a bare
+`SymbolName`.  `parse_action` reads with one pattern per kind, built
+from the same table; it also reads the bare names outside the rule,
+such as ``a b``, that older checkpoints hold.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .document import Document, Mention, Token, type_name
-from .notation import is_bare_name
+from .notation import name_text
 from .store import Handle, Store
 
 SHIFT = "SHIFT"
@@ -119,10 +120,6 @@ class Action:
         return f"{self.kind}({args})"
 
 
-def _name_text(name: str) -> str:
-    return name if is_bare_name(name) else json.dumps(name, ensure_ascii=False)
-
-
 def _constant_text(value: Constant) -> str:
     if isinstance(value, SymbolName):
         return str(value)
@@ -151,8 +148,8 @@ _WORD = r'"(?:[^"\\]|\\.)*"|[^",]*?'
 _INDEX = (str, r"-?\d+", int)
 # How each argument field is written, matched and read back.
 _FORMS = {"length": _INDEX, "source": _INDEX, "target": _INDEX,
-          "type": (_name_text, _WORD, _parse_name),
-          "role": (_name_text, _WORD, _parse_name),
+          "type": (name_text, _WORD, _parse_name),
+          "role": (name_text, _WORD, _parse_name),
           "value": (_constant_text, _WORD, _parse_constant)}
 
 
@@ -219,7 +216,7 @@ class ParserState:
     def is_valid(self, action: Action) -> bool:
         """Whether `action`, with the fields `ARGUMENTS` lists set, is valid
         now: `source` and `target` address the buffer, a `length` fits the
-        tokens left, and EVOKE repeats no type in its span's mention."""
+        tokens left, ASSIGN sets no id, and EVOKE repeats no type in its span's mention."""
         kind = action.kind
         if self.done:
             return kind == STOP
@@ -238,7 +235,7 @@ class ParserState:
         if "length" in fields and not 0 < action.length <= self.num_tokens - self.cursor:
             return False
         if kind != EVOKE:
-            return True
+            return kind != ASSIGN or action.role != "id"
         mention = self._mention_by_span.get((self.cursor, action.length))
         return mention is None or all(type_name(self.store, frame) != action.type
                                       for frame in mention.evoked)

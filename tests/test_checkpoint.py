@@ -19,9 +19,9 @@ V2_EMA_CHECKPOINT = Path(__file__).parent / "data" / "ema_checkpoint_v2.ckpt"
 
 
 def trained(**kw):
-    config = ModelConfig(lstm_dim=6, hidden_dim=5, word_dim=4, affix_dim=2,
-                         shape_dim=2, link_dim=3, k_attention=3, k_history=2,
-                         use_ema=True, ema_decay=0.5, **kw)
+    config = ModelConfig(**{**dict(lstm_dim=6, hidden_dim=5, word_dim=4, affix_dim=2,
+                                   shape_dim=2, link_dim=3, k_attention=3, k_history=2,
+                                   use_ema=True, ema_decay=0.5), **kw})
     return train(generate_corpus(7, 4), config, seed=1, steps=4, checkpoint_every=4)
 
 
@@ -49,6 +49,22 @@ def test_round_trip_is_bit_exact_in_one_file(tmp_path, dtype):
     assert back.max_affix_len == lex.max_affix_len
     assert [a.to_text() for a in back.actions] == [a.to_text() for a in lex.actions]
     assert back.action_ids == lex.action_ids
+
+
+@pytest.mark.parametrize("sizes", [dict(max_affix_len=1), dict(max_affix_len=5),
+                                   dict(shape_dim=1), dict(shape_dim=3)],
+                         ids=["affix-1", "affix-5", "shape-1", "shape-3"])
+def test_round_trip_at_other_lexical_sizes(tmp_path, sizes):
+    params = trained(**sizes)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    loaded = load_checkpoint(str(path))
+    assert loaded.config == params.config and loaded.lexicon == params.lexicon
+    assert_same_arrays(loaded.arrays, params.arrays)
+    assert_same_arrays(loaded.ema, params.ema)
+    m = params.config.max_affix_len
+    assert params.arrays["lstm_fw_wx"].shape[1] == (
+        params.config.word_dim + 2 * m * params.config.affix_dim + 5 * params.config.shape_dim)
 
 
 def test_truncation_raises(tmp_path):
@@ -250,6 +266,8 @@ def _negate_ids(header):
      "lexicon actions is not a list of strings"),
     (lambda header: header["lexicon"]["actions"].append(header["lexicon"]["actions"][0]),
      "lexicon actions repeat an action"),
+    (lambda header: header["lexicon"]["actions"].append('CONNECT(0, "\ud800", 0)'),
+     "string '\\ud800' has no UTF-8 form"),
     (lambda header: header["config"].update(lstm_dim=6.0),
      "lstm_dim must be an integer >= 1"),
     (lambda header: header["config"].update(use_ema="no"),
@@ -257,7 +275,8 @@ def _negate_ids(header):
     (lambda header: header["config"].update(word_vectors_path=5),
      "word_vectors_path must be a string"),
 ], ids=["huge-word-id", "negative-word-ids", "string-role-id", "max-affix-len",
-        "table-not-object", "action-not-text", "repeated-action", "float-size",
+        "table-not-object", "action-not-text", "repeated-action",
+        "role-without-utf8-form", "float-size",
         "string-use-ema", "int-word-vectors-path"])
 def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
     path = tmp_path / "model.ckpt"

@@ -185,6 +185,30 @@ def test_parse_ema_needs_averages(tmp_path, capsys):
     save_checkpoint(Parameters(config, build_lexicon(generate_corpus(4, 2), config)), str(model))
     assert cli.main(["parse", "--model", str(model), "--text", "a b", "--ema"]) == 1
     assert capsys.readouterr() == ("", "error: checkpoint holds no averaged parameters\n")
+    # Checked before the input is read.
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("{a: ", encoding="utf-8")
+    assert cli.main(["parse", "--model", str(model), "--in", str(malformed), "--ema"]) == 1
+    assert capsys.readouterr() == ("", "error: checkpoint holds no averaged parameters\n")
+
+
+def test_parse_reports_a_string_without_utf8_form(tmp_path, capsys):
+    """An action text may hold a string the notation cannot print; the
+    checkpoint loads, and the document that holds it is refused."""
+    path = tmp_path / "model.ckpt"
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    assign = Action.assign(0, "/pb/argm-mnr", "placeholder")
+    lexicon = Lexicon(words={}, prefixes={}, suffixes={}, roles={}, max_affix_len=3,
+                      actions=[assign, Action.evoke("/t/x", 1), Action.shift(), Action.stop()])
+    params = Parameters(config, lexicon)
+    params.arrays["ff_b2"][...] = [1, 2, 0, 0]
+    save_checkpoint(params, str(path))
+    edit_checkpoint_header(path, lambda header: header["lexicon"]["actions"].__setitem__(
+        0, 'ASSIGN(0, /pb/argm-mnr, "\\ud800")'))
+    assert load_checkpoint(str(path)).lexicon.actions[0].value == "\ud800"
+    assert cli.main(["parse", "--model", str(path), "--text", "word"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: document 0: string '\\ud800' has no UTF-8 form\n")
 
 
 def test_parse_reports_text_that_is_not_utf8(tmp_path, capsys):

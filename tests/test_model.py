@@ -253,10 +253,15 @@ def reference_document_loss(params, doc, actions):
     return total
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_document_loss_matches_reference(activation):
+@pytest.mark.parametrize("activation, sizes", [
+    pytest.param("relu", {}, id="relu"), pytest.param("tanh", {}, id="tanh"),
+    pytest.param("relu", dict(max_affix_len=1), id="relu-affix-1"),
+    pytest.param("tanh", dict(max_affix_len=5), id="tanh-affix-5"),
+    pytest.param("relu", dict(max_affix_len=5, shape_dim=1), id="relu-affix-5-shape-1"),
+    pytest.param("tanh", dict(max_affix_len=1, shape_dim=3), id="tanh-affix-1-shape-3")])
+def test_document_loss_matches_reference(activation, sizes):
     corpus, config, sequences, lexicon, params = setup(
-        n_docs=3, corpus_seed=11, dtype="float64", hidden_activation=activation)
+        n_docs=3, corpus_seed=11, dtype="float64", hidden_activation=activation, **sizes)
     live_output_layer(params)
     for doc, actions in zip(corpus, sequences):
         loss, count, _ = document_loss(params.tensors(False), config, lexicon,
@@ -947,3 +952,19 @@ def test_inventory_keeps_constants_whose_texts_differ(tmp_path):
             assert pred.store.symbol_name(got) == value
         else:
             assert got == value and type(got) is type(value)
+
+
+def test_decoding_never_assigns_an_id():
+    """An ASSIGN to `id` would bind one name to each frame it reaches;
+    decoding passes over it as invalid."""
+    config = tiny_config()
+    assign_id = Action.assign(0, "id", SymbolName("foo"))
+    lexicon = Lexicon.build([], [[Action.shift(), Action.stop(), Action.evoke("/t/x", 1),
+                                  assign_id]], config.max_affix_len)
+    params = Parameters(config, lexicon, seed=1)
+    params.arrays["ff_b2"][lexicon.action_id(Action.evoke("/t/x", 1))] = 2.0
+    params.arrays["ff_b2"][lexicon.action_id(assign_id)] = 1.0
+    pred = parse_tokens(params, "a b", tokenize("a b"))
+    frames = [frame for mention in pred.mentions for frame in mention.evoked]
+    assert [m.span for m in pred.mentions] == [(0, 1), (1, 1)] and len(frames) == 2
+    assert [pred.store.frame_id_name(frame) for frame in frames] == [None, None]

@@ -539,6 +539,22 @@ def test_floats_without_notation_are_refused(value):
         print_notation([frame], store)
 
 
+@pytest.mark.parametrize("role, value, problem", [
+    ("r", "x\ud800y", "string 'x\\ud800y' has no UTF-8 form"),
+    ("r", ["ok", "\udfff"], "string '\\udfff' has no UTF-8 form"),
+    ("x\ud800", 1, "string 'x\\ud800' has no UTF-8 form"),
+    ("r", 10 ** 5000, "int past the digit limit has no notation"),
+    ("r", -(10 ** 5000), "int past the digit limit has no notation"),
+], ids=["string", "string-in-array", "quoted-role", "5000-digits", "-5000-digits"])
+def test_values_the_reader_refuses_are_refused(role, value, problem):
+    """A string or role name with no UTF-8 form, or an int whose decimal
+    form is past the interpreter's digit limit, would not read back."""
+    store = Store()
+    frame = store.new_frame([(store.intern(role), value)])
+    with pytest.raises(UnprintableValueError, match="^" + re.escape(problem) + "$"):
+        print_notation([frame], store)
+
+
 @pytest.mark.parametrize("role", ["r", "isa", "is"])
 def test_a_symbol_value_that_names_a_frame_is_refused(role):
     """`{=x}` then `{r: x}` would read back with `r` holding the frame."""

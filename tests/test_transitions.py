@@ -4,6 +4,7 @@ import pytest
 
 from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, frame_graph, tokenize
+from framekit.notation import UnprintableValueError
 from framekit.oracle import generate
 from framekit.store import Handle, Store
 from framekit.transitions import (Action, InvalidActionError, ParserState,
@@ -219,6 +220,19 @@ def test_assign_adds_constant():
     assert state.store.symbol_name(value) == "/t/tag"
 
 
+def test_assign_may_not_set_an_id():
+    """An id slot would bind the name to the frame: a second frame given
+    the same id would be a DuplicateIdError, not a parse."""
+    state = fresh("a b")
+    state.apply(Action.evoke("/t/x", 1))
+    for value in (SymbolName("foo"), "foo", 1):
+        assert not state.is_valid(Action.assign(0, "id", value))
+        with pytest.raises(InvalidActionError):
+            state.apply(Action.assign(0, "id", value))
+    assert state.is_valid(Action.assign(0, "/c/id", SymbolName("foo")))
+    assert state.store.slots(state.attention[0])[1:] == ()
+
+
 def test_embed_creates_pointing_frame():
     state = fresh()
     state.apply(Action.evoke("/t/x", 1))
@@ -352,6 +366,15 @@ def test_names_outside_the_bare_rule_are_quoted_and_read_back(name, text):
     for action, written in actions:
         assert action.to_text() == written
         assert parse_action(written) == action
+
+
+@pytest.mark.parametrize("action", [Action.evoke("x\ud800", 1), Action.connect(0, "\udc00", 1),
+                                    Action.embed(0, "/r/x", "\ud800")],
+                         ids=["evoke-type", "connect-role", "embed-type"])
+def test_names_without_utf8_form_are_refused(action):
+    """A type or role prints as the notation prints a role name."""
+    with pytest.raises(UnprintableValueError, match="has no UTF-8 form"):
+        action.to_text()
 
 
 def test_older_bare_names_still_read():
