@@ -6,7 +6,9 @@ Word shape features (hyphenation, capitalization, punctuation, quotes,
 digits) are closed categorical sets and need no vocabulary.
 `Lexicon.input_tables` lists the embedding tables a token is read
 through, in input-vector order; the weight shapes, the token rows and
-the encoder all read that one list.
+the encoder all read that one list.  A lexicon's tables are fixed once
+it is made: it builds that list once, and works out each distinct
+word's rows the first time it reads the word.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ class Lexicon:
         # Keyed by text: actions whose texts differ are different outputs,
         # even where `Action` equality counts 1 and 1.0 as one.
         self.action_ids = {a.to_text(): i for i, a in enumerate(self.actions)}
+        self._tables = self._input_tables()
+        self._word_rows: dict[str, tuple[int, ...]] = {}  # filled as words are read
 
     @classmethod
     def build(cls, corpus: list[Document], sequences: list[list[Action]],
@@ -128,6 +132,9 @@ class Lexicon:
         the order initialisation draws their weights in: the word, its
         `max_affix_len` prefixes and suffixes, then the hyphen, caps,
         punct, quote and digit shapes, a row per category."""
+        return self._tables
+
+    def _input_tables(self) -> list[InputTable]:
         m = self.max_affix_len
 
         def affixes(table: dict[str, int], suffix: bool) -> Callable[[str], list[int]]:
@@ -145,10 +152,14 @@ class Lexicon:
                 *(InputTable(name, categories, 1, lambda w, f=feature: [f(w)], "shape_dim")
                   for name, feature, categories in shapes)]
 
-    def token_rows(self, words: list[str]) -> list[list[int]]:
-        """Each word's row ids, table by table in `input_tables` order."""
-        reads = [table.read for table in self.input_tables()]
-        return [[i for read in reads for i in read(w)] for w in words]
+    def token_rows(self, words: list[str]) -> list[tuple[int, ...]]:
+        """Each word's row ids, table by table in `input_tables` order,
+        worked out once per distinct word."""
+        known = self._word_rows
+        for w in words:
+            if w not in known:
+                known[w] = tuple(i for table in self._tables for i in table.read(w))
+        return [known[w] for w in words]
 
     def role_id(self, role: str) -> int:
         return self.roles.get(role, RESERVED)

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..document import Token
-from ..store import Handle
 from ..transitions import ParserState
 from .autodiff import Tensor
 from .config import ModelConfig
@@ -187,36 +186,40 @@ def extract_features(state: ParserState, lexicon: Lexicon, k_attention: int,
     then all right to left; the hidden rows of the steps that created
     and last fronted each top-k frame, then of the previous k_history
     steps.  Per link table (`_LINK_TABLES`), the (source, role, target)
-    ids of the role links between top-k frames, or their back-offs."""
-    n, k = state.num_tokens, k_attention
+    ids of the role links between top-k frames (`ParserState.links`),
+    or their back-offs."""
+    n, k, step = state.num_tokens, k_attention, state.step
     attention = state.attention[:k]
     absent = [0] * (k - len(attention))
+    phrases = state.phrases  # each lies inside the tokens
     fw = [state.cursor + 1 if state.cursor < n else 0]
     for frame in attention:
-        span = state.phrase_of(frame)  # a phrase lies inside the tokens
+        span = phrases.get(frame)
         fw.append(span[0] + span[1] if span is not None else 0)
     fw += absent
     bw = [row + n if row else 0 for row in fw]
     # Every buffer frame was created and fronted before this step.
-    hidden = ([state.created_step[frame] + 1 for frame in attention] + absent
-              + [state.focused_step[frame] + 1 for frame in attention] + absent
-              + [max(state.step - j, 0) for j in range(k_history)])
+    created, focused = state.created_step, state.focused_step
+    hidden = ([created[frame] + 1 for frame in attention] + absent
+              + [focused[frame] + 1 for frame in attention] + absent
+              + [step - j if step > j else 0 for j in range(k_history)])
 
-    positions = {frame: i for i, frame in enumerate(attention)}
-    num_roles = lexicon.num_roles
     links = ([], [], [], [])
     triples, source_roles, role_targets, source_targets = links
-    for s_pos, frame in enumerate(attention):
-        for slot in state.store.slots(frame):
-            t_pos = positions.get(slot.value) if isinstance(slot.value, Handle) else None
-            if t_pos is None:
-                continue
-            role_id = (lexicon.role_id(state.store.symbol_name(slot.role))
-                       if slot.role.is_symbol() else 0)
-            triples.append((s_pos * num_roles + role_id) * k + t_pos)
-            source_roles.append(s_pos * num_roles + role_id)
-            role_targets.append(role_id * k + t_pos)
-            source_targets.append(s_pos * k + t_pos)
+    if state.links:
+        positions = {frame: i for i, frame in enumerate(attention)}
+        num_roles = lexicon.num_roles
+        for s_pos, frame in enumerate(attention):
+            for role, target in state.links.get(frame, ()):
+                t_pos = positions.get(target)
+                if t_pos is None:
+                    continue
+                role_id = lexicon.role_id(role)
+                source_role = s_pos * num_roles + role_id
+                triples.append(source_role * k + t_pos)
+                source_roles.append(source_role)
+                role_targets.append(role_id * k + t_pos)
+                source_targets.append(s_pos * k + t_pos)
     return fw[:1] + bw[:1] + fw[1:] + bw[1:], hidden, links
 
 
@@ -280,7 +283,8 @@ class Encoding:
         z_in = np.zeros((T, B, 2, 4 * L), wh.dtype)
         for start, n, j in self.docs:
             x = inputs[start:start + n]
-            z_in[:n, j] = np.stack([x @ wx_fw.T + b_fw, x[::-1] @ wx_bw.T + b_bw], axis=1)
+            z_in[:n, j, 0] = x @ wx_fw.T + b_fw
+            z_in[:n, j, 1] = x[::-1] @ wx_bw.T + b_bw
         self.gates = gates = np.zeros_like(z_in)                  # i, f, o, g
         self.cells = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)    # row 0: c before t=0
         self.outputs = np.zeros((T + 1, B, 2, L), dtype=z_in.dtype)  # row 0: h before t=0
@@ -303,8 +307,8 @@ class Encoding:
         d_outputs = np.zeros((T, B, 2, L), dtype=d_pool.dtype)
         for start, n, j in self.docs:
             row = 2 * start + 1
-            d_outputs[:n, j] = np.stack([d_pool[row:row + n],
-                                         d_pool[row + n:row + 2 * n][::-1]], axis=1)
+            d_outputs[:n, j, 0] = d_pool[row:row + n]
+            d_outputs[:n, j, 1] = d_pool[row + n:row + 2 * n][::-1]
         gates = self.gates.reshape(T, B, 2, 4, L)
         i, f, o, g = (gates[..., k, :] for k in range(4))
         tanh_c = np.tanh(self.cells[1:])
@@ -416,8 +420,10 @@ class ForwardPass:
             self.hidden_pool = np.concatenate([self.hidden_pool,
                                                np.zeros_like(self.hidden_pool)])
         link_ids = np.array(links, np.intp)
+        # Index arrays, which numpy reads faster than nested lists.
         _, scores = decoder_steps(self.arrays, cfg, self.lstm_pool, self.hidden_pool,
-                                  state.step, [slice(0, 1)], [lstm], [hidden],
+                                  state.step, [slice(0, 1)], np.array([lstm], np.intp),
+                                  np.array([hidden], np.intp),
                                   np.zeros(link_ids.shape[1], np.intp), link_ids)
         return scores[0]
 
@@ -494,18 +500,21 @@ class PlannedPass:
         bounds = np.concatenate([[0], np.cumsum(lengths)])
         self.spans = list(zip(bounds[:-1], bounds[1:]))
 
-        def pool_rows(rows, offset):  # row 0, the zero row, stays
-            return np.where(rows > 0, rows + offset, 0)
+        def pool_rows(rows, offsets):  # a document's offset on each of its steps
+            rows = np.concatenate(rows)  # row 0, the zero row, stays
+            return np.where(rows > 0, rows + np.repeat(offsets, lengths)[:, None], 0)
 
-        self.lstm_rows = np.concatenate([pool_rows(plan.lstm_rows, 2 * start) for plan,
-                                         (start, _, _) in zip(plans, encoding.docs)])
-        self.hidden_rows = np.concatenate([pool_rows(plan.hidden_rows, start)
-                                           for plan, start in zip(plans, bounds)])
+        self.lstm_rows = pool_rows([plan.lstm_rows for plan in plans],
+                                   [2 * start for start, _, _ in encoding.docs])
+        self.hidden_rows = pool_rows([plan.hidden_rows for plan in plans], bounds[:-1])
         self.link_steps = np.concatenate([plan.link_steps + start for plan, start
                                           in zip(plans, bounds)])
         self.link_ids = np.concatenate([plan.link_ids for plan in plans], axis=1)
         self.targets = targets = np.concatenate([plan.targets for plan in plans])
-        self.groups = [bounds[:-1][lengths > t] + t for t in range(lengths.max())]
+        # Group t: the rows of every document's step t, in batch order.
+        local = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+        self.groups = np.split(np.argsort(local, kind="stable"),
+                               np.cumsum(np.bincount(local))[:-1])
         hidden = np.zeros((bounds[-1] + 1, config.hidden_dim), encoding.pool.dtype)
         self.inputs, self.scores = decoder_steps(
             arrays, config, encoding.pool, hidden, 0, self.groups, self.lstm_rows,

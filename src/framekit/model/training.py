@@ -35,37 +35,70 @@ class Adam:
     descent, which gives no per-step guarantee that the loss falls.  On
     a single example it can overshoot into a period-2 oscillation while
     the loss still falls on average.
+
+    The moments, the gradients and the update are each one contiguous
+    block, with a view per array (`m[name]`, `v[name]`, `grads[name]`),
+    so a step runs each elementwise operation once over all the arrays,
+    into those blocks: the same operations in the same order as array by
+    array, so the same values.  `step` takes any dict of gradients with
+    the arrays' names, and copies them into the gradient block unless
+    they are its views, which `zero_grads` hands out zero-filled; once
+    the moments are updated, the step uses that block as scratch.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], config: ModelConfig):
+        dtypes = {array.dtype for array in arrays.values()}
+        if len(dtypes) > 1:
+            raise TypeError(f"Adam needs arrays of one dtype, got {sorted(map(str, dtypes))}")
         self.arrays = arrays
         self.config = config
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.t = 0
+        # One row each: m, v, the gradients, the update.
+        sizes = [array.size for array in arrays.values()]
+        self._blocks = np.zeros((4, sum(sizes)), dtypes.pop() if dtypes else np.float64)
+        self.m, self.v, self.grads, self._updates = (
+            {name: part.reshape(array.shape) for (name, array), part
+             in zip(arrays.items(), np.split(block, np.cumsum(sizes[:-1], dtype=np.intp)))}
+            for block in self._blocks)
+
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """The gradient block's views, zero-filled, for `step` to read."""
+        self._blocks[2].fill(0)
+        return self.grads
 
     def step(self, grads: dict[str, np.ndarray]) -> float:
         """Update the arrays; returns the gradients' global norm before
         clipping."""
+        if grads.keys() != self.arrays.keys():
+            raise KeyError(f"gradients for {sorted(grads)}, arrays {sorted(self.arrays)}")
         cfg = self.config
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        m, v, g, update = self._blocks
+        total = 0.0
+        for name, grad in grads.items():
+            if grad is not self.grads[name]:
+                np.copyto(self.grads[name], grad)
+            total += float(np.sum(np.multiply(grad, grad, out=self._updates[name])))
+        norm = math.sqrt(total)
         if norm > cfg.gradient_clip_norm > 0:
-            factor = cfg.gradient_clip_norm / norm
-            grads = {k: g * factor for k, g in grads.items()}
+            np.multiply(g, cfg.gradient_clip_norm / norm, out=g)
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, grad in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            update = (cfg.learning_rate * (m / bias1)
-                      / (np.sqrt(v / bias2) + cfg.adam_epsilon))
-            self.arrays[name] -= update.astype(self.arrays[name].dtype)
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        np.multiply(m, b1, out=m)
+        m += np.multiply(g, 1.0 - b1, out=update)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=update)
+        v += np.multiply(update, g, out=update)
+        # update = lr (m / bias1) / (sqrt(v / bias2) + epsilon), with
+        # the denominator in the gradient block
+        np.multiply(np.divide(m, bias1, out=update), cfg.learning_rate, out=update)
+        np.sqrt(np.divide(v, bias2, out=g), out=g)
+        g += cfg.adam_epsilon
+        np.divide(update, g, out=update)
+        for name, array in self.arrays.items():
+            array -= self._updates[name]
         return norm
 
 
@@ -154,7 +187,7 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         loss_value = float(run.loss * scale)
         if not math.isfinite(loss_value):
             raise TrainingError(f"non-finite loss at step {step}")
-        grads = {name: np.zeros_like(array) for name, array in params.arrays.items()}
+        grads = adam.zero_grads()
         run.backward(grads, scale)
         norm = adam.step(grads)
         if config.use_ema:

@@ -46,9 +46,7 @@ from dataclasses import dataclass, field
 from json.decoder import JSONDecodeError, scanstring
 from typing import Optional, Union
 
-from .store import FRAME, Handle, Store, StoreError, Value
-
-_MAX_DEPTH = 200
+from .store import FRAME, MAX_DEPTH, Handle, Store, StoreError, Value
 
 _SYMBOL = re.compile(r"[A-Za-z_/][A-Za-z0-9_/.\-]*")
 _KEYWORDS = ("nil", "null")
@@ -85,6 +83,17 @@ def quoted(text: str) -> str:
     if not text.isascii() and _NO_UTF8.search(text):
         raise UnprintableValueError(f"string {text!r} has no UTF-8 form")
     return json.dumps(text, ensure_ascii=False)
+
+
+def number_text(value: Union[int, float]) -> str:
+    """An int or float as the notation writes it; refused if it is not
+    finite or past the interpreter's digit limit."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UnprintableValueError(f"float value {value!r} has no notation")
+    try:
+        return repr(value)
+    except ValueError:  # an int past the interpreter's digit limit
+        raise UnprintableValueError("int past the digit limit has no notation") from None
 
 
 def name_text(name: str) -> str:
@@ -173,7 +182,7 @@ class _Parser:
 
     def parse_value(self, depth: int, token: Optional[tuple] = None):
         """Parse the value that starts with `token`, else with the next one."""
-        if depth > _MAX_DEPTH:
+        if depth > MAX_DEPTH:
             raise _SyntaxError(self.pos if token is None else token[1], "nesting too deep")
         kind, start, text = token or self.token()
         if kind == "symbol":
@@ -418,18 +427,13 @@ class Printer:
         """The text of `value`, which the reader meets at nesting `depth`
         (as `_Parser.parse_value` counts it); `by_number` refers to a frame
         printed before by its number even if it has a name."""
-        if depth > _MAX_DEPTH:
+        if depth > MAX_DEPTH:
             raise UnprintableValueError(
-                f"nesting deeper than {_MAX_DEPTH} levels does not read back")
+                f"nesting deeper than {MAX_DEPTH} levels does not read back")
         if value is None:
             return "nil"
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UnprintableValueError(f"float value {value!r} has no notation")
         if isinstance(value, (int, float)):
-            try:
-                return repr(value)
-            except ValueError:  # an int past the interpreter's digit limit
-                raise UnprintableValueError("int past the digit limit has no notation") from None
+            return number_text(value)
         if isinstance(value, str):
             return quoted(value)
         if isinstance(value, list):

@@ -30,6 +30,11 @@ ISA_INDEX = 1
 IS_INDEX = 2
 
 
+# The deepest nesting the notation reads and writes; a store refuses a
+# list nested deeper, which no text could hold.
+MAX_DEPTH = 200
+
+
 class StoreError(Exception):
     """Base class for frame store contract violations."""
 
@@ -245,7 +250,22 @@ class Store:
             self._check_handle(value)
             return
         if isinstance(value, list):
-            for item in value:
-                self._check_value(item)
+            self._check_list(value)
             return
         raise TypeError(f"unsupported slot value type: {type(value).__name__}")
+
+    def _check_list(self, value: list) -> None:
+        """Check a list's items in order, depth first, without recursion;
+        a list nested deeper than `MAX_DEPTH` levels is refused."""
+        stack = [iter(value)]
+        while stack:
+            for item in stack[-1]:
+                if isinstance(item, list):
+                    if len(stack) == MAX_DEPTH:
+                        raise StoreError(f"a list nested deeper than {MAX_DEPTH} levels "
+                                         "has no notation")
+                    stack.append(iter(item))
+                    break
+                self._check_value(item)
+            else:
+                stack.pop()

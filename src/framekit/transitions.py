@@ -12,9 +12,11 @@ as integers.  A type or role prints as a notation role does
 (`notation.name_text`): bare if it reads back bare, else as a JSON
 string, ``CONNECT(0, "arg0, agent", 1)``, and not at all without a UTF-8
 form.  An ASSIGN value prints as a JSON string, a number, or a bare
-`SymbolName`.  `parse_action` reads with one pattern per kind, built
-from the same table; it also reads the bare names outside the rule,
-such as ``a b``, that older checkpoints hold.
+`SymbolName`; strings and numbers follow the printer's rule
+(`notation.quoted`, `notation.number_text`).  `parse_action` reads
+with one pattern per kind, built from the same table; it also reads
+the bare names outside the rule, such as ``a b``, that older
+checkpoints hold.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .document import Document, Mention, Token, type_name
-from .notation import name_text
+from .notation import name_text, number_text, quoted
 from .store import Handle, Store
 
 SHIFT = "SHIFT"
@@ -124,8 +126,8 @@ def _constant_text(value: Constant) -> str:
     if isinstance(value, SymbolName):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    return repr(value)
+        return quoted(value)
+    return number_text(value)
 
 
 _NUMBER_ARG = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?$")
@@ -200,18 +202,18 @@ class ParserState:
         self.focused_step: dict[Handle, int] = {}
         self.mentions: list[Mention] = []
         self.themes: list[Handle] = []  # frames EMBED created
+        # Per frame, the (role, frame) slots that CONNECT, EMBED and
+        # ELABORATE gave it, in slot order: every slot of the store
+        # whose value is a frame.
+        self.links: dict[Handle, list[tuple[str, Handle]]] = {}
         self._mention_by_span: dict[tuple[int, int], Mention] = {}
-        self._last_phrase: dict[Handle, tuple[int, int]] = {}
+        self.phrases: dict[Handle, tuple[int, int]] = {}  # per frame, its latest evoking span
 
     # -- queries ---------------------------------------------------------
 
     @property
     def num_tokens(self) -> int:
         return len(self.tokens)
-
-    def phrase_of(self, frame: Handle) -> Optional[tuple[int, int]]:
-        """Most recent evoking span of `frame`, if it has one."""
-        return self._last_phrase.get(frame)
 
     def is_valid(self, action: Action) -> bool:
         """Whether `action`, with the fields `ARGUMENTS` lists set, is valid
@@ -265,6 +267,8 @@ class ParserState:
             if isinstance(value, SymbolName):
                 value = store.intern(str(value))
             store.add_slot(source, store.intern(action.role), value)
+            if kind == CONNECT:
+                self.links.setdefault(source, []).append((action.role, target))
             self._front(source)
         else:
             # EVOKE, EMBED, ELABORATE: a new frame at the front.
@@ -278,8 +282,10 @@ class ParserState:
                 self._evoke(frame, action.length)
             elif kind == EMBED:
                 self.themes.append(frame)
+                self.links[frame] = [(action.role, target)]
             else:
                 store.add_slot(source, store.intern(action.role), frame)
+                self.links.setdefault(source, []).append((action.role, frame))
         self.step += 1
         return self
 
@@ -292,7 +298,7 @@ class ParserState:
             self._mention_by_span[span] = mention
         if frame not in mention.evoked:
             mention.evoked.append(frame)
-        self._last_phrase[frame] = span
+        self.phrases[frame] = span
         self.focused_step[frame] = self.step
 
     def _front(self, frame: Handle) -> None:

@@ -7,6 +7,7 @@ features."""
 from __future__ import annotations
 
 import json
+import math
 import random
 import string
 import struct
@@ -14,12 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from framekit.document import (DOCUMENT_FRAME, DOCUMENT_MENTION, DOCUMENT_TEXT,
                                DOCUMENT_TOKENS, DOCUMENT_TYPE, PHRASE_BEGIN, PHRASE_EVOKES,
                                PHRASE_LENGTH, PHRASE_TYPE, TOKEN_LENGTH, TOKEN_START,
                                TOKEN_TEXT, Document, Mention, frame_graph, tokenize)
 from framekit.evaluation import align
 from framekit.model.checkpoint import MAGIC
+from framekit.model.config import ModelConfig
 from framekit.model.lexicon import Lexicon
 from framekit.store import Handle, Slot, Store, Value
 from framekit.transitions import ParserState
@@ -664,7 +668,7 @@ def reference_step_features(state: ParserState, lexicon: Lexicon,
     att_created: list[Optional[int]] = []
     att_focused: list[Optional[int]] = []
     for frame in attention:
-        span = state.phrase_of(frame)
+        span = state.phrases.get(frame)
         att_end.append(span[0] + span[1] - 1 if span is not None else None)
         att_created.append(state.created_step.get(frame))
         att_focused.append(state.focused_step.get(frame))
@@ -716,3 +720,46 @@ def reference_step_rows(feats: StepFeatures, num_tokens: int, step: int):
               for s in feats.att_created + feats.att_focused + feats.history]
     links = (feats.triples, feats.source_roles, feats.role_targets, feats.source_targets)
     return lstm, hidden, links
+
+
+# -- per-array Adam and per-call token rows, spelled out ---------------------
+
+class ReferenceAdam:
+    """`training.Adam` as it ran array by array, allocating its
+    temporaries: the reference its block version must equal bit for bit."""
+
+    def __init__(self, arrays: dict[str, np.ndarray], config: ModelConfig):
+        self.arrays = arrays
+        self.config = config
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.t = 0
+
+    def step(self, grads: dict[str, np.ndarray]) -> float:
+        cfg = self.config
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if norm > cfg.gradient_clip_norm > 0:
+            factor = cfg.gradient_clip_norm / norm
+            grads = {k: g * factor for k, g in grads.items()}
+        self.t += 1
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for name, grad in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            update = (cfg.learning_rate * (m / bias1)
+                      / (np.sqrt(v / bias2) + cfg.adam_epsilon))
+            self.arrays[name] -= update.astype(self.arrays[name].dtype)
+        return norm
+
+
+def reference_token_rows(lexicon: Lexicon, words: list[str]) -> list[list[int]]:
+    """Each word's row ids, table by table in `input_tables` order, read
+    afresh on every call."""
+    reads = [table.read for table in lexicon.input_tables()]
+    return [[i for read in reads for i in read(w)] for w in words]

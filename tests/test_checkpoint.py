@@ -13,6 +13,8 @@ import pytest
 from framekit.corpus import generate_corpus
 from framekit.model import ModelConfig, checkpoint, load_checkpoint, save_checkpoint, train
 from framekit.model.checkpoint import MAGIC, CheckpointError, tensor_table
+from framekit.notation import UnprintableValueError
+from framekit.transitions import Action
 from support import edit_checkpoint_header
 
 V2_EMA_CHECKPOINT = Path(__file__).parent / "data" / "ema_checkpoint_v2.ckpt"
@@ -268,6 +270,10 @@ def _negate_ids(header):
      "lexicon actions repeat an action"),
     (lambda header: header["lexicon"]["actions"].append('CONNECT(0, "\ud800", 0)'),
      "string '\\ud800' has no UTF-8 form"),
+    (lambda header: header["lexicon"]["actions"].append('ASSIGN(0, r, "\ud800")'),
+     "string '\\ud800' has no UTF-8 form"),
+    (lambda header: header["lexicon"]["actions"].append(f"ASSIGN(0, r, 1{'0' * 5000})"),
+     f"malformed action: 'ASSIGN(0, r, 1{'0' * 5000})'"),
     (lambda header: header["config"].update(lstm_dim=6.0),
      "lstm_dim must be an integer >= 1"),
     (lambda header: header["config"].update(use_ema="no"),
@@ -276,7 +282,8 @@ def _negate_ids(header):
      "word_vectors_path must be a string"),
 ], ids=["huge-word-id", "negative-word-ids", "string-role-id", "max-affix-len",
         "table-not-object", "action-not-text", "repeated-action",
-        "role-without-utf8-form", "float-size",
+        "role-without-utf8-form", "constant-without-utf8-form", "int-past-digit-limit",
+        "float-size",
         "string-use-ema", "int-word-vectors-path"])
 def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
     path = tmp_path / "model.ckpt"
@@ -285,6 +292,20 @@ def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
     with pytest.raises(CheckpointError,
                        match="^" + re.escape(f"{path}: malformed header: {problem}")):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", ["\ud800", 10 ** 5000],
+                         ids=["string-without-utf8-form", "int-past-digit-limit"])
+def test_a_constant_without_notation_writes_no_checkpoint(tmp_path, value):
+    """An action text is written by the printer's rule, so a lexicon
+    cannot hold an ASSIGN constant that no checkpoint header could."""
+    params = trained()
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(UnprintableValueError):
+        params.lexicon = dataclasses.replace(
+            params.lexicon, actions=params.lexicon.actions + [Action.assign(0, "r", value)])
+        save_checkpoint(params, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_file_raises(tmp_path):

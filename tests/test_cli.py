@@ -1,6 +1,8 @@
 """The command line end to end on a tiny corpus:
 gen-corpus -> oracle -> train -> parse -> eval."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from framekit.corpus import generate_corpus
 from framekit.document import Document, Mention, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, load_checkpoint,
                             parse_tokens, save_checkpoint, train)
+from framekit.model.checkpoint import CheckpointError
 from framekit.model.lexicon import Lexicon
 from framekit.store import Store
 from framekit.transitions import Action
@@ -193,8 +196,9 @@ def test_parse_ema_needs_averages(tmp_path, capsys):
 
 
 def test_parse_reports_a_string_without_utf8_form(tmp_path, capsys):
-    """An action text may hold a string the notation cannot print; the
-    checkpoint loads, and the document that holds it is refused."""
+    """An action text is written by the notation's rule, so a checkpoint
+    whose actions hold a string the notation cannot print is refused
+    when it loads, before any document is parsed."""
     path = tmp_path / "model.ckpt"
     config = ModelConfig(lstm_dim=6, hidden_dim=5)
     assign = Action.assign(0, "/pb/argm-mnr", "placeholder")
@@ -205,10 +209,11 @@ def test_parse_reports_a_string_without_utf8_form(tmp_path, capsys):
     save_checkpoint(params, str(path))
     edit_checkpoint_header(path, lambda header: header["lexicon"]["actions"].__setitem__(
         0, 'ASSIGN(0, /pb/argm-mnr, "\\ud800")'))
-    assert load_checkpoint(str(path)).lexicon.actions[0].value == "\ud800"
+    problem = f"{path}: malformed header: string '\\ud800' has no UTF-8 form"
+    with pytest.raises(CheckpointError, match="^" + re.escape(problem)):
+        load_checkpoint(str(path))
     assert cli.main(["parse", "--model", str(path), "--text", "word"]) == 1
-    assert capsys.readouterr() == (
-        "", "error: document 0: string '\\ud800' has no UTF-8 form\n")
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
 
 
 def test_parse_reports_text_that_is_not_utf8(tmp_path, capsys):

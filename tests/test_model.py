@@ -9,20 +9,21 @@ import pytest
 
 from framekit import cli
 from framekit.corpus import generate_corpus
-from framekit.document import Document, Mention, tokenize
+from framekit.document import Document, Mention, Token, tokenize
 from framekit.model import (ModelConfig, Parameters, build_lexicon, grad_check,
                             parse_tokens, train)
 from framekit.model import autodiff as ad
 from framekit.model.lexicon import (Lexicon, caps_shape, digit_shape, hyphen_shape,
                                     punct_shape, quote_shape)
+from framekit.model.checkpoint import load_checkpoint, save_checkpoint
 from framekit.model.network import (ExamplePlan, ForwardPass, PlannedPass,
                                     document_loss, encode_tokens, extract_features,
-                                    feature_dim, plan_example)
+                                    feature_dim, plan_example, token_table)
 from framekit.model.training import Adam, TrainingError, oracle_sequences
 from framekit.store import Store
 from framekit.transitions import EVOKE, STOP, Action, ParserState, SymbolName
-from support import (hit_document, random_document, reference_step_features,
-                     reference_step_rows)
+from support import (ReferenceAdam, hit_document, random_document, reference_step_features,
+                     reference_step_rows, reference_token_rows)
 
 
 def tiny_config(**kw):
@@ -42,7 +43,8 @@ def setup(n_docs=3, corpus_seed=7, **kw):
 
 
 def zero_grads(params):
-    """One zero-filled gradient array per weight, as `train` makes them."""
+    """One zero-filled gradient array per weight, as `Adam.zero_grads`
+    gives them to `train`."""
     return {name: np.zeros_like(array) for name, array in params.arrays.items()}
 
 
@@ -604,6 +606,52 @@ def test_adam_step_follows_documented_rule():
                                    rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("clip", [1.0, 0.0])
+@pytest.mark.parametrize("own_block", [True, False], ids=["as-train", "separate-arrays"])
+def test_adam_equals_the_per_array_reference(dtype, clip, own_block):
+    # `train` fills the views `zero_grads` hands out; the benchmark's
+    # traced training passes a dict of separate arrays.  Every third
+    # step's gradients are scaled past the clip norm.
+    config = tiny_config(gradient_clip_norm=clip, learning_rate=0.01)
+    rng = np.random.default_rng(3)
+    shapes = {"w": (7, 5), "b": (5,), "e": (0, 3), "t": (4, 2, 3)}
+    start = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+    arrays = {k: a.copy() for k, a in start.items()}
+    expected = {k: a.copy() for k, a in start.items()}
+    adam, reference = Adam(arrays, config), ReferenceAdam(expected, config)
+    clipped = 0
+    for step in range(20):
+        scale = 50.0 if step % 3 == 0 else 0.02
+        grads = {k: (scale * rng.normal(size=shape)).astype(dtype)
+                 for k, shape in shapes.items()}
+        given = grads
+        if own_block:
+            given = adam.zero_grads()
+            for name, grad in grads.items():
+                given[name] += grad
+        norm = adam.step(given)
+        assert norm == reference.step(grads)
+        clipped += norm > config.gradient_clip_norm > 0
+        for name in shapes:
+            assert arrays[name].dtype == np.dtype(dtype)
+            assert arrays[name].tobytes() == expected[name].tobytes(), (step, name)
+            assert adam.m[name].tobytes() == reference.m[name].tobytes(), (step, name)
+            assert adam.v[name].tobytes() == reference.v[name].tobytes(), (step, name)
+        if not own_block:
+            assert all(given[k].tobytes() == grads[k].tobytes() for k in grads)
+    assert clipped == (7 if clip else 0)
+
+
+def test_adam_refuses_gradients_for_other_arrays_and_mixed_dtypes():
+    config = tiny_config()
+    adam = Adam({"a": np.zeros(2), "b": np.zeros(3)}, config)
+    with pytest.raises(KeyError, match="gradients for"):
+        adam.step({"a": np.ones(2)})
+    with pytest.raises(TypeError, match="one dtype"):
+        Adam({"a": np.zeros(2), "b": np.zeros(3, np.float32)}, config)
+
+
 @pytest.mark.parametrize("clip, rate", [(1e-9, 1.0), (1e9, 0.0), (0.0, 0.0)])
 def test_checkpoints_report_mean_gradient_norm_and_clip_rate(clip, rate):
     # A checkpoint over three steps gives the mean of the three norms
@@ -905,6 +953,28 @@ def test_bool_overrides_take_only_true_or_false_words():
         with pytest.raises(ValueError, match=re.escape(repr(raw))):
             config.apply_override("use_ema", raw)
         assert config.use_ema is False
+
+
+# Out of vocabulary, shorter than max_affix_len, non-ASCII, punctuation.
+ODD_WORDS = ["zzyzx", "a", "ab", "Xy", "café", "naïve", "東京", "Ünïcode-Wörd", ",", "...",
+             "'", "--", "'s", "U.S.", "3.14", "\"Quote\""]
+
+
+def test_token_table_equals_the_per_call_reference(tmp_path):
+    corpus = generate_corpus(3, 200)
+    config = tiny_config()
+    params = Parameters(config, build_lexicon(corpus, config), seed=1)
+    save_checkpoint(params, str(tmp_path / "model.ckpt"))
+    loaded = load_checkpoint(str(tmp_path / "model.ckpt")).lexicon
+    odd = [Token(word, 0, len(word.encode())) for word in ODD_WORDS]
+    assert any(word not in params.lexicon.words for word in ODD_WORDS)
+    for lexicon in (params.lexicon, loaded):
+        for tokens in [list(doc.tokens) for doc in corpus] + [odd, odd, []]:
+            expected = reference_token_rows(lexicon, [t.text for t in tokens])
+            table = token_table(lexicon, tokens)
+            assert table.dtype == np.intp
+            assert table.tolist() == expected
+            assert table.shape[0] == len(tokens)
 
 
 def test_feature_dim_formula():

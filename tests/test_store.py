@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framekit.store import (DanglingHandleError, DuplicateIdError,
+from framekit.store import (MAX_DEPTH, DanglingHandleError, DuplicateIdError,
                             ForeignHandleError, Handle,
                             Store, StoreError)
 
@@ -158,6 +158,39 @@ def test_bool_values_rejected():
     frame = store.new_frame()
     with pytest.raises(TypeError):
         store.add_slot(frame, store.isa, True)
+
+
+def nested(depth, innermost=None):
+    """A list nested `depth` levels deep around `innermost`'s items."""
+    value = list(innermost or [])
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_lists_nested_past_the_notation_limit_are_refused():
+    # 5,000 levels is past the interpreter's recursion limit, so the
+    # check must not recurse; the notation reads at most MAX_DEPTH.
+    store = Store()
+    frame = store.new_frame()
+    for depth in (MAX_DEPTH + 1, 5000):
+        with pytest.raises(StoreError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            store.new_frame([(store.isa, nested(depth))])
+        with pytest.raises(StoreError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            store.add_slot(frame, store.isa, nested(depth))
+    assert store.slots(frame) == ()
+    store.add_slot(frame, store.isa, nested(MAX_DEPTH, [1, "x"]))
+    assert store.slots(frame)[0].value == nested(MAX_DEPTH, [1, "x"])
+
+
+def test_items_of_nested_lists_are_checked_in_order():
+    store = Store()
+    with pytest.raises(TypeError, match="boolean"):
+        store.new_frame([(store.isa, [1, [2.0, ["s", [True]]], object()])])
+    with pytest.raises(TypeError, match="unsupported slot value type: object"):
+        store.new_frame([(store.isa, [1, [object(), [True]]])])
+    with pytest.raises(ForeignHandleError):
+        store.new_frame([(store.isa, [[], [[Store().intern("x")]]])])
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30))

@@ -325,6 +325,22 @@ def test_apply_deterministic():
 
 # -- serialization -----------------------------------------------------------
 
+def test_links_are_the_frame_valued_slots_at_every_step():
+    docs = generate_corpus(5, 60)
+    rng = random.Random(4)
+    docs += [random_document(rng) for _ in range(200)]
+    for doc in docs:
+        state = ParserState(doc.text, list(doc.tokens))
+        for action in generate(doc):
+            state.apply(action)
+            store = state.store
+            for frame in state.attention:
+                slots = [(store.symbol_name(role), value) for role, value in store.slots(frame)
+                         if isinstance(value, Handle) and value.is_frame()]
+                assert state.links.get(frame, []) == slots
+        assert set(state.links) <= set(state.attention)
+
+
 def test_sequence_text_roundtrip():
     actions = sequence_from_text(HIT_SEQUENCE)
     assert sequence_to_text(actions) == HIT_SEQUENCE
@@ -375,6 +391,16 @@ def test_names_without_utf8_form_are_refused(action):
     """A type or role prints as the notation prints a role name."""
     with pytest.raises(UnprintableValueError, match="has no UTF-8 form"):
         action.to_text()
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("x\ud800", "has no UTF-8 form"), (10 ** 5000, "int past the digit limit"),
+    (float("inf"), "float value inf has no notation")],
+    ids=["string-without-utf8-form", "int-past-digit-limit", "infinite-float"])
+def test_assign_constants_without_notation_are_refused(value, problem):
+    """A constant prints as the notation prints a slot value."""
+    with pytest.raises(UnprintableValueError, match=problem):
+        Action.assign(0, "r", value).to_text()
 
 
 def test_older_bare_names_still_read():
