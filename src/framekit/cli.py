@@ -69,14 +69,23 @@ def write_corpus(docs: list[Document], path: str) -> None:
     Path(path).write_text(body + "\n" if body else "", encoding="utf-8")
 
 
-def _check_writable(path: str) -> None:
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
     """Report now, not after the work that fills it, an output path whose
-    directory is missing or read-only, or that names a directory."""
-    directory = Path(path).parent
-    if not directory.is_dir():
-        raise CliError(f"{path}: no such directory: {directory}")
-    if Path(path).is_dir() or not os.access(directory, os.W_OK):
-        raise CliError(f"{path}: cannot be written")
+    directory is missing or read-only, that names a directory, or that
+    names the same file as an input or an earlier output.  Both map a
+    flag to its path, None where it is not given."""
+    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        directory = Path(path).parent
+        if not directory.is_dir():
+            raise CliError(f"{path}: no such directory: {directory}")
+        if Path(path).is_dir() or not os.access(directory, os.W_OK):
+            raise CliError(f"{path}: cannot be written")
+        other = named.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise CliError(f"{path}: {flag} names the same file as {other}")
 
 
 # -- gen-corpus --------------------------------------------------------------
@@ -85,7 +94,7 @@ def _check_writable(path: str) -> None:
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     if args.n_docs < 0:
         raise CliError("--n-docs must be non-negative")
-    _check_writable(args.out)
+    _check_outputs({"--out": args.out}, {})
     docs = generate_corpus(args.seed, args.n_docs)
     write_corpus(docs, args.out)
     print(f"wrote {len(docs)} documents to {args.out}")
@@ -96,8 +105,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.out:
-        _check_writable(args.out)
+    _check_outputs({"--out": args.out}, {"--in": args.input})
     sequences = oracle_sequences(read_corpus(args.input))
     output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
@@ -124,8 +132,9 @@ def _apply_overrides(config: ModelConfig, overrides: list[str]) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    for path in filter(None, (args.out, args.out + ".best", args.metrics_out)):
-        _check_writable(path)
+    _check_outputs({"--out": args.out, "<out>.best": args.out + ".best",
+                    "--metrics-out": args.metrics_out},
+                   {"--in": args.input, "--dev": args.dev})
     corpus = read_corpus(args.input)
     config = ModelConfig()
     _apply_overrides(config, args.hparam)
@@ -174,8 +183,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         (args.text or "").encode("utf-8")
     except UnicodeEncodeError:
         raise CliError("--text: not valid UTF-8") from None
-    if args.out:
-        _check_writable(args.out)
+    _check_outputs({"--out": args.out}, {"--in": args.input, "--model": args.model})
     params = load_checkpoint(args.model)
     if args.ema and params.ema is None:
         raise CliError("checkpoint holds no averaged parameters")
@@ -196,8 +204,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.metrics_out:
-        _check_writable(args.metrics_out)
+    _check_outputs({"--metrics-out": args.metrics_out},
+                   {"--gold": args.gold, "--pred": args.pred})
     report = evaluate_corpus(read_corpus(args.gold), read_corpus(args.pred))
     print(report.format_table())
     print(report.format_machine())

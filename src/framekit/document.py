@@ -206,11 +206,10 @@ def doc_from_frame(handle: Handle, store: Store) -> Document:
         length = store.get_role(phrase, len_role)
         if length is None:
             length = 1
-        _require(isinstance(length, int) and length >= 1, "bad /s/phrase/length")
+        _require(isinstance(length, int), "bad /s/phrase/length")
         evoked = [s.value for s in store.slots(phrase) if s.role == evokes_role]
         _require(all(isinstance(e, Handle) and e.is_frame() for e in evoked),
                  "phrase evokes a non-frame")
-        _require(len(evoked) >= 1, "phrase evokes no frame")
         mentions.append(Mention(begin, length, list(evoked)))
 
     frame_role = store.intern(DOCUMENT_FRAME)
@@ -288,15 +287,3 @@ def incoming_links(store: Store, frames: list[Handle]
             if isinstance(value, Handle) and value.is_frame():
                 index.setdefault(value, []).append((role, source))
     return index
-
-
-def spans_to_frames(doc: Document) -> dict[tuple[int, int], list[Handle]]:
-    """Map each (begin, length) span to the frames it evokes, merged
-    across same-span mentions, preserving order and dropping repeats."""
-    table: dict[tuple[int, int], list[Handle]] = {}
-    for mention in doc.mentions:
-        frames = table.setdefault(mention.span, [])
-        for frame in mention.evoked:
-            if frame not in frames:
-                frames.append(frame)
-    return table

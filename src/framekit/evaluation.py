@@ -19,8 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .document import (Document, frame_graph, incoming_links, semantic_slots,
-                       spans_to_frames, type_name)
+from .document import Document, frame_graph, semantic_slots, type_name
 from .store import Handle, Store
 
 METRICS = ("Span", "Frame", "Type", "Role", "Label", "Slot", "Combined")
@@ -117,17 +116,22 @@ def _check_tokens(gold: Document, pred: Document) -> None:
 
 class _Graph:
     """One document as scoring sees it, built in one pass over its frame
-    graph: each span's graph frames, and per graph frame its type, its
-    links (role, target in the graph) and its labels (role, constant
-    key)."""
+    graph: each span's graph frames, merged across same-span mentions
+    in order without repeats, and per graph frame its type, its links
+    (role, target in the graph), its incoming links (role, source) and
+    its labels (role, constant key)."""
 
     def __init__(self, doc: Document):
         store = doc.store
         self.frames = frame_graph(doc)
         graph = set(self.frames)
-        self.spans = {span: [f for f in frames if f in graph]
-                      for span, frames in spans_to_frames(doc).items()}
-        self.incoming = incoming_links(store, self.frames)
+        self.spans: dict[tuple[int, int], list[Handle]] = {}
+        for mention in doc.mentions:
+            frames = self.spans.setdefault(mention.span, [])
+            for frame in mention.evoked:
+                if frame in graph and frame not in frames:
+                    frames.append(frame)
+        self.incoming: dict[Handle, list[tuple[str, Handle]]] = {}
         self.types: dict[Handle, Optional[str]] = {}
         self.links: dict[Handle, list[tuple[str, Handle]]] = {}
         self.labels: dict[Handle, list[tuple[str, tuple]]] = {}
@@ -137,6 +141,7 @@ class _Graph:
             for _, role, value in semantic_slots(store, frame):
                 if isinstance(value, Handle) and value.is_frame() and value in graph:
                     links.append((role, value))
+                    self.incoming.setdefault(value, []).append((role, frame))
                 else:
                     key = _constant_key(store, value)
                     if key is not None:

@@ -3,9 +3,12 @@ the model configuration, the lexicon (word, affix and role tables,
 `max_affix_len`, the action inventory), `has_ema` and the tensor table;
 the row-major tensor bytes follow.  `tensor_table` derives the table
 from `parameter_shapes`: saving writes it, and loading checks the
-header's table against it in one comparison.  A file is written beside
-its path, then renamed over it, so a failed write leaves the old file
-whole.  Save/load round-trips are bit-exact."""
+header's table against it in one comparison.  Loading leaves the
+other checks to what it builds: `ModelConfig` checks its fields,
+`Lexicon` its tables and actions, and `parameter_shapes` that the two
+share an affix length.  A file is written beside its path, then
+renamed over it, so a failed write leaves the old file whole.
+Save/load round-trips are bit-exact."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..notation import UnprintableValueError
-from ..transitions import SHIFT, STOP, parse_action
+from ..transitions import parse_action
 from .config import ModelConfig
 from .lexicon import Lexicon
 from .network import Parameters, parameter_shapes
@@ -92,21 +95,6 @@ def save_checkpoint(params: Parameters, path: str) -> None:
         raise
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _table_problem(table) -> str | None:
-    """What is wrong with a lexicon table, if anything: as
-    `Lexicon.build` makes it, it maps strings to exactly the ids 1..n."""
-    if not isinstance(table, dict):  # JSON object keys are strings
-        return "is not an object"
-    ids = table.values()
-    if not all(_is_int(i) for i in ids) or sorted(ids) != list(range(1, len(table) + 1)):
-        return f"ids are not exactly 1..{len(table)}"
-    return None
-
-
 def load_checkpoint(path: str) -> Parameters:
     """Read a checkpoint; raises CheckpointError on a file that cannot
     be read, is not a checkpoint, is truncated or too long, has a
@@ -134,14 +122,6 @@ def load_checkpoint(path: str) -> Parameters:
             raise CheckpointError(f"{path}: dropout {dropout!r} is not supported")
         config = ModelConfig(**options)
         tables = header["lexicon"]
-        for name in ("words", "prefixes", "suffixes", "roles"):
-            problem = _table_problem(tables[name])
-            if problem:
-                raise ValueError(f"lexicon {name} {problem}")
-        if not (_is_int(tables["max_affix_len"])
-                and tables["max_affix_len"] == config.max_affix_len):
-            raise ValueError(f"lexicon max_affix_len {tables['max_affix_len']!r} is not "
-                             f"the configuration's {config.max_affix_len}")
         actions = tables["actions"]
         if not (isinstance(actions, list) and all(isinstance(t, str) for t in actions)):
             raise ValueError("lexicon actions is not a list of strings")
@@ -149,21 +129,16 @@ def load_checkpoint(path: str) -> Parameters:
                           suffixes=tables["suffixes"], roles=tables["roles"],
                           actions=[parse_action(text) for text in actions],
                           max_affix_len=tables["max_affix_len"])
-        if len(lexicon.action_ids) != len(lexicon.actions):
-            raise ValueError("lexicon actions repeat an action")
-        for kind in (SHIFT, STOP):  # decoding needs both
-            if all(action.kind != kind for action in lexicon.actions):
-                raise ValueError(f"lexicon actions lack {kind}")
         tensors = header["tensors"]
         if not isinstance(tensors, list):
             raise ValueError("tensors is not a list")
         has_ema = header["has_ema"]
         if not isinstance(has_ema, bool):
             raise ValueError(f"has_ema {has_ema!r} is not true or false")
+        table = tensor_table(config, lexicon, has_ema)
     except (UnicodeDecodeError, ValueError, KeyError, TypeError, UnprintableValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
 
-    table = tensor_table(config, lexicon, has_ema)
     found = [_dumps(meta) for meta in tensors] + ["nothing"]
     expected = [_dumps(meta) for meta in table] + ["nothing"]
     if found != expected:

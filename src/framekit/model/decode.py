@@ -38,9 +38,6 @@ def parse_tokens(params: Parameters, text: str, tokens: list[Token],
             best = actions[index]
             if (not capped or best.kind in (SHIFT, STOP)) and run.state.is_valid(best):
                 break
-        else:
-            raise RuntimeError("action inventory has no valid action; "
-                               "it must contain SHIFT and STOP")
         if best.kind == SHIFT:
             nonshift_here = 0
         elif best.kind != STOP:

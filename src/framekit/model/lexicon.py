@@ -9,6 +9,12 @@ through, in input-vector order; the weight shapes, the token rows and
 the encoder all read that one list.  A lexicon's tables are fixed once
 it is made: it builds that list once, and works out each distinct
 word's rows the first time it reads the word.
+
+A `Lexicon` that builds is one a checkpoint can hold and decoding can
+run: it raises ValueError for a table that is not a dict or whose ids
+are not exactly the ints 1..n, a `max_affix_len` that is not an int
+>= 1, two actions with one text, and an inventory without SHIFT or
+STOP.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ..document import _PUNCT, Document
-from ..transitions import Action
+from ..transitions import SHIFT, STOP, Action
 
 RESERVED = 0
 
@@ -84,9 +90,23 @@ class Lexicon:
     max_affix_len: int
 
     def __post_init__(self) -> None:
+        for name in ("words", "prefixes", "suffixes", "roles"):
+            table = getattr(self, name)
+            if not isinstance(table, dict):
+                raise ValueError(f"lexicon {name} is not an object")
+            ids = table.values()  # `type`, not `isinstance`: True is no id
+            if {type(i) for i in ids} - {int} or sorted(ids) != list(range(1, len(ids) + 1)):
+                raise ValueError(f"lexicon {name} ids are not exactly 1..{len(table)}")
+        if not (type(self.max_affix_len) is int and self.max_affix_len >= 1):
+            raise ValueError(f"lexicon max_affix_len {self.max_affix_len!r} is not an int >= 1")
         # Keyed by text: actions whose texts differ are different outputs,
         # even where `Action` equality counts 1 and 1.0 as one.
         self.action_ids = {a.to_text(): i for i, a in enumerate(self.actions)}
+        if len(self.action_ids) != len(self.actions):
+            raise ValueError("lexicon actions repeat an action")
+        for kind in (SHIFT, STOP):  # decoding needs both
+            if all(action.kind != kind for action in self.actions):
+                raise ValueError(f"lexicon actions lack {kind}")
         self._tables = self._input_tables()
         self._word_rows: dict[str, tuple[int, ...]] = {}  # filled as words are read
 

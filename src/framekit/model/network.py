@@ -85,7 +85,11 @@ def feature_dim(config: ModelConfig) -> int:
 
 
 def parameter_shapes(config: ModelConfig, lexicon: Lexicon) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every weight array, in allocation order."""
+    """Name and shape of every weight array, in allocation order; raises
+    ValueError for a lexicon built at another affix length."""
+    if lexicon.max_affix_len != config.max_affix_len:
+        raise ValueError(f"lexicon max_affix_len {lexicon.max_affix_len!r} is not "
+                         f"the configuration's {config.max_affix_len}")
     k, runs, link = config.k_attention, lexicon.num_roles, config.link_dim
     F, H, A, L = feature_dim(config), config.hidden_dim, lexicon.num_actions, config.lstm_dim
     tables = lexicon.input_tables()

@@ -147,10 +147,10 @@ def train(corpus: list[Document], config: ModelConfig, seed: int = 1,
         raise TrainingError("cannot train on an empty corpus")
     if steps < 1 or checkpoint_every < 1:
         raise TrainingError("steps and checkpoint_every must be at least 1")
+    if not any(doc.tokens for doc in corpus):
+        raise TrainingError("no oracle sequence has a SHIFT: the corpus has no tokens")
     sequences = oracle_sequences(corpus)
     lexicon = build_lexicon(corpus, config, sequences)
-    if Action.shift().to_text() not in lexicon.action_ids:
-        raise TrainingError("no oracle sequence has a SHIFT: the corpus has no tokens")
     try:
         params = Parameters(config, lexicon, seed)
     except OSError as exc:  # opening word_vectors_path

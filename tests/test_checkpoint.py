@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from framekit.corpus import generate_corpus
-from framekit.model import ModelConfig, checkpoint, load_checkpoint, save_checkpoint, train
+from framekit.model import (Lexicon, ModelConfig, Parameters, checkpoint, load_checkpoint,
+                            save_checkpoint, train)
 from framekit.model.checkpoint import MAGIC, CheckpointError, tensor_table
 from framekit.notation import UnprintableValueError
 from framekit.transitions import Action
@@ -291,6 +292,66 @@ def test_malformed_lexicon_or_config_raises(tmp_path, edit, problem):
     edit_checkpoint_header(path, edit)
     with pytest.raises(CheckpointError,
                        match="^" + re.escape(f"{path}: malformed header: {problem}")):
+        load_checkpoint(str(path))
+
+
+def _lexicon(**fields):
+    return Lexicon(**{**dict(words={}, prefixes={}, suffixes={}, roles={}, max_affix_len=3,
+                             actions=[Action.shift(), Action.stop()]), **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    dict(words={"John": 2, "hit": 1}, prefixes={"J": 1, "h": 2}, suffixes={"n": 1},
+         roles={"/pb/arg0": 1, "r": 2}, max_affix_len=1,
+         actions=[Action.stop(), Action.evoke("/t/x", 2), Action.refer(0, 1),
+                  Action.connect(0, "/pb/arg0", 1), Action.assign(0, "r", 1),
+                  Action.assign(0, "r", 1.0), Action.assign(0, "r", "one"),
+                  Action.embed(0, "r", "/t/y"), Action.elaborate(1, "r", "/t/z"),
+                  Action.shift()]),
+], ids=["empty-tables", "every-action-kind"])
+def test_every_lexicon_that_builds_saves_and_loads(tmp_path, fields):
+    lexicon = _lexicon(**fields)
+    params = Parameters(ModelConfig(lstm_dim=6, hidden_dim=5,
+                                    max_affix_len=lexicon.max_affix_len), lexicon)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    loaded = load_checkpoint(str(path))
+    assert loaded.lexicon == lexicon
+    assert loaded.lexicon.action_ids == lexicon.action_ids
+    assert_same_arrays(loaded.arrays, params.arrays)
+
+
+@pytest.mark.parametrize("fields, problem", [
+    (dict(prefixes=["a"]), "lexicon prefixes is not an object"),
+    (dict(words={"a": 5}), "lexicon words ids are not exactly 1..1"),
+    (dict(words={"a": 0, "b": 1}), "lexicon words ids are not exactly 1..2"),
+    (dict(roles={"r": True}), "lexicon roles ids are not exactly 1..1"),
+    (dict(suffixes={"a": "1"}), "lexicon suffixes ids are not exactly 1..1"),
+    (dict(max_affix_len=0), "lexicon max_affix_len 0 is not an int >= 1"),
+    (dict(max_affix_len=True), "lexicon max_affix_len True is not an int >= 1"),
+    (dict(max_affix_len=3.0), "lexicon max_affix_len 3.0 is not an int >= 1"),
+    (dict(max_affix_len=1), "lexicon max_affix_len 1 is not the configuration's 3"),
+    (dict(actions=[Action.shift(), Action.stop(), Action.shift()]),
+     "lexicon actions repeat an action"),
+    (dict(actions=[Action.stop()]), "lexicon actions lack SHIFT"),
+    (dict(actions=[Action.shift(), Action.evoke("/t/x", 1)]), "lexicon actions lack STOP"),
+], ids=["table-not-object", "id-past-n", "id-zero", "bool-id", "string-id", "affix-0",
+        "bool-affix", "float-affix", "other-affix", "repeated-action", "no-shift",
+        "no-stop"])
+def test_a_lexicon_that_cannot_load_does_not_build(tmp_path, fields, problem):
+    """Each form that `load_checkpoint` refuses is refused, with its
+    message, where it is made: at `Lexicon(...)` or `Parameters(...)`."""
+    config = ModelConfig(lstm_dim=6, hidden_dim=5)
+    with pytest.raises(ValueError, match="^" + re.escape(problem) + "$"):
+        Parameters(config, _lexicon(**fields))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Parameters(config, _lexicon()), str(path))
+    as_json = {name: [a.to_text() for a in value] if name == "actions" else value
+               for name, value in fields.items()}
+    edit_checkpoint_header(path, lambda header: header["lexicon"].update(as_json))
+    with pytest.raises(CheckpointError, match="^" + re.escape(
+            f"{path}: malformed header: {problem}") + "$"):
         load_checkpoint(str(path))
 
 

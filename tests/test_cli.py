@@ -1,6 +1,8 @@
 """The command line end to end on a tiny corpus:
 gen-corpus -> oracle -> train -> parse -> eval."""
 
+import argparse
+import dataclasses
 import re
 
 import numpy as np
@@ -243,17 +245,47 @@ def test_train_refuses_a_corpus_without_tokens(tmp_path, capsys, dev):
 def test_parse_refuses_a_checkpoint_without_shift_or_stop(tmp_path, capsys, missing):
     model = tmp_path / "model.ckpt"
     config = ModelConfig(lstm_dim=6, hidden_dim=5)
-    if missing == "SHIFT":  # what training on a corpus without tokens once saved
-        no_tokens = [Document("", [], [], Store())]
-        lexicon = Lexicon.build(no_tokens, [[Action.stop()]], config.max_affix_len)
-    else:
-        lexicon = build_lexicon(generate_corpus(4, 2), config)
+    lexicon = build_lexicon(generate_corpus(4, 2), config)
     save_checkpoint(Parameters(config, lexicon), str(model))
-    if missing == "STOP":
-        edit_checkpoint_header(model, lambda header: header["lexicon"]["actions"].remove("STOP"))
+    edit_checkpoint_header(model, lambda header: header["lexicon"]["actions"].remove(missing))
     assert cli.main(["parse", "--model", str(model), "--text", "a b"]) == 1
     assert capsys.readouterr() == (
         "", f"error: {model}: malformed header: lexicon actions lack {missing}\n")
+
+
+TOKEN = '{/s/token/text: "a" /s/token/start: 0 /s/token/length: 1}'
+PHRASE = "{:/s/phrase /s/phrase/begin: 0 /s/phrase/evokes: {:/t/x}}"
+
+
+@pytest.mark.parametrize("tokens, phrase, message", [
+    ("5", PHRASE, "/s/document/tokens must be an array"),
+    ("[5]", PHRASE, "malformed token frame"),
+    ("[{/s/token/start: 0 /s/token/length: 1}]", PHRASE, "malformed token frame"),
+    ('[{/s/token/text: "a" /s/token/length: 1}]', PHRASE, "malformed token frame"),
+    ('[{/s/token/text: "a" /s/token/start: 0}]', PHRASE, "malformed token frame"),
+    (f"[{TOKEN}]", "5", "malformed mention"),
+    (f"[{TOKEN}]", "{:/s/phrase /s/phrase/evokes: {:/t/x}}", "phrase missing /s/phrase/begin"),
+    (f"[{TOKEN}]", '{:/s/phrase /s/phrase/begin: "0" /s/phrase/evokes: {:/t/x}}',
+     "phrase missing /s/phrase/begin"),
+    (f"[{TOKEN}]", "{:/s/phrase /s/phrase/begin: 0 /s/phrase/length: 1.0 /s/phrase/evokes: {}}",
+     "bad /s/phrase/length"),
+    (f"[{TOKEN}]", "{:/s/phrase /s/phrase/begin: 0 /s/phrase/evokes: 5}",
+     "phrase evokes a non-frame"),
+    # Left to `Document.check`:
+    (f"[{TOKEN}]", "{:/s/phrase /s/phrase/begin: 0 /s/phrase/length: 0 /s/phrase/evokes: {}}",
+     "mention span out of range"),
+    (f"[{TOKEN}]", "{:/s/phrase /s/phrase/begin: 0}", "mention evokes no frame"),
+], ids=["tokens-not-array", "token-not-frame", "token-without-text", "token-without-start",
+        "token-without-length", "mention-not-frame", "no-begin", "string-begin",
+        "float-length", "evokes-non-frame", "zero-length", "evokes-nothing"])
+def test_oracle_reports_a_document_off_the_schema(tmp_path, capsys, tokens, phrase, message):
+    corpus = tmp_path / "corpus.txt"
+    good = f'{{:/s/document /s/document/text: "a" /s/document/tokens: [{TOKEN}]}}'
+    bad = (f'{{:/s/document /s/document/text: "a" /s/document/tokens: {tokens}'
+           f" /s/document/mention: {phrase}}}")
+    corpus.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    assert cli.main(["oracle", "--in", str(corpus)]) == 1
+    assert capsys.readouterr() == ("", f"error: {corpus}: document 1: {message}\n")
 
 
 def test_grad_check(capsys):
@@ -280,6 +312,45 @@ def test_an_unwritable_output_path_is_reported(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
     assert out == ""  # each command checks its output path before its work
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--in", "{corpus}", "--out", "{corpus}"],
+     "{corpus}: --out names the same file as --in"),
+    (["parse", "--model", "{model}", "--in", "{corpus}", "--out", "{again}"],
+     "{again}: --out names the same file as --in"),
+    (["parse", "--model", "{model}", "--in", "{corpus}", "--out", "{model}"],
+     "{model}: --out names the same file as --model"),
+    (["eval", "--gold", "{corpus}", "--pred", "{dev}", "--metrics-out", "{corpus}"],
+     "{corpus}: --metrics-out names the same file as --gold"),
+    (["eval", "--gold", "{corpus}", "--pred", "{dev}", "--metrics-out", "{dev}"],
+     "{dev}: --metrics-out names the same file as --pred"),
+    (["train", "--in", "{corpus}", "--out", "{corpus}"],
+     "{corpus}: --out names the same file as --in"),
+    (["train", "--in", "{corpus}", "--dev", "{dev}", "--out", "{dev}"],
+     "{dev}: --out names the same file as --dev"),
+    (["train", "--in", "{model}.best", "--out", "{model}"],
+     "{model}.best: <out>.best names the same file as --in"),
+    (["train", "--in", "{corpus}", "--out", "{model}", "--metrics-out", "{model}"],
+     "{model}: --metrics-out names the same file as --out"),
+    (["train", "--in", "{corpus}", "--out", "{model}", "--metrics-out", "{model}.best"],
+     "{model}.best: --metrics-out names the same file as <out>.best"),
+], ids=["oracle", "parse-in", "parse-model", "eval-gold", "eval-pred", "train-in", "train-dev",
+        "train-best-in", "train-out", "train-best"])
+def test_an_output_that_names_an_input_or_another_output_is_refused(tmp_path, capsys, argv,
+                                                                     message):
+    corpus, dev, model = tmp_path / "train.txt", tmp_path / "dev.txt", tmp_path / "model.ckpt"
+    run(capsys, "gen-corpus", "--out", corpus, "--n-docs", 2, "--seed", 3)
+    run(capsys, "gen-corpus", "--out", dev, "--n-docs", 2, "--seed", 4)
+    run(capsys, "train", "--in", corpus, "--out", model, "--steps", 1, *TINY_HPARAMS)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    paths = dict(corpus=corpus, dev=dev, model=model,
+                 again=tmp_path / "sub" / ".." / "train.txt")  # resolved before comparing
+    (tmp_path / "sub").mkdir()
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv + (["--steps", "1", *TINY_HPARAMS] if argv[0] == "train" else [])) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 def test_eval_reports_a_corpus_length_mismatch(tmp_path, capsys):
@@ -454,3 +525,27 @@ def test_a_chain_too_deep_to_read_back_is_refused(tmp_path, n_frames):
     with pytest.raises(cli.CliError, match="^document 0: nesting deeper than 200 levels"):
         cli.write_corpus([chain_document(n_frames)], str(path))
     assert not path.exists()
+
+
+def test_the_option_surface_is_pinned():
+    """Each subcommand's flags and each configuration field: adding or
+    removing one changes a line here."""
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: [flag for action in parser._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")]
+             for name, parser in commands.choices.items()}
+    assert flags == {
+        "gen-corpus": ["--out", "--n-docs", "--seed"],
+        "oracle": ["--in", "--out"],
+        "train": ["--in", "--out", "--dev", "--steps", "--seed", "--checkpoint-every",
+                  "--metrics-out", "--ema", "--hparam"],
+        "parse": ["--model", "--in", "--text", "--out", "--ema"],
+        "eval": ["--gold", "--pred", "--metrics-out"],
+        "grad-check": ["--configs", "--seed", "--threshold"],
+    }
+    assert [field.name for field in dataclasses.fields(ModelConfig)] == [
+        "word_dim", "lstm_dim", "hidden_dim", "max_affix_len", "k_attention", "k_history",
+        "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "gradient_clip_norm",
+        "batch_size", "affix_dim", "shape_dim", "link_dim", "hidden_activation", "use_ema",
+        "ema_decay", "decode_action_cap", "dtype", "word_vectors_path"]

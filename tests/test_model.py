@@ -795,21 +795,6 @@ def test_malformed_word_vectors_are_reported_with_their_line(tmp_path, capsys,
 
 # -- gradient checks -----------------------------------------------------------
 
-def test_grad_check_zero_loss_single_action():
-    store = Store()
-    doc = Document("", [], [], store)
-    config = tiny_config(dtype="float64")
-    lexicon = build_lexicon([doc], config)
-    assert lexicon.num_actions == 1  # STOP only
-    params = Parameters(config, lexicon, seed=2)
-    run = planned_pass(params, doc.text, doc.tokens, [Action.stop()])
-    assert float(run.loss) == pytest.approx(0.0, abs=1e-12)
-    grads = zero_grads(params)
-    run.backward(grads, 1.0)
-    norm = sum(float(np.sum(g ** 2)) for g in grads.values())
-    assert norm == pytest.approx(0.0, abs=1e-18)
-
-
 def live_output_layer(params, seed=0):
     """Random ff_w2: the initial zero output layer passes no gradient
     to anything below it, so a check would compare zeros with zeros."""
