@@ -106,7 +106,10 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _check_outputs({"--out": args.out}, {"--in": args.input})
-    sequences = oracle_sequences(read_corpus(args.input))
+    try:
+        sequences = oracle_sequences(read_corpus(args.input))
+    except UnrepresentableDocumentError as exc:
+        raise CliError(f"{args.input}: {exc}") from None
     output = "\n\n".join(sequence_to_text(sequence) for sequence in sequences)
     if args.out:
         Path(args.out).write_text(output + "\n" if output else "", encoding="utf-8")
@@ -159,8 +162,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(line)
         metric_lines.append(line)
 
-    params = train(corpus, config, seed=args.seed, steps=args.steps,
-                   checkpoint_every=args.checkpoint_every, on_checkpoint=on_checkpoint)
+    try:
+        params = train(corpus, config, seed=args.seed, steps=args.steps,
+                       checkpoint_every=args.checkpoint_every, on_checkpoint=on_checkpoint)
+    except UnrepresentableDocumentError as exc:
+        raise CliError(f"{args.input}: {exc}") from None
     save_checkpoint(params, args.out)
     if best["step"] is not None:
         print(f"best checkpoint: step={best['step']} "

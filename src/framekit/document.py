@@ -11,6 +11,8 @@ evoked frame reaches (an embedded frame, which only links into the
 graph), so that printing the document frame prints the whole graph.
 `doc_from_frame` reads the schema from a store; `print_document` writes
 it straight from a `Document`'s fields, so writing allocates no frame.
+`FrameGraph` is the one table of a document's frames and links: the
+evaluator scores from it, the oracle reads it for all but CONNECT.
 """
 
 from __future__ import annotations
@@ -262,28 +264,52 @@ def type_name(store: Store, frame: Handle) -> Optional[str]:
     return store.symbol_name(value) if value is not None and value.is_symbol() else None
 
 
-def semantic_slots(store: Store, frame: Handle) -> Iterator[tuple[int, str, Value]]:
-    """(slot index, role name, value) of each semantic slot of `frame`.
+def semantic_slots(store: Store, frame: Handle) -> Iterator[tuple[str, Value]]:
+    """(role name, value) of each semantic slot of `frame`.
 
     Skips ``id`` slots, the first ``isa`` slot (the frame's type) and
     slots whose role is not a symbol.  A later ``isa`` is an ordinary
     slot: a label, or a link if its value is a frame.
     """
     typed = False
-    for index, (role, value) in enumerate(store.slots(frame)):
+    for role, value in store.slots(frame):
         if role == store.isa and not typed:
             typed = True
         elif role != store.id and role.is_symbol():
-            yield index, store.symbol_name(role), value
+            yield store.symbol_name(role), value
 
 
-def incoming_links(store: Store, frames: list[Handle]
-                   ) -> dict[Handle, list[tuple[str, Handle]]]:
-    """target -> [(role name, source)] over the semantic slots of
-    `frames` whose value is a frame, in frame order, then slot order."""
-    index: dict[Handle, list[tuple[str, Handle]]] = {}
-    for source in frames:
-        for _, role, value in semantic_slots(store, source):
-            if isinstance(value, Handle) and value.is_frame():
-                index.setdefault(value, []).append((role, source))
-    return index
+class FrameGraph:
+    """The table the oracle and the evaluator read a document from, built
+    in one walk over the semantic slots of `frames`.  Per frame: its type,
+    its links (role, target), its incoming links (role, source) and its
+    constants (role, value), the slots whose value is not a frame.  A
+    link joins two frames of `frames` that are not of a schema type, as
+    `frame_graph` walks them; a slot that links elsewhere is neither.
+    Per span: its frames of that kind, merged across same-span mentions
+    in order without repeats.  The evaluator builds the table over
+    `frame_graph`; the oracle over `frame_graph` plus the evoked frames
+    of a schema type, which it evokes and assigns to."""
+
+    def __init__(self, doc: Document, frames: list[Handle]):
+        store = doc.store
+        self.frames = frames
+        self.types = {frame: type_name(store, frame) for frame in frames}
+        linked = {frame for frame, kind in self.types.items() if kind not in STRUCTURAL_TYPES}
+        self.spans: dict[tuple[int, int], list[Handle]] = {}
+        for mention in doc.mentions:
+            spanned = self.spans.setdefault(mention.span, [])
+            for frame in mention.evoked:
+                if frame in linked and frame not in spanned:
+                    spanned.append(frame)
+        self.links: dict[Handle, list[tuple[str, Handle]]] = {}
+        self.incoming: dict[Handle, list[tuple[str, Handle]]] = {}
+        self.constants: dict[Handle, list[tuple[str, Value]]] = {}
+        for frame in frames:
+            links, constants = self.links[frame], self.constants[frame] = [], []
+            for role, value in semantic_slots(store, frame):
+                if not (isinstance(value, Handle) and value.is_frame()):
+                    constants.append((role, value))
+                elif frame in linked and value in linked:
+                    links.append((role, value))
+                    self.incoming.setdefault(value, []).append((role, frame))

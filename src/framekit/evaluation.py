@@ -9,8 +9,10 @@ an aligned pair carry a same-role link to unaligned frames, those
 targets become aligned.  Precision/recall/F1 are computed for Span,
 Frame, Type (a frame's first ``isa``), Role (frame-valued slots) and
 Label (constant-valued slots), plus the Slot (Type+Role+Label) and
-Combined (all five) aggregates.  Roles and labels are the slots that
-`document.semantic_slots` yields, so a later ``isa`` is a Label.
+Combined (all five) aggregates.  Each document is read from one
+`document.FrameGraph`, built here over its `frame_graph`: Role counts
+its links and Label its constants, so a later ``isa`` is a Role or a
+Label like any other slot.  The oracle reads links from the same table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .document import Document, frame_graph, semantic_slots, type_name
+from .document import Document, FrameGraph, frame_graph
 from .store import Handle, Store
 
 METRICS = ("Span", "Frame", "Type", "Role", "Label", "Slot", "Combined")
@@ -114,46 +116,12 @@ def _check_tokens(gold: Document, pred: Document) -> None:
         raise TokenMismatchError("gold and predicted token sequences differ")
 
 
-class _Graph:
-    """One document as scoring sees it, built in one pass over its frame
-    graph: each span's graph frames, merged across same-span mentions
-    in order without repeats, and per graph frame its type, its links
-    (role, target in the graph), its incoming links (role, source) and
-    its labels (role, constant key)."""
-
-    def __init__(self, doc: Document):
-        store = doc.store
-        self.frames = frame_graph(doc)
-        graph = set(self.frames)
-        self.spans: dict[tuple[int, int], list[Handle]] = {}
-        for mention in doc.mentions:
-            frames = self.spans.setdefault(mention.span, [])
-            for frame in mention.evoked:
-                if frame in graph and frame not in frames:
-                    frames.append(frame)
-        self.incoming: dict[Handle, list[tuple[str, Handle]]] = {}
-        self.types: dict[Handle, Optional[str]] = {}
-        self.links: dict[Handle, list[tuple[str, Handle]]] = {}
-        self.labels: dict[Handle, list[tuple[str, tuple]]] = {}
-        for frame in self.frames:
-            self.types[frame] = type_name(store, frame)
-            links, labels = self.links[frame], self.labels[frame] = [], []
-            for _, role, value in semantic_slots(store, frame):
-                if isinstance(value, Handle) and value.is_frame() and value in graph:
-                    links.append((role, value))
-                    self.incoming.setdefault(value, []).append((role, frame))
-                else:
-                    key = _constant_key(store, value)
-                    if key is not None:
-                        labels.append((role, key))
-
-
 def align(gold: Document, pred: Document,
-          graphs: Optional[tuple[_Graph, _Graph]] = None) -> dict[Handle, Handle]:
+          graphs: Optional[tuple[FrameGraph, FrameGraph]] = None) -> dict[Handle, Handle]:
     """Partial bijection from gold frames to predicted frames.  `graphs`
     passes the two documents' graphs when the caller has built them."""
     _check_tokens(gold, pred)
-    g_graph, p_graph = graphs or (_Graph(gold), _Graph(pred))
+    g_graph, p_graph = graphs or [FrameGraph(d, frame_graph(d)) for d in (gold, pred)]
     gold_spans, pred_spans = g_graph.spans, p_graph.spans
 
     mapping: dict[Handle, Handle] = {}
@@ -204,9 +172,14 @@ def _grouped(entries, aligned) -> dict[str, list[Handle]]:
     return out
 
 
+def _labels(store: Store, constants: list) -> Counter:
+    """A frame's labels: (role, constant key) of each of its constants."""
+    return Counter((role, _constant_key(store, value)) for role, value in constants)
+
+
 def _constant_key(store: Store, value):
-    if isinstance(value, Handle):
-        return ("sym", store.symbol_name(value)) if value.is_symbol() else None
+    if isinstance(value, Handle):  # a symbol: a constant is never a frame
+        return ("sym", store.symbol_name(value))
     if value is None:
         return ("nil",)
     if isinstance(value, list):
@@ -220,7 +193,7 @@ def _freeze(value):
 
 def evaluate(gold: Document, pred: Document) -> EvalReport:
     """Score one predicted document against its gold annotation."""
-    g_graph, p_graph = _Graph(gold), _Graph(pred)
+    g_graph, p_graph = [FrameGraph(d, frame_graph(d)) for d in (gold, pred)]
     mapping = align(gold, pred, (g_graph, p_graph))
 
     span_matched = len(g_graph.spans.keys() & p_graph.spans.keys())
@@ -243,12 +216,13 @@ def evaluate(gold: Document, pred: Document) -> EvalReport:
         gold_links = Counter((role, mapping[t]) for role, t in g_graph.links[g] if t in mapping)
         pred_links = Counter((role, t) for role, t in p_graph.links[p] if t in aligned_pred)
         role_matched += sum((gold_links & pred_links).values())
-        label_matched += sum((Counter(g_graph.labels[g]) & Counter(p_graph.labels[p])).values())
+        label_matched += sum((_labels(gold.store, g_graph.constants[g])
+                              & _labels(pred.store, p_graph.constants[p])).values())
 
     role = MetricCounts(role_matched, sum(map(len, p_graph.links.values())),
                         role_matched, sum(map(len, g_graph.links.values())))
-    label = MetricCounts(label_matched, sum(map(len, p_graph.labels.values())),
-                         label_matched, sum(map(len, g_graph.labels.values())))
+    label = MetricCounts(label_matched, sum(map(len, p_graph.constants.values())),
+                         label_matched, sum(map(len, g_graph.constants.values())))
     return EvalReport(span, frame, type_counts, role, label)
 
 

@@ -10,11 +10,12 @@ the encoder all read that one list.  A lexicon's tables are fixed once
 it is made: it builds that list once, and works out each distinct
 word's rows the first time it reads the word.
 
-A `Lexicon` that builds is one a checkpoint can hold and decoding can
-run: it raises ValueError for a table that is not a dict or whose ids
-are not exactly the ints 1..n, a `max_affix_len` that is not an int
->= 1, two actions with one text, and an inventory without SHIFT or
-STOP.
+A `Lexicon` that builds is one a checkpoint can hold, load back equal,
+and decoding can run: it raises ValueError for a table that is not a
+dict, whose keys are not all strings or whose ids are not exactly the
+ints 1..n, a `max_affix_len` that is not an int >= 1, actions that are
+not a list of `Action`s, two actions with one text, and an inventory
+without SHIFT or STOP.
 """
 
 from __future__ import annotations
@@ -94,11 +95,15 @@ class Lexicon:
             table = getattr(self, name)
             if not isinstance(table, dict):
                 raise ValueError(f"lexicon {name} is not an object")
+            if not all(isinstance(key, str) for key in table):  # as a JSON header's are
+                raise ValueError(f"lexicon {name} keys are not all strings")
             ids = table.values()  # `type`, not `isinstance`: True is no id
             if {type(i) for i in ids} - {int} or sorted(ids) != list(range(1, len(ids) + 1)):
                 raise ValueError(f"lexicon {name} ids are not exactly 1..{len(table)}")
         if not (type(self.max_affix_len) is int and self.max_affix_len >= 1):
             raise ValueError(f"lexicon max_affix_len {self.max_affix_len!r} is not an int >= 1")
+        if not isinstance(self.actions, list) or not all(isinstance(a, Action) for a in self.actions):
+            raise ValueError("lexicon actions is not a list of actions")
         # Keyed by text: actions whose texts differ are different outputs,
         # even where `Action` equality counts 1 and 1.0 as one.
         self.action_ids = {a.to_text(): i for i, a in enumerate(self.actions)}

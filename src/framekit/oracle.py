@@ -9,6 +9,12 @@ by (source first-evocation order, slot order), then the fronted frame's
 constant slots, then creations for its non-evoked neighbors; then shift.
 One stop closes the sequence.  Buffer indices are computed against a
 simulated attention buffer at emission time.
+
+The oracle builds one `document.FrameGraph` over `frame_graph` plus the
+evoked frames of a schema type, and validation, EVOKE types, ASSIGN
+constants and EMBED/ELABORATE creations read it: a non-evoked frame is
+counted, and created, through the links the evaluator scores.  CONNECT
+still rescans the evoked frames' store slots (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .document import (Document, frame_graph, incoming_links, semantic_slots,
-                       type_name)
+from .document import Document, FrameGraph, frame_graph
 from .evaluation import evaluate
 from .notation import is_bare_name
 from .store import Handle, Store
@@ -51,14 +56,14 @@ class _Generator:
     def __init__(self, doc: Document):
         self.doc = doc
         self.store = doc.store
-        self.frames = frame_graph(doc)
         self.evoked = {frame for mention in doc.mentions for frame in mention.evoked}
+        frames = frame_graph(doc)
+        self.graph = FrameGraph(doc, frames + sorted(self.evoked - set(frames)))
         self.state = ParserState(doc.text, doc.tokens)
         self.replay_of: dict[Handle, Handle] = {}
         self.evocation_order: dict[Handle, int] = {}
         self.connected_slots: set[tuple[Handle, int]] = set()
         self.actions: list[Action] = []
-        self.incoming = incoming_links(self.store, self.frames)
 
     def run(self) -> list[Action]:
         self._validate()
@@ -74,29 +79,25 @@ class _Generator:
         return self.actions
 
     def _validate(self) -> None:
-        for frame in self.frames:
-            slots = self.store.slots(frame)
-            for slot in slots:
-                if not slot.role.is_symbol():
-                    raise UnrepresentableDocumentError("slot role is not a symbol")
-            if type_name(self.store, frame) is None:
+        graph = self.graph
+        for frame in graph.frames:
+            if not all(slot.role.is_symbol() for slot in self.store.slots(frame)):
+                raise UnrepresentableDocumentError("slot role is not a symbol")
+            if graph.types[frame] is None:
                 raise UnrepresentableDocumentError("frame has no symbol-valued isa slot")
             if frame in self.evoked:
                 continue
             # A non-evoked frame must hang off the evoked graph by
-            # exactly one role, in either direction.
-            edges = 0
-            for slot in slots:
-                if isinstance(slot.value, Handle) and slot.value.is_frame():
-                    edges += 1
-                    if slot.value not in self.evoked:
-                        raise UnrepresentableDocumentError(
-                            "non-evoked frame links to another non-evoked frame")
-            for _, source in self.incoming.get(frame, ()):
-                edges += 1
-                if source not in self.evoked:
-                    raise UnrepresentableDocumentError(
-                        "non-evoked frame reached only through non-evoked frames")
+            # exactly one role, in either direction: the link that
+            # creates it.
+            links, incoming = graph.links[frame], graph.incoming.get(frame, [])
+            if any(target not in self.evoked for _, target in links):
+                raise UnrepresentableDocumentError(
+                    "non-evoked frame links to another non-evoked frame")
+            if any(source not in self.evoked for _, source in incoming):
+                raise UnrepresentableDocumentError(
+                    "non-evoked frame reached only through non-evoked frames")
+            edges = len(links) + len(incoming)
             if edges != 1:
                 raise UnrepresentableDocumentError(
                     f"non-evoked frame has {edges} connecting roles, expected 1")
@@ -114,9 +115,8 @@ class _Generator:
         return self.state.attention.index(self.replay_of[gold_frame])
 
     def _evoke(self, frame: Handle, length: int) -> None:
-        store = self.store
         if frame not in self.replay_of:
-            self._emit(Action.evoke(type_name(store, frame), length))
+            self._emit(Action.evoke(self.graph.types[frame], length))
             self.replay_of[frame] = self.state.attention[0]
             self.evocation_order[frame] = len(self.evocation_order)
             first = True
@@ -145,32 +145,20 @@ class _Generator:
                                       self._index(value)))
 
     def _emit_assigns(self, frame: Handle) -> None:
-        for _, role, value in semantic_slots(self.store, frame):
-            if isinstance(value, Handle) and value.is_frame():
-                continue  # link slot, handled by connect/creation emission
-            self._emit(Action.assign(self._index(frame), role,
-                                     _constant_of(self.store, value)))
+        for role, value in self.graph.constants[frame]:
+            self._emit(Action.assign(self._index(frame), role, _constant_of(self.store, value)))
 
     def _emit_creations(self, frame: Handle) -> None:
         """EMBED/ELABORATE the non-evoked neighbors of a just-evoked frame."""
-        store = self.store
-        for slot in store.slots(frame):
-            value = slot.value
-            if not (isinstance(value, Handle) and value.is_frame()):
-                continue
-            if value in self.evoked or value in self.replay_of:
-                continue
-            self._emit(Action.elaborate(self._index(frame),
-                                        store.symbol_name(slot.role),
-                                        type_name(store, value)))
-            self.replay_of[value] = self.state.attention[0]
-            self._emit_assigns(value)
-        for role, source in self.incoming.get(frame, ()):
-            if source in self.evoked or source in self.replay_of:
-                continue
-            self._emit(Action.embed(self._index(frame), role, type_name(store, source)))
-            self.replay_of[source] = self.state.attention[0]
-            self._emit_assigns(source)
+        graph = self.graph
+        for make, links in ((Action.elaborate, graph.links[frame]),
+                            (Action.embed, graph.incoming.get(frame, ()))):
+            for role, other in links:
+                if other in self.evoked or other in self.replay_of:
+                    continue
+                self._emit(make(self._index(frame), role, graph.types[other]))
+                self.replay_of[other] = self.state.attention[0]
+                self._emit_assigns(other)
 
 
 def generate(doc: Document) -> list[Action]:

@@ -520,6 +520,33 @@ def random_document(rng: random.Random) -> Document:
     return doc
 
 
+def random_unruly_document(rng: random.Random) -> Document:
+    """A random document the oracle may refuse: frames of the schema types
+    (`/s/phrase`, `/s/document`) or of none, links between any two frames,
+    some through `id` or a later `isa`, constants, and random themes."""
+    store = Store()
+    text = " ".join(f"w{i}" for i in range(rng.randint(1, 5)))
+    tokens = tokenize(text)
+    types = TYPE_POOL[:3] + [PHRASE_TYPE, DOCUMENT_TYPE]
+    frames = [store.new_frame([(store.isa, store.intern(rng.choice(types)))]
+                              if rng.random() < 0.95 else []) for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.8:
+            role, value = rng.choice(ROLE_POOL[:2] + ["id", "isa"]), rng.choice(frames)
+        else:
+            role, value = rng.choice(["/c/note", "isa"]), rng.choice([7, "tag", store.intern("/v/x")])
+        store.add_slot(rng.choice(frames), store.intern(role), value)
+    spans: dict[int, list[Handle]] = {}
+    for frame in rng.sample(frames, rng.randint(0, len(frames))):
+        spans.setdefault(rng.randrange(len(tokens)), []).append(frame)
+    evoked = {frame for group in spans.values() for frame in group}
+    themes = [f for f in frames if f not in evoked and rng.random() < 0.4]
+    doc = Document(text, tokens, [Mention(b, 1, group) for b, group in sorted(spans.items())],
+                   store, themes)
+    doc.check()
+    return doc
+
+
 def copy_document(doc: Document) -> Document:
     """Deep copy into a fresh store (same annotations, new handles)."""
     store = Store()

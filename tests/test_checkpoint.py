@@ -336,15 +336,23 @@ def test_every_lexicon_that_builds_saves_and_loads(tmp_path, fields):
      "lexicon actions repeat an action"),
     (dict(actions=[Action.stop()]), "lexicon actions lack SHIFT"),
     (dict(actions=[Action.shift(), Action.evoke("/t/x", 1)]), "lexicon actions lack STOP"),
+    (dict(words={1: 1}), "lexicon words keys are not all strings"),
+    (dict(actions=["SHIFT", "STOP"]), "lexicon actions is not a list of actions"),
+    (dict(actions=(Action.shift(), Action.stop())), "lexicon actions is not a list of actions"),
 ], ids=["table-not-object", "id-past-n", "id-zero", "bool-id", "string-id", "affix-0",
         "bool-affix", "float-affix", "other-affix", "repeated-action", "no-shift",
-        "no-stop"])
+        "no-stop", "int-key", "action-texts", "action-tuple"])
 def test_a_lexicon_that_cannot_load_does_not_build(tmp_path, fields, problem):
     """Each form that `load_checkpoint` refuses is refused, with its
-    message, where it is made: at `Lexicon(...)` or `Parameters(...)`."""
+    message, where it is made: at `Lexicon(...)` or `Parameters(...)`.
+    So is each form that a checkpoint cannot hold, which would load back
+    as another lexicon: JSON keys are strings, and actions load as a
+    list of `Action`s."""
     config = ModelConfig(lstm_dim=6, hidden_dim=5)
     with pytest.raises(ValueError, match="^" + re.escape(problem) + "$"):
         Parameters(config, _lexicon(**fields))
+    if problem.endswith(("not all strings", "not a list of actions")):
+        return  # no header holds this form
     path = tmp_path / "model.ckpt"
     save_checkpoint(Parameters(config, _lexicon()), str(path))
     as_json = {name: [a.to_text() for a in value] if name == "actions" else value

@@ -4,14 +4,16 @@ import random
 import pytest
 
 from framekit import cli
-from framekit.cli import write_corpus
+from framekit.cli import read_corpus, write_corpus
 from framekit.corpus import generate_corpus
-from framekit.document import Document, Mention, tokenize
+from framekit.document import DOCUMENT_TYPE, PHRASE_TYPE, Document, Mention, tokenize
+from framekit.evaluation import evaluate
 from framekit.oracle import (UnrepresentableDocumentError, action_table,
                              generate, replay, roundtrip_check)
 from framekit.store import Store
-from framekit.transitions import ACTION_KINDS, run_sequence, sequence_to_text
-from support import HIT_SEQUENCE, random_document
+from framekit.transitions import (ACTION_KINDS, CONNECT, ELABORATE, EMBED, run_sequence,
+                                  sequence_to_text)
+from support import HIT_SEQUENCE, random_document, random_unruly_document
 
 
 def test_worked_example_exact_sequence(hit_doc):
@@ -115,10 +117,141 @@ def test_span_evoking_two_frames_of_one_type(tmp_path, capsys):
     path, model = tmp_path / "doc.txt", tmp_path / "model.ckpt"
     write_corpus([doc], str(path))
     assert cli.main(["oracle", "--in", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: document 0: {error.value}\n"
+    assert capsys.readouterr().err == f"error: {path}: document 0: {error.value}\n"
     assert cli.main(["train", "--in", str(path), "--out", str(model), "--steps", "1"]) == 1
-    assert capsys.readouterr().err == f"error: document 0: {error.value}\n"
+    assert capsys.readouterr().err == f"error: {path}: document 0: {error.value}\n"
     assert not model.exists()
+
+
+ID_THEME = ('{:/s/document /s/document/text: "a" /s/document/tokens: [{/s/token/text: "a" '
+            '/s/token/start: 0 /s/token/length: 1}] /s/document/mention: {:/s/phrase '
+            '/s/phrase/begin: 0 /s/phrase/evokes: {=#1 :/t/e}} '
+            '/s/document/frame: {:/t/theme id: #1}}\n')
+
+
+def test_a_theme_linked_only_through_id_is_unrepresentable(tmp_path, capsys):
+    """`id` is no role, so no link creates the theme: the oracle refuses
+    the document rather than leave the theme out of its sequence."""
+    store = Store()
+    evoked = store.new_frame([(store.isa, store.intern("/t/e"))])
+    theme = store.new_frame([(store.isa, store.intern("/t/theme")), (store.id, evoked)])
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [evoked])], store, [theme])
+    path = tmp_path / "doc.txt"
+    write_corpus([doc], str(path))
+    assert path.read_text(encoding="utf-8") == ID_THEME
+    problem = "non-evoked frame has 0 connecting roles, expected 1"
+    for document in (doc, read_corpus(str(path))[0]):
+        with pytest.raises(UnrepresentableDocumentError, match=f"^{problem}$"):
+            generate(document)
+    assert cli.main(["oracle", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: document 0: {problem}\n"
+
+
+def test_the_links_sequenced_are_the_links_scored():
+    """CONNECT, ELABORATE and EMBED each build one link, and the evaluator
+    scores each link once, so their count is the gold Role total of a
+    document scored against itself."""
+    rng = random.Random(2021)
+    docs = [doc for seed in (1, 11, 17) for doc in generate_corpus(seed, 200)]
+    for doc in docs + [random_document(rng) for _ in range(2000)]:
+        built = sum(action.kind in (CONNECT, ELABORATE, EMBED) for action in generate(doc))
+        assert built == evaluate(doc, doc).role.total_gold
+
+
+def test_an_evoked_frame_of_a_schema_type_keeps_its_evoke_and_assign():
+    store = Store()
+    phrase = store.new_frame([(store.isa, store.intern(PHRASE_TYPE)),
+                              (store.intern("/r/c"), 7)])
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [phrase])], store)
+    assert [action.to_text() for action in generate(doc)] == \
+        ["EVOKE(/s/phrase, 1)", "ASSIGN(0, /r/c, 7)", "SHIFT", "STOP"]
+    assert roundtrip_check(doc)
+
+
+def test_a_frame_is_created_through_its_role_not_an_id_slot():
+    """The first evoked frame names the non-evoked one in an `id` slot,
+    which no role scores; the frame is embedded where its own link
+    leads."""
+    store = Store()
+    first = store.new_frame([(store.isa, store.intern("/t/a"))])
+    second = store.new_frame([(store.isa, store.intern("/t/b"))])
+    store.add_slot(first, store.id, store.new_frame([(store.isa, store.intern("/t/c")),
+                                                     (store.intern("/r/x"), second)]))
+    doc = Document("a b", tokenize("a b"), [Mention(0, 1, [first]), Mention(1, 1, [second])],
+                   store)
+    assert [action.to_text() for action in generate(doc)] == \
+        ["EVOKE(/t/a, 1)", "SHIFT", "EVOKE(/t/b, 1)", "EMBED(0, /r/x, /t/c)", "SHIFT", "STOP"]
+    assert roundtrip_check(doc)
+
+
+def _schema_link_document(case: str) -> Document:
+    """One token evoking one frame, and a link that touches a frame of a
+    schema type, which the evaluator neither aligns nor counts."""
+    store = Store()
+    typed = lambda name, *slots: store.new_frame([(store.isa, store.intern(name)), *slots])
+    role = store.intern
+    if case == "from-evoked-phrase":
+        evoked = typed(PHRASE_TYPE, (role("/r/x"), typed("/t/a", (role("/c/k"), "s"))))
+        themes = []
+    elif case == "to-document-frame":
+        evoked = typed("/t/a", (role("/r/y"), typed(DOCUMENT_TYPE)))
+        themes = []
+    elif case == "theme-to-phrase":
+        evoked = typed("/t/a")
+        themes = [typed("/t/b", (role("/r/x"), evoked), (role("/r/y"), typed(PHRASE_TYPE)))]
+    else:  # "theme-into-evoked-phrase"
+        evoked = typed(PHRASE_TYPE)
+        themes = [typed("/t/a", (role("/r/y"), evoked))]
+    return Document("a", tokenize("a"), [Mention(0, 1, [evoked])], store, themes)
+
+
+SCHEMA_LINK_SEQUENCES = {
+    "from-evoked-phrase": ["EVOKE(/s/phrase, 1)", "SHIFT", "STOP"],
+    "to-document-frame": ["EVOKE(/t/a, 1)", "SHIFT", "STOP"],
+    "theme-to-phrase": ["EVOKE(/t/a, 1)", "EMBED(0, /r/x, /t/b)", "SHIFT", "STOP"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_LINK_SEQUENCES))
+def test_a_link_to_or_from_a_schema_frame_is_not_sequenced(case):
+    """No link of a schema-typed frame is scored, so none creates a frame
+    or counts as a non-evoked frame's one connecting role."""
+    doc = _schema_link_document(case)
+    assert [action.to_text() for action in generate(doc)] == SCHEMA_LINK_SEQUENCES[case]
+    assert roundtrip_check(doc)
+
+
+def test_a_theme_linked_only_into_an_evoked_phrase_is_unrepresentable():
+    """Its one link ends at a frame the evaluator does not align, so the
+    theme could never be matched."""
+    with pytest.raises(UnrepresentableDocumentError, match="has 0 connecting roles"):
+        generate(_schema_link_document("theme-into-evoked-phrase"))
+
+
+def test_an_evoked_phrase_with_a_frame_role_is_unrepresentable():
+    store = Store()
+    phrase = store.new_frame([(store.isa, store.intern(PHRASE_TYPE))])
+    store.add_slot(phrase, phrase, 3)
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [phrase])], store)
+    with pytest.raises(UnrepresentableDocumentError, match="^slot role is not a symbol$"):
+        generate(doc)
+
+
+def test_every_sequence_the_oracle_gives_rebuilds_its_document():
+    """Over documents with schema-typed and untyped frames, `id` and later
+    `isa` links and random themes, the oracle refuses a document or
+    gives a sequence whose replay scores as the document itself."""
+    rng = random.Random(5)
+    given = 0
+    for _ in range(2000):
+        doc = random_unruly_document(rng)
+        try:
+            generate(doc)
+        except UnrepresentableDocumentError:
+            continue
+        given += 1
+        assert roundtrip_check(doc)
+    assert given == 991  # the oracle refuses the other 1,009
 
 
 @pytest.mark.parametrize("value", ["a b", "nil", "12", "é", math.inf, math.nan])

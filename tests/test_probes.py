@@ -6,6 +6,9 @@ error; here it fails instead."""
 import sys
 from pathlib import Path
 
+from framekit import evaluation, oracle
+from framekit.corpus import generate_corpus
+
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
@@ -19,3 +22,20 @@ def test_every_probe_target_resolves():
     missing = {f"{owner.__name__}.{attribute}" for owner, attribute, _ in workloads.PROBES
                if getattr(owner, attribute, None) is None}
     assert missing <= KNOWN_DEAD
+
+
+def test_frame_graph_probes_see_every_call(monkeypatch):
+    """`document.frame_graph.calls` counts the calls made through the
+    oracle's and the evaluator's own names: one per `generate`, one per
+    side of `evaluate`."""
+    calls = {"oracle": 0, "evaluation": 0}
+    for module in (oracle, evaluation):
+        def counted(doc, name=module.__name__.split(".")[-1], inner=module.frame_graph):
+            calls[name] += 1
+            return inner(doc)
+        monkeypatch.setattr(module, "frame_graph", counted)
+    doc = generate_corpus(3, 1)[0]
+    oracle.generate(doc)
+    assert calls == {"oracle": 1, "evaluation": 0}
+    evaluation.evaluate(doc, doc)
+    assert calls == {"oracle": 1, "evaluation": 2}
