@@ -212,7 +212,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_outputs({"--metrics-out": args.metrics_out},
                    {"--gold": args.gold, "--pred": args.pred})
-    report = evaluate_corpus(read_corpus(args.gold), read_corpus(args.pred))
+    try:
+        report = evaluate_corpus(read_corpus(args.gold), read_corpus(args.pred))
+    except TokenMismatchError as exc:
+        raise CliError(f"{args.gold}, {args.pred}: {exc}") from None
     print(report.format_table())
     print(report.format_machine())
     if args.metrics_out:

@@ -11,8 +11,10 @@ evoked frame reaches (an embedded frame, which only links into the
 graph), so that printing the document frame prints the whole graph.
 `doc_from_frame` reads the schema from a store; `print_document` writes
 it straight from a `Document`'s fields, so writing allocates no frame.
-`FrameGraph` is the one table of a document's frames and links: the
-evaluator scores from it, the oracle reads it for all but CONNECT.
+`frame_graph` is the one walk over a document's semantic slots: the
+`FrameGraph` it returns is the table the evaluator scores and the
+oracle sequences; only the oracle's CONNECT rescan and symbol-role
+check read a document's slots besides it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .notation import Printer
 from .store import Handle, Store, Value
@@ -224,37 +226,74 @@ def doc_from_frame(handle: Handle, store: Store) -> Document:
     return doc
 
 
-def frame_graph(doc: Document) -> list[Handle]:
-    """All semantic frames of a document in a canonical order.
+@dataclass
+class FrameGraph:
+    """The table the oracle and the evaluator read a document from, as
+    `frame_graph` builds it.  `frames` lists the graph in canonical
+    order.  Per frame: its type, its links (role, target), its incoming
+    links (role, source) and its constants (role, value), the semantic
+    slots whose value is not a frame; these also cover the evoked frames
+    of a schema type, which the oracle evokes and assigns to but which
+    hold no link and are not in `frames`.  Per span: its graph frames,
+    merged across same-span mentions in order without repeats."""
 
-    Starts from the evoked frames in mention order, then the themes, and
-    closes over outgoing frame-to-frame links, breadth first.  A frame
-    that only links into the graph belongs to it only if it is listed in
-    `doc.themes`.  Document and phrase schema frames are excluded.
+    frames: list[Handle] = field(default_factory=list)
+    types: dict[Handle, Optional[str]] = field(default_factory=dict)
+    links: dict[Handle, list[tuple[str, Handle]]] = field(default_factory=dict)
+    incoming: dict[Handle, list[tuple[str, Handle]]] = field(default_factory=dict)
+    constants: dict[Handle, list[tuple[str, Value]]] = field(default_factory=dict)
+    spans: dict[tuple[int, int], list[Handle]] = field(default_factory=dict)
+
+
+def frame_graph(doc: Document) -> FrameGraph:
+    """The table of a document's frames, built in one breadth-first walk.
+
+    The walk starts from the evoked frames in mention order, then the
+    themes, and follows each link: a slot whose role is a symbol other
+    than ``id``, not the frame's first ``isa`` (its type), and whose value
+    is a frame, joining two frames that are not of a schema type.  A
+    frame that only links into the graph belongs to it only if it is
+    listed in `doc.themes`.
     """
     store = doc.store
-    ordered: list[Handle] = []
-    seen: set[Handle] = set()
+    graph = FrameGraph()
+    types, order = graph.types, []
 
-    def admit(frame: Handle) -> None:
-        if frame not in seen and type_name(store, frame) not in STRUCTURAL_TYPES:
-            seen.add(frame)
-            ordered.append(frame)
+    def admit(frame: Handle, evoked: bool = False) -> bool:
+        """Whether `frame` is a graph frame, entering it on first sight;
+        a frame of a schema type enters the table only if evoked."""
+        if frame not in types:
+            kind = type_name(store, frame)
+            if kind in STRUCTURAL_TYPES and not evoked:
+                return False
+            types[frame] = kind
+            order.append(frame)
+        return types[frame] not in STRUCTURAL_TYPES
 
     for mention in doc.mentions:
+        spanned = graph.spans.setdefault(mention.span, [])
         for frame in mention.evoked:
-            admit(frame)
+            if admit(frame, evoked=True) and frame not in spanned:
+                spanned.append(frame)
     for frame in doc.themes:
         admit(frame)
 
-    cursor = 0
-    while cursor < len(ordered):
-        frame = ordered[cursor]
-        cursor += 1
-        for slot in store.slots(frame):
-            if isinstance(slot.value, Handle) and slot.value.is_frame():
-                admit(slot.value)
-    return ordered
+    for frame in order:  # grows as the walk admits frames
+        links, constants = graph.links[frame], graph.constants[frame] = [], []
+        linked = types[frame] not in STRUCTURAL_TYPES
+        typed = False
+        for role, value in store.slots(frame):
+            if role == store.isa and not typed:
+                typed = True
+            elif role != store.id and role.is_symbol():
+                name = store.symbol_name(role)
+                if not (isinstance(value, Handle) and value.is_frame()):
+                    constants.append((name, value))
+                elif linked and admit(value):
+                    links.append((name, value))
+                    graph.incoming.setdefault(value, []).append((name, frame))
+    graph.frames = [frame for frame in order if types[frame] not in STRUCTURAL_TYPES]
+    return graph
 
 
 def type_name(store: Store, frame: Handle) -> Optional[str]:
@@ -262,54 +301,3 @@ def type_name(store: Store, frame: Handle) -> Optional[str]:
     symbol."""
     value = store.frame_type(frame)
     return store.symbol_name(value) if value is not None and value.is_symbol() else None
-
-
-def semantic_slots(store: Store, frame: Handle) -> Iterator[tuple[str, Value]]:
-    """(role name, value) of each semantic slot of `frame`.
-
-    Skips ``id`` slots, the first ``isa`` slot (the frame's type) and
-    slots whose role is not a symbol.  A later ``isa`` is an ordinary
-    slot: a label, or a link if its value is a frame.
-    """
-    typed = False
-    for role, value in store.slots(frame):
-        if role == store.isa and not typed:
-            typed = True
-        elif role != store.id and role.is_symbol():
-            yield store.symbol_name(role), value
-
-
-class FrameGraph:
-    """The table the oracle and the evaluator read a document from, built
-    in one walk over the semantic slots of `frames`.  Per frame: its type,
-    its links (role, target), its incoming links (role, source) and its
-    constants (role, value), the slots whose value is not a frame.  A
-    link joins two frames of `frames` that are not of a schema type, as
-    `frame_graph` walks them; a slot that links elsewhere is neither.
-    Per span: its frames of that kind, merged across same-span mentions
-    in order without repeats.  The evaluator builds the table over
-    `frame_graph`; the oracle over `frame_graph` plus the evoked frames
-    of a schema type, which it evokes and assigns to."""
-
-    def __init__(self, doc: Document, frames: list[Handle]):
-        store = doc.store
-        self.frames = frames
-        self.types = {frame: type_name(store, frame) for frame in frames}
-        linked = {frame for frame, kind in self.types.items() if kind not in STRUCTURAL_TYPES}
-        self.spans: dict[tuple[int, int], list[Handle]] = {}
-        for mention in doc.mentions:
-            spanned = self.spans.setdefault(mention.span, [])
-            for frame in mention.evoked:
-                if frame in linked and frame not in spanned:
-                    spanned.append(frame)
-        self.links: dict[Handle, list[tuple[str, Handle]]] = {}
-        self.incoming: dict[Handle, list[tuple[str, Handle]]] = {}
-        self.constants: dict[Handle, list[tuple[str, Value]]] = {}
-        for frame in frames:
-            links, constants = self.links[frame], self.constants[frame] = [], []
-            for role, value in semantic_slots(store, frame):
-                if not (isinstance(value, Handle) and value.is_frame()):
-                    constants.append((role, value))
-                elif frame in linked and value in linked:
-                    links.append((role, value))
-                    self.incoming.setdefault(value, []).append((role, frame))

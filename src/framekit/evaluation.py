@@ -1,25 +1,23 @@
 """Graph-alignment scoring of predicted against gold documents.
 
-Only the frames of `document.frame_graph` are aligned and counted; a
-span keeps only its graph frames, though every span counts for Span.
-Spans are matched on exact (begin, length).  Evoked frames of matched
-spans are aligned greedily in mention order, and the alignment is
-extended to a fixpoint over outgoing role links: whenever both sides of
-an aligned pair carry a same-role link to unaligned frames, those
-targets become aligned.  Precision/recall/F1 are computed for Span,
-Frame, Type (a frame's first ``isa``), Role (frame-valued slots) and
-Label (constant-valued slots), plus the Slot (Type+Role+Label) and
-Combined (all five) aggregates.  Each document is read from one
-`document.FrameGraph`, built here over its `frame_graph`: Role counts
-its links and Label its constants, so a later ``isa`` is a Role or a
-Label like any other slot.  The oracle reads links from the same table.
+Each document is read from the one table `document.frame_graph` builds,
+and only its `frames` are aligned and counted; a span keeps only its
+graph frames, though every span counts for Span.  Spans are matched on
+exact (begin, length).  Evoked frames of matched spans are aligned
+greedily in mention order, and the alignment is extended to a fixpoint
+over role links: whenever both sides of an aligned pair carry a
+same-role link to or from unaligned frames, those frames become
+aligned.  Precision/recall/F1 are computed for Span, Frame, Type (a
+frame's first ``isa``), Role (the table's links) and Label (its
+constants, keyed alike in every store), plus the Slot (Type+Role+Label)
+and Combined (all five) aggregates.  A later ``isa`` is a Role or a
+Label like any other slot.  The oracle sequences from the same table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .document import Document, FrameGraph, frame_graph
 from .store import Handle, Store
@@ -116,12 +114,9 @@ def _check_tokens(gold: Document, pred: Document) -> None:
         raise TokenMismatchError("gold and predicted token sequences differ")
 
 
-def align(gold: Document, pred: Document,
-          graphs: Optional[tuple[FrameGraph, FrameGraph]] = None) -> dict[Handle, Handle]:
-    """Partial bijection from gold frames to predicted frames.  `graphs`
-    passes the two documents' graphs when the caller has built them."""
-    _check_tokens(gold, pred)
-    g_graph, p_graph = graphs or [FrameGraph(d, frame_graph(d)) for d in (gold, pred)]
+def align(g_graph: FrameGraph, p_graph: FrameGraph) -> dict[Handle, Handle]:
+    """Partial bijection from gold frames to predicted frames, given the
+    two documents' `frame_graph` tables."""
     gold_spans, pred_spans = g_graph.spans, p_graph.spans
 
     mapping: dict[Handle, Handle] = {}
@@ -178,23 +173,28 @@ def _labels(store: Store, constants: list) -> Counter:
 
 
 def _constant_key(store: Store, value):
-    if isinstance(value, Handle):  # a symbol: a constant is never a frame
-        return ("sym", store.symbol_name(value))
+    """A constant's key, the same in every store: a symbol by its name, a
+    list by its items' keys.  A frame is a constant only inside a list,
+    and no alignment reaches it there, so it keys as any frame."""
+    if isinstance(value, Handle):
+        return ("sym", store.symbol_name(value)) if value.is_symbol() else ("frame",)
     if value is None:
         return ("nil",)
     if isinstance(value, list):
-        return ("lit", "list", _freeze(value))
+        return ("lit", "list", tuple(_constant_key(store, item) for item in value))
     return ("lit", type(value).__name__, value)
 
 
-def _freeze(value):
-    return tuple(_freeze(v) for v in value) if isinstance(value, list) else value
+def _total(graph: FrameGraph, table: dict[Handle, list]) -> int:
+    """The entries of `table` that the graph's frames hold."""
+    return sum(len(table[frame]) for frame in graph.frames)
 
 
 def evaluate(gold: Document, pred: Document) -> EvalReport:
     """Score one predicted document against its gold annotation."""
-    g_graph, p_graph = [FrameGraph(d, frame_graph(d)) for d in (gold, pred)]
-    mapping = align(gold, pred, (g_graph, p_graph))
+    _check_tokens(gold, pred)
+    g_graph, p_graph = frame_graph(gold), frame_graph(pred)
+    mapping = align(g_graph, p_graph)
 
     span_matched = len(g_graph.spans.keys() & p_graph.spans.keys())
     span = MetricCounts(span_matched, len(p_graph.spans),
@@ -206,8 +206,8 @@ def evaluate(gold: Document, pred: Document) -> EvalReport:
                        if g_graph.types[g] is not None
                        and g_graph.types[g] == p_graph.types[p])
     type_counts = MetricCounts(
-        type_matched, sum(t is not None for t in p_graph.types.values()),
-        type_matched, sum(t is not None for t in g_graph.types.values()))
+        type_matched, sum(p_graph.types[p] is not None for p in p_graph.frames),
+        type_matched, sum(g_graph.types[g] is not None for g in g_graph.frames))
 
     role_matched = 0
     label_matched = 0
@@ -219,10 +219,10 @@ def evaluate(gold: Document, pred: Document) -> EvalReport:
         label_matched += sum((_labels(gold.store, g_graph.constants[g])
                               & _labels(pred.store, p_graph.constants[p])).values())
 
-    role = MetricCounts(role_matched, sum(map(len, p_graph.links.values())),
-                        role_matched, sum(map(len, g_graph.links.values())))
-    label = MetricCounts(label_matched, sum(map(len, p_graph.constants.values())),
-                         label_matched, sum(map(len, g_graph.constants.values())))
+    role = MetricCounts(role_matched, _total(p_graph, p_graph.links),
+                        role_matched, _total(g_graph, g_graph.links))
+    label = MetricCounts(label_matched, _total(p_graph, p_graph.constants),
+                         label_matched, _total(g_graph, g_graph.constants))
     return EvalReport(span, frame, type_counts, role, label)
 
 

@@ -10,11 +10,13 @@ constant slots, then creations for its non-evoked neighbors; then shift.
 One stop closes the sequence.  Buffer indices are computed against a
 simulated attention buffer at emission time.
 
-The oracle builds one `document.FrameGraph` over `frame_graph` plus the
-evoked frames of a schema type, and validation, EVOKE types, ASSIGN
-constants and EMBED/ELABORATE creations read it: a non-evoked frame is
-counted, and created, through the links the evaluator scores.  CONNECT
-still rescans the evoked frames' store slots (ROADMAP item 6).
+The oracle reads the table `document.frame_graph` builds, which also
+covers the evoked frames of a schema type: validation, EVOKE types,
+ASSIGN constants and EMBED/ELABORATE creations read it, so a non-evoked
+frame is counted, and created, through the links the evaluator scores.
+CONNECT still rescans the evoked frames' store slots (ROADMAP item 6),
+but emits only the links the table holds: none through ``id`` and none
+of a frame of a schema type.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .document import Document, FrameGraph, frame_graph
+from .document import STRUCTURAL_TYPES, Document, frame_graph
 from .evaluation import evaluate
 from .notation import is_bare_name
 from .store import Handle, Store
@@ -57,8 +59,7 @@ class _Generator:
         self.doc = doc
         self.store = doc.store
         self.evoked = {frame for mention in doc.mentions for frame in mention.evoked}
-        frames = frame_graph(doc)
-        self.graph = FrameGraph(doc, frames + sorted(self.evoked - set(frames)))
+        self.graph = frame_graph(doc)
         self.state = ParserState(doc.text, doc.tokens)
         self.replay_of: dict[Handle, Handle] = {}
         self.evocation_order: dict[Handle, int] = {}
@@ -80,7 +81,7 @@ class _Generator:
 
     def _validate(self) -> None:
         graph = self.graph
-        for frame in graph.frames:
+        for frame in graph.types:  # the graph and the evoked frames of a schema type
             if not all(slot.role.is_symbol() for slot in self.store.slots(frame)):
                 raise UnrepresentableDocumentError("slot role is not a symbol")
             if graph.types[frame] is None:
@@ -130,6 +131,7 @@ class _Generator:
 
     def _emit_connects(self) -> None:
         pending = []
+        types = self.graph.types
         for frame, order in sorted(self.evocation_order.items(), key=lambda kv: kv[1]):
             for i, slot in enumerate(self.store.slots(frame)):
                 if (frame, i) in self.connected_slots:
@@ -137,9 +139,12 @@ class _Generator:
                 value = slot.value
                 if isinstance(value, Handle) and value.is_frame() \
                         and value in self.replay_of and value in self.evoked:
-                    pending.append((order, i, frame, slot.role, value))
+                    self.connected_slots.add((frame, i))
+                    # The table holds no link through `id` or of a schema-typed frame.
+                    if slot.role != self.store.id and types[frame] not in STRUCTURAL_TYPES \
+                            and types[value] not in STRUCTURAL_TYPES:
+                        pending.append((order, i, frame, slot.role, value))
         for _, i, frame, role, value in sorted(pending, key=lambda p: (p[0], p[1])):
-            self.connected_slots.add((frame, i))
             self._emit(Action.connect(self._index(frame),
                                       self.store.symbol_name(role),
                                       self._index(value)))

@@ -264,7 +264,7 @@ def documents_isomorphic(gold: Document, pred: Document) -> bool:
 
 
 def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, int, int, int]]:
-    mapping = align(gold, pred)
+    mapping = align(frame_graph(gold), frame_graph(pred))
     out: dict[str, tuple[int, int, int, int]] = {}
 
     gold_spans = []
@@ -278,8 +278,8 @@ def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, i
     span_hits = sum(1 for span in gold_spans if span in pred_spans)
     out["Span"] = (span_hits, len(pred_spans), span_hits, len(gold_spans))
 
-    gold_frames = frame_graph(gold)
-    pred_frames = frame_graph(pred)
+    gold_frames = frame_graph(gold).frames
+    pred_frames = frame_graph(pred).frames
     aligned_gold = [f for f in gold_frames if f in mapping]
     out["Frame"] = (len(aligned_gold), len(pred_frames),
                     len(aligned_gold), len(gold_frames))
@@ -329,7 +329,7 @@ def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, i
                 slots.append((store.symbol_name(slot.role), ("nil",)))
             elif isinstance(value, list):
                 slots.append((store.symbol_name(slot.role),
-                              ("lit", "list", _freeze(value))))
+                              ("lit", "list", _freeze(store, value))))
             else:
                 slots.append((store.symbol_name(slot.role),
                               ("lit", type(value).__name__, value)))
@@ -384,8 +384,14 @@ def brute_force_counts(gold: Document, pred: Document) -> dict[str, tuple[int, i
     return out
 
 
-def _freeze(value):
-    return tuple(_freeze(v) for v in value) if isinstance(value, list) else value
+def _freeze(store, value):
+    """A list constant as nested tuples, a symbol by its name and a frame
+    as any frame, so that lists compare across stores."""
+    if isinstance(value, list):
+        return tuple(_freeze(store, v) for v in value)
+    if isinstance(value, Handle):
+        return store.symbol_name(value) if value.is_symbol() else "frame"
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +556,7 @@ def random_unruly_document(rng: random.Random) -> Document:
 def copy_document(doc: Document) -> Document:
     """Deep copy into a fresh store (same annotations, new handles)."""
     store = Store()
-    frames = frame_graph(doc)
+    frames = frame_graph(doc).frames
     clones = {frame: store.new_frame() for frame in frames}
     for frame in frames:
         for slot in doc.store.slots(frame):
@@ -601,7 +607,7 @@ def perturb_document(doc: Document, rng: random.Random) -> Document:
     mentions, dropped slots, changed constants or roles."""
     out = copy_document(doc)
     store = out.store
-    frames = frame_graph(out)
+    frames = frame_graph(out).frames
     edited: dict[Handle, list[Slot]] = {}
 
     def slots_of(frame: Handle) -> list[Slot]:

@@ -359,7 +359,7 @@ def test_eval_reports_a_corpus_length_mismatch(tmp_path, capsys):
     cli.write_corpus(cli.read_corpus(str(gold))[:1], str(pred))
     assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
     assert capsys.readouterr() == \
-        ("", "error: corpus length mismatch: 2 gold vs 1 predicted documents\n")
+        ("", f"error: {gold}, {pred}: corpus length mismatch: 2 gold vs 1 predicted documents\n")
 
 
 @pytest.mark.parametrize("output", ["best", "metrics-out"])

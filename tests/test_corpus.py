@@ -13,7 +13,7 @@ def test_deterministic():
         out = []
         for doc in docs:
             frames = []
-            for frame in frame_graph(doc):
+            for frame in frame_graph(doc).frames:
                 frames.append(sorted(
                     (doc.store.symbol_name(s.role),
                      str(s.value.index if isinstance(s.value, Handle)

@@ -261,7 +261,7 @@ def test_frame_graph_includes_embedded(hit_doc):
     embed = store.new_frame([(store.isa, store.intern("/t/wrap")),
                              (store.intern("/r/of"), evoked)])
     hit_doc.themes.append(embed)
-    frames = frame_graph(hit_doc)
+    frames = frame_graph(hit_doc).frames
     assert embed in frames
     assert len(frames) == 4  # person, hit, ball, wrapper
 
@@ -272,9 +272,9 @@ def test_frame_graph_holds_listed_themes_only(hit_doc):
     unlisted = store.new_frame([(store.isa, store.intern("/t/wrap")),
                                 (store.intern("/r/of"), person)])
     loose = store.new_frame([(store.isa, store.intern("/t/loose"))])
-    assert unlisted not in frame_graph(hit_doc)
+    assert unlisted not in frame_graph(hit_doc).frames
     hit_doc.themes.append(loose)
-    frames = frame_graph(hit_doc)
+    frames = frame_graph(hit_doc).frames
     assert len(frames) == 4 and frames[-1] == loose
     # A theme with no link is in the graph: counted, though nothing can
     # align it, and refused by the oracle.
@@ -318,7 +318,7 @@ def test_a_theme_that_is_not_a_frame_is_reported(tmp_path, capsys):
 
 def test_frame_graph_excludes_schema_frames(hit_doc):
     # The store holds the document, phrase and token frames it was read from.
-    frames = frame_graph(hit_doc)
+    frames = frame_graph(hit_doc).frames
     assert len(frames) == 3
     for frame in frames:
         type_name = hit_doc.store.symbol_name(
@@ -328,13 +328,13 @@ def test_frame_graph_excludes_schema_frames(hit_doc):
 
 def _type_names(doc):
     store = doc.store
-    return [store.symbol_name(store.frame_type(frame)) for frame in frame_graph(doc)]
+    return [store.symbol_name(store.frame_type(frame)) for frame in frame_graph(doc).frames]
 
 
 def _embedded(doc):
     """Graph frames neither evoked nor the value of any graph frame's slot:
     only an incoming link reaches them."""
-    frames = frame_graph(doc)
+    frames = frame_graph(doc).frames
     reached = {f for m in doc.mentions for f in m.evoked}
     reached.update(s.value for f in frames for s in doc.store.slots(f))
     return [frame for frame in frames if frame not in reached]
@@ -370,8 +370,8 @@ def test_embedded_frames_survive_a_notation_file(tmp_path):
     path = tmp_path / "corpus.txt"
     write_corpus(docs, str(path))
     back = read_corpus(str(path))
-    assert sum(len(frame_graph(doc)) for doc in docs) == 698
-    assert sum(len(frame_graph(doc)) for doc in back) == 698
+    assert sum(len(frame_graph(doc).frames) for doc in docs) == 698
+    assert sum(len(frame_graph(doc).frames) for doc in back) == 698
     report = evaluate_corpus(docs, back)
     for name in METRICS:
         counts = report.metric(name)

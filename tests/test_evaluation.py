@@ -4,7 +4,7 @@ import pytest
 
 from framekit import cli
 from framekit.corpus import generate_corpus
-from framekit.document import Document, Mention, tokenize
+from framekit.document import Document, Mention, frame_graph, tokenize
 from framekit.evaluation import (EvalReport, MetricCounts, METRICS,
                                  TokenMismatchError, align, evaluate,
                                  evaluate_corpus)
@@ -37,7 +37,7 @@ def test_identity_on_synthetic_corpus():
 
 def test_alignment_identity(hit_doc):
     clone = copy_document(hit_doc)
-    mapping = align(hit_doc, clone)
+    mapping = align(frame_graph(hit_doc), frame_graph(clone))
     assert len(mapping) == 3  # every gold frame aligned
 
 
@@ -46,7 +46,7 @@ def test_missing_mention_unaligns_one(hit_doc):
     # drop the ball mention; its frame stays linked via arg1 and is
     # still aligned through link extension, so only the span suffers
     pred.mentions = [m for m in pred.mentions if m.begin != 3]
-    mapping = align(hit_doc, pred)
+    mapping = align(frame_graph(hit_doc), frame_graph(pred))
     assert len(mapping) == 3
     report = evaluate(hit_doc, pred)
     assert report.span.matched_gold == 2
@@ -81,7 +81,7 @@ def test_link_extension_fixpoint():
         return doc
 
     gold, pred = build(), build()
-    mapping = align(gold, pred)
+    mapping = align(frame_graph(gold), frame_graph(pred))
     assert len(mapping) == 2
     assert_identity(evaluate(gold, pred))
 
@@ -98,7 +98,7 @@ def test_embedded_frame_aligned_via_incoming_link():
         return doc
 
     gold, pred = build(), build()
-    assert len(align(gold, pred)) == 2
+    assert len(align(frame_graph(gold), frame_graph(pred))) == 2
     assert_identity(evaluate(gold, pred))
 
 
@@ -172,7 +172,7 @@ def test_frames_outside_the_graph_are_neither_aligned_nor_counted(tmp_path, caps
     report = evaluate(doc, doc)
     assert_identity(report)
     assert (report.frame.total_gold, report.role.total_gold) == (2, 1)
-    assert len(align(doc, doc)) == 2
+    assert len(align(frame_graph(doc), frame_graph(doc))) == 2
     assert oracle.roundtrip_check(doc)
 
     path = tmp_path / "doc.txt"
@@ -186,6 +186,39 @@ def test_frames_outside_the_graph_are_neither_aligned_nor_counted(tmp_path, caps
             assert int(fields[f"{key}.matched_{side}"]) <= int(fields[f"{key}.total_{side}"])
     for key in ("frame", "type", "slot", "combined"):
         assert fields[f"{key}.f1"] == "100.00", key
+
+
+def _one_frame_document(case: str) -> Document:
+    """"a" evoking one frame that holds, by case, a frame in its `id` slot,
+    a frame under a frame-valued role, or a list constant holding a
+    symbol or a frame."""
+    store = Store()
+    frame = store.new_frame([(store.isa, store.intern("/t/e"))])
+    other = store.new_frame([(store.isa, store.intern("/t/c"))])
+    if case == "id-slot":
+        store.add_slot(frame, store.id, other)
+    elif case == "frame-role":
+        store.add_slot(frame, store.new_frame([(store.isa, store.intern("/t/r"))]), other)
+    elif case == "symbol-list":
+        store.add_slot(frame, store.intern("/r/c"), [store.intern("/v/x"), 1])
+    else:  # "frame-list"
+        store.add_slot(frame, store.intern("/r/c"), [other])
+    return Document("a", tokenize("a"), [Mention(0, 1, [frame])], store)
+
+
+@pytest.mark.parametrize("case, metric", [("id-slot", "frame"), ("frame-role", "frame"),
+                                          ("symbol-list", "label"), ("frame-list", "label")])
+def test_a_file_scored_against_itself_reads_100(tmp_path, capsys, case, metric):
+    """Each read of the file has its own store: the frame graph leaves out
+    frames that no link reaches, and a list constant is keyed by its
+    items' names, not by handles of one store."""
+    path = tmp_path / "doc.txt"
+    cli.write_corpus([_one_frame_document(case)], str(path))
+    assert cli.main(["eval", "--gold", str(path), "--pred", str(path)]) == 0
+    fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
+                  if "=" in line)
+    assert fields[f"{metric}.f1"] == "100.00"
+    assert fields[f"{metric}.total_gold"] == "1"
 
 
 @pytest.mark.parametrize("gold_value, pred_value", [
@@ -219,7 +252,7 @@ def test_token_mismatch_rejected(hit_doc, tmp_path, capsys):
     cli.write_corpus([hit_doc, hit_doc], str(gold))
     cli.write_corpus([hit_doc, other], str(pred))
     assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {gold}, {pred}: {message}\n"
 
 
 def test_counts_match_brute_force_on_perturbed_pairs():

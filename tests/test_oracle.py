@@ -6,7 +6,8 @@ import pytest
 from framekit import cli
 from framekit.cli import read_corpus, write_corpus
 from framekit.corpus import generate_corpus
-from framekit.document import DOCUMENT_TYPE, PHRASE_TYPE, Document, Mention, tokenize
+from framekit.document import (DOCUMENT_TYPE, PHRASE_TYPE, Document, Mention, frame_graph,
+                               tokenize)
 from framekit.evaluation import evaluate
 from framekit.oracle import (UnrepresentableDocumentError, action_table,
                              generate, replay, roundtrip_check)
@@ -147,15 +148,32 @@ def test_a_theme_linked_only_through_id_is_unrepresentable(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: document 0: {problem}\n"
 
 
+def _given_unruly_documents() -> list[Document]:
+    """The documents of 2,000 `random_unruly_document`s (seed 5) that the
+    oracle gives a sequence for."""
+    rng = random.Random(5)
+    given = []
+    for _ in range(2000):
+        doc = random_unruly_document(rng)
+        try:
+            generate(doc)
+        except UnrepresentableDocumentError:
+            continue
+        given.append(doc)
+    return given
+
+
 def test_the_links_sequenced_are_the_links_scored():
     """CONNECT, ELABORATE and EMBED each build one link, and the evaluator
     scores each link once, so their count is the gold Role total of a
-    document scored against itself."""
+    document scored against itself.  No link runs through `id`."""
     rng = random.Random(2021)
     docs = [doc for seed in (1, 11, 17) for doc in generate_corpus(seed, 200)]
-    for doc in docs + [random_document(rng) for _ in range(2000)]:
-        built = sum(action.kind in (CONNECT, ELABORATE, EMBED) for action in generate(doc))
+    for doc in docs + [random_document(rng) for _ in range(2000)] + _given_unruly_documents():
+        actions = generate(doc)
+        built = sum(action.kind in (CONNECT, ELABORATE, EMBED) for action in actions)
         assert built == evaluate(doc, doc).role.total_gold
+        assert not any(action.kind == CONNECT and action.role == "id" for action in actions)
 
 
 def test_an_evoked_frame_of_a_schema_type_keeps_its_evoke_and_assign():
@@ -169,18 +187,32 @@ def test_an_evoked_frame_of_a_schema_type_keeps_its_evoke_and_assign():
 
 
 def test_a_frame_is_created_through_its_role_not_an_id_slot():
-    """The first evoked frame names the non-evoked one in an `id` slot,
-    which no role scores; the frame is embedded where its own link
-    leads."""
+    """The first evoked frame names the embedded one in an `id` slot,
+    which is no link; the frame, listed as a theme, is embedded where its
+    own link leads."""
     store = Store()
     first = store.new_frame([(store.isa, store.intern("/t/a"))])
     second = store.new_frame([(store.isa, store.intern("/t/b"))])
-    store.add_slot(first, store.id, store.new_frame([(store.isa, store.intern("/t/c")),
-                                                     (store.intern("/r/x"), second)]))
+    embedded = store.new_frame([(store.isa, store.intern("/t/c")),
+                                (store.intern("/r/x"), second)])
+    store.add_slot(first, store.id, embedded)
     doc = Document("a b", tokenize("a b"), [Mention(0, 1, [first]), Mention(1, 1, [second])],
-                   store)
+                   store, [embedded])
     assert [action.to_text() for action in generate(doc)] == \
         ["EVOKE(/t/a, 1)", "SHIFT", "EVOKE(/t/b, 1)", "EMBED(0, /r/x, /t/c)", "SHIFT", "STOP"]
+    assert roundtrip_check(doc)
+
+
+def test_a_frame_reached_only_through_an_id_slot_is_outside_the_graph():
+    """An unlisted frame that only an `id` slot names is no graph frame:
+    the oracle leaves it out and the evaluator does not count it."""
+    store = Store()
+    evoked = store.new_frame([(store.isa, store.intern("/t/a"))])
+    store.add_slot(evoked, store.id, store.new_frame([(store.isa, store.intern("/t/c"))]))
+    doc = Document("a", tokenize("a"), [Mention(0, 1, [evoked])], store)
+    assert frame_graph(doc).frames == [evoked]
+    assert [action.to_text() for action in generate(doc)] == ["EVOKE(/t/a, 1)", "SHIFT", "STOP"]
+    assert evaluate(doc, doc).frame.total_gold == 1
     assert roundtrip_check(doc)
 
 
@@ -241,17 +273,9 @@ def test_every_sequence_the_oracle_gives_rebuilds_its_document():
     """Over documents with schema-typed and untyped frames, `id` and later
     `isa` links and random themes, the oracle refuses a document or
     gives a sequence whose replay scores as the document itself."""
-    rng = random.Random(5)
-    given = 0
-    for _ in range(2000):
-        doc = random_unruly_document(rng)
-        try:
-            generate(doc)
-        except UnrepresentableDocumentError:
-            continue
-        given += 1
-        assert roundtrip_check(doc)
-    assert given == 991  # the oracle refuses the other 1,009
+    given = _given_unruly_documents()
+    assert all(roundtrip_check(doc) for doc in given)
+    assert len(given) == 999  # the oracle refuses the other 1,001
 
 
 @pytest.mark.parametrize("value", ["a b", "nil", "12", "é", math.inf, math.nan])

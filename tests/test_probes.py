@@ -6,7 +6,7 @@ error; here it fails instead."""
 import sys
 from pathlib import Path
 
-from framekit import evaluation, oracle
+from framekit import document, evaluation, oracle
 from framekit.corpus import generate_corpus
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -27,7 +27,7 @@ def test_every_probe_target_resolves():
 def test_frame_graph_probes_see_every_call(monkeypatch):
     """`document.frame_graph.calls` counts the calls made through the
     oracle's and the evaluator's own names: one per `generate`, one per
-    side of `evaluate`."""
+    side of `evaluate`, none in `align`, which takes the two tables."""
     calls = {"oracle": 0, "evaluation": 0}
     for module in (oracle, evaluation):
         def counted(doc, name=module.__name__.split(".")[-1], inner=module.frame_graph):
@@ -39,3 +39,7 @@ def test_frame_graph_probes_see_every_call(monkeypatch):
     assert calls == {"oracle": 1, "evaluation": 0}
     evaluation.evaluate(doc, doc)
     assert calls == {"oracle": 1, "evaluation": 2}
+    evaluation.align(document.frame_graph(doc), document.frame_graph(doc))
+    assert calls == {"oracle": 1, "evaluation": 2}
+    oracle.roundtrip_check(doc)
+    assert calls == {"oracle": 2, "evaluation": 4}

@@ -269,7 +269,7 @@ def test_to_document_lists_embedded_frames_not_elaborated_ones():
     assert state.store.get_role(evoked, state.store.intern("/r/back")) == wrapper
     doc = state.to_document()
     assert doc.themes == [wrapper, note]
-    assert set(frame_graph(doc)) == {evoked, wrapper, extra, note}
+    assert set(frame_graph(doc).frames) == {evoked, wrapper, extra, note}
 
 
 def test_move_to_front_discipline():
